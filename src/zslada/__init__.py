@@ -23,17 +23,9 @@ from zslada.ada import (
     LabeledBatch,
     adapt,
     augment_label,
-    classifier_loss_S,
-    classifier_loss_T,
-    critic_loss_S,
-    critic_loss_T,
-    cycle_loss,
-    generator_loss_S,
-    generator_loss_T,
     load_ada_state,
     map_prototypes,
     save_ada_state,
-    total_loss,
     train_std_da,
 )
 from zslada.data import (

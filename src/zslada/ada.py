@@ -15,7 +15,9 @@ RMSprop step on the generator-side objective (generators plus
 classifiers), then ``n_critic`` RMSprop steps on the critic objective
 with weight clipping.  Differentiating the summed min-max value
 directly would cancel the adversarial signal, so the two objectives
-are separated exactly as in standard adversarial training.
+are separated exactly as in standard adversarial training.  The T and
+S sides mirror each other; ``_SIDES`` describes each side once and both
+objectives loop over it.
 
 Classifier terms follow a two-phase schedule: during warmup only the
 real-data terms train the classifiers; after the recovery trigger
@@ -24,10 +26,9 @@ gradients reach the generators.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,7 +154,6 @@ class AdaState:
     iteration: int = 0
     pseudo: np.ndarray | None = None
     agreement_estimate: float | None = None
-    loss_history: deque = field(default_factory=lambda: deque(maxlen=100))
 
     def __post_init__(self) -> None:
         missing = set(ROLES) - set(self.nets)
@@ -214,17 +214,6 @@ def augment_batch(X: np.ndarray, labels: np.ndarray, n_unseen: int) -> np.ndarra
     return np.hstack([X, onehot])
 
 
-def _unseen_count(g: MlpNetwork, d: int) -> int:
-    u = g.spec.in_dim - d
-    if u < 1:
-        raise ConfigError("generator input is not wider than the feature dim")
-    return u
-
-
-def _fw(net: MlpNetwork, X: np.ndarray, commit: bool, rng_seed: int | None):
-    return mlp_forward(net, X, rng_seed=rng_seed, update_stats=commit)
-
-
 def _mean_l1(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Batch mean of per-row L1 norms, and its gradient wrt ``pred``."""
     diff = pred - target
@@ -250,144 +239,51 @@ def _check_batches(source: LabeledBatch, target: LabeledBatch) -> None:
         raise ConfigError("source and target feature dims differ")
 
 
-def generator_loss_T(g_t: MlpNetwork, d_t: MlpNetwork, source: LabeledBatch,
-                     target: LabeledBatch, beta: float,
-                     rng_seed: int | None = None) -> float:
-    """Identity L1 on real target rows minus mean critic score on fakes."""
-    _check_batches(source, target)
-    d = target.features.shape[1]
-    u = _unseen_count(g_t, d)
-    ident, _ = _mean_l1(
-        _fw(g_t, augment_batch(target.features, target.labels, u), False, rng_seed)[0],
-        target.features)
-    fakes = _fw(g_t, augment_batch(source.features, source.labels, u), False, rng_seed)[0]
-    return beta * ident - float(_fw(d_t, fakes, False, rng_seed)[0].mean())
+class _Side(NamedTuple):
+    """One side of the adaptation game and the dropout-seed tag of each of
+    its forward passes.  Its generator translates the other side's batch
+    into the ``own`` domain, where its critic and classifier live."""
+
+    name: str
+    g: str
+    d: str
+    c: str
+    own: str
+    translate: str
+    ident: str
+    d_fake: str
+    d_real: str
+    cyc_back: str
+    c_real: str
+    c_gen: str
 
 
-def generator_loss_S(g_s: MlpNetwork, d_s: MlpNetwork, source: LabeledBatch,
-                     target: LabeledBatch, beta: float,
-                     rng_seed: int | None = None) -> float:
-    """Mirror of :func:`generator_loss_T` with the domains swapped."""
-    _check_batches(source, target)
-    d = source.features.shape[1]
-    u = _unseen_count(g_s, d)
-    ident, _ = _mean_l1(
-        _fw(g_s, augment_batch(source.features, source.labels, u), False, rng_seed)[0],
-        source.features)
-    fakes = _fw(g_s, augment_batch(target.features, target.labels, u), False, rng_seed)[0]
-    return beta * ident - float(_fw(d_s, fakes, False, rng_seed)[0].mean())
+_SIDES = (
+    _Side("T", "g_t", "d_t", "c_t", "target", "gt_src", "gt_id", "d_fake_t", "d_real_t",
+          "cyc_back_s", "ct_real", "ct_gen"),
+    _Side("S", "g_s", "d_s", "c_s", "source", "gs_tgt", "gs_id", "d_fake_s", "d_real_s",
+          "cyc_back_t", "cs_real", "cs_gen"),
+)
 
 
-def critic_loss_T(d_t: MlpNetwork, g_t: MlpNetwork, source: LabeledBatch,
-                  target: LabeledBatch, rng_seed: int | None = None) -> float:
-    """Mean critic score on translated fakes minus score on real targets."""
-    _check_batches(source, target)
-    d = target.features.shape[1]
-    u = _unseen_count(g_t, d)
-    fakes = _fw(g_t, augment_batch(source.features, source.labels, u), False, rng_seed)[0]
-    return (float(_fw(d_t, fakes, False, rng_seed)[0].mean())
-            - float(_fw(d_t, target.features, False, rng_seed)[0].mean()))
+def _sides(variant: str, objective: str) -> tuple[_Side, ...]:
+    if variant == "std_da":
+        raise ConfigError(f"std_da has no {objective} objective")
+    return _SIDES[:1] if variant == "vanilla_ada" else _SIDES
 
 
-def critic_loss_S(d_s: MlpNetwork, g_s: MlpNetwork, source: LabeledBatch,
-                  target: LabeledBatch, rng_seed: int | None = None) -> float:
-    _check_batches(source, target)
-    d = source.features.shape[1]
-    u = _unseen_count(g_s, d)
-    fakes = _fw(g_s, augment_batch(target.features, target.labels, u), False, rng_seed)[0]
-    return (float(_fw(d_s, fakes, False, rng_seed)[0].mean())
-            - float(_fw(d_s, source.features, False, rng_seed)[0].mean()))
+def _own_other(side: _Side, source_item, target_item) -> tuple:
+    """The side's own-domain item first, the other domain's second."""
+    if side.own == "target":
+        return target_item, source_item
+    return source_item, target_item
 
 
-def cycle_loss(g_t: MlpNetwork, g_s: MlpNetwork, source: LabeledBatch,
-               target: LabeledBatch, cycle_form: str = "cross_domain",
-               rng_seed: int | None = None) -> float:
-    """Two-leg L1 reconstruction over class-aligned pairs.
-
-    The printed cross-domain form compares each reconstruction with the
-    paired row from the OTHER domain; ``within_domain`` compares with
-    the leg's own starting row.
-    """
-    _check_batches(source, target)
-    if source.n != target.n:
-        raise ConfigError("cycle loss needs equally sized, class-aligned batches")
-    if cycle_form not in CYCLE_FORMS:
-        raise ConfigError(f"cycle_form must be one of {CYCLE_FORMS}")
-    d = target.features.shape[1]
-    u = _unseen_count(g_t, d)
-    gt_src = _fw(g_t, augment_batch(source.features, source.labels, u), False, rng_seed)[0]
-    back_s = _fw(g_s, augment_batch(gt_src, source.labels, u), False, rng_seed)[0]
-    gs_tgt = _fw(g_s, augment_batch(target.features, target.labels, u), False, rng_seed)[0]
-    back_t = _fw(g_t, augment_batch(gs_tgt, target.labels, u), False, rng_seed)[0]
-    if cycle_form == "cross_domain":
-        ref1, ref2 = target.features, source.features
-    else:
-        ref1, ref2 = source.features, target.features
-    return _mean_l1(back_s, ref1)[0] + _mean_l1(back_t, ref2)[0]
-
-
-def classifier_loss_T(c_t: MlpNetwork, g_t: MlpNetwork, source: LabeledBatch,
-                      target: LabeledBatch, phase: str,
-                      rng_seed: int | None = None) -> float:
-    """Cross-entropy on real pseudo-labeled rows, plus the transformed
-    source term once the recovery phase starts."""
-    _check_batches(source, target)
-    if phase not in PHASES:
-        raise ConfigError(f"phase must be one of {PHASES}")
-    loss, _ = _ce(_fw(c_t, target.features, False, rng_seed)[0], target.labels)
-    if phase == "recovery":
-        d = target.features.shape[1]
-        u = _unseen_count(g_t, d)
-        fakes = _fw(g_t, augment_batch(source.features, source.labels, u),
-                    False, rng_seed)[0]
-        loss += _ce(_fw(c_t, fakes, False, rng_seed)[0], source.labels)[0]
-    return loss
-
-
-def classifier_loss_S(c_s: MlpNetwork, g_s: MlpNetwork, source: LabeledBatch,
-                      target: LabeledBatch, phase: str,
-                      rng_seed: int | None = None) -> float:
-    _check_batches(source, target)
-    if phase not in PHASES:
-        raise ConfigError(f"phase must be one of {PHASES}")
-    loss, _ = _ce(_fw(c_s, source.features, False, rng_seed)[0], source.labels)
-    if phase == "recovery":
-        d = source.features.shape[1]
-        u = _unseen_count(g_s, d)
-        fakes = _fw(g_s, augment_batch(target.features, target.labels, u),
-                    False, rng_seed)[0]
-        loss += _ce(_fw(c_s, fakes, False, rng_seed)[0], target.labels)[0]
-    return loss
-
-
-def total_loss(state: AdaState, source: LabeledBatch, target: LabeledBatch,
-               config: AdaConfig) -> tuple[float, dict[str, float]]:
-    """Weighted sum of every term the variant trains, plus its breakdown.
-
-    Breakdown values are the weighted contributions, so they sum to the
-    total exactly.  ``adv_T`` / ``adv_S`` each combine the generator and
-    critic sides of that domain's adversarial game.
-    """
-    if state.variant == "std_da":
-        raise ConfigError("std_da has no adversarial objective")
-    beta = 0.0 if state.variant == "vanilla_ada" else config.identity_weight
-    breakdown = {
-        "adv_T": (generator_loss_T(state.g_t, state.d_t, source, target, beta)
-                  + critic_loss_T(state.d_t, state.g_t, source, target)),
-    }
-    if state.variant != "vanilla_ada":
-        breakdown["adv_S"] = (
-            generator_loss_S(state.g_s, state.d_s, source, target, beta)
-            + critic_loss_S(state.d_s, state.g_s, source, target))
-        breakdown["cyc"] = config.cycle_weight * cycle_loss(
-            state.g_t, state.g_s, source, target, config.cycle_form)
-    if state.variant != "cyclegan_wo":
-        breakdown["clf_T"] = config.classifier_weight * classifier_loss_T(
-            state.c_t, state.g_t, source, target, state.phase)
-        if state.variant != "vanilla_ada":
-            breakdown["clf_S"] = config.classifier_weight * classifier_loss_S(
-                state.c_s, state.g_s, source, target, state.phase)
-    return float(sum(breakdown.values())), breakdown
+def _rmsprop_states(nets: dict[str, MlpNetwork],
+                    learning_rate: float) -> dict[str, OptimizerState]:
+    return {role: init_optimizer("rmsprop", net.params.size, learning_rate=learning_rate,
+                                 param_layout=list(net.spec.param_layout()))
+            for role, net in nets.items()}
 
 
 def init_ada_state(base_model: BaseZslModel, config: AdaConfig) -> AdaState:
@@ -398,25 +294,16 @@ def init_ada_state(base_model: BaseZslModel, config: AdaConfig) -> AdaState:
         raise DataError("EMPTY_CLASS_SET", "adaptation needs at least one unseen class")
     u = len(unseen)
     specs = {
-        "g_t": MlpSpec.dense((d + u, *config.gen_hidden, d), activation="leaky_relu:0.2",
-                             batchnorm=config.use_batchnorm, dropout=config.gen_dropout),
-        "g_s": MlpSpec.dense((d + u, *config.gen_hidden, d), activation="leaky_relu:0.2",
-                             batchnorm=config.use_batchnorm, dropout=config.gen_dropout),
-        "d_t": MlpSpec.dense((d, *config.disc_hidden, 1), activation="leaky_relu:0.2",
-                             batchnorm=config.use_batchnorm),
-        "d_s": MlpSpec.dense((d, *config.disc_hidden, 1), activation="leaky_relu:0.2",
-                             batchnorm=config.use_batchnorm),
-        "c_t": MlpSpec.dense((d, u), out_activation="log_softmax"),
-        "c_s": MlpSpec.dense((d, u), out_activation="log_softmax"),
+        "g": MlpSpec.dense((d + u, *config.gen_hidden, d), activation="leaky_relu:0.2",
+                           batchnorm=config.use_batchnorm, dropout=config.gen_dropout),
+        "d": MlpSpec.dense((d, *config.disc_hidden, 1), activation="leaky_relu:0.2",
+                           batchnorm=config.use_batchnorm),
+        "c": MlpSpec.dense((d, u), out_activation="log_softmax"),
     }
-    nets = {role: init_network(spec, seed=named_seed(config.seed, "init", role))
-            for role, spec in specs.items()}
-    optimizers = {role: init_optimizer("rmsprop", nets[role].params.size,
-                                       learning_rate=config.learning_rate,
-                                       param_layout=list(nets[role].spec.param_layout()))
-                  for role in specs}
-    return AdaState(nets=nets, optimizers=optimizers, unseen_ids=list(unseen),
-                    variant=config.variant)
+    nets = {role: init_network(specs[role[0]], seed=named_seed(config.seed, "init", role))
+            for role in ROLES}
+    return AdaState(nets=nets, optimizers=_rmsprop_states(nets, config.learning_rate),
+                    unseen_ids=list(unseen), variant=config.variant)
 
 
 def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
@@ -427,145 +314,91 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
     gradients for every net updated in this step.
 
     Critic parameters are frozen (their scores still shape the
-    gradient); the breakdown also carries value-only critic losses so a
-    training log can report the full adversarial terms per iteration.
+    gradient); the breakdown also carries the value-only critic losses
+    ``L_D_T`` / ``L_D_S``, so the summed min-max value of the variant is
+    ``value + L_D_T + L_D_S``.  Terms a variant does not train read 0.
     """
     _check_batches(source, target)
     if source.n != target.n:
         raise ConfigError("generator step needs equally sized class-aligned batches")
-    variant = state.variant
-    if variant == "std_da":
-        raise ConfigError("std_da has no generator objective")
-    has_s = variant in ("full", "cyclegan_wo")
-    has_clf = variant in ("full", "vanilla_ada")
+    sides = _sides(state.variant, "generator")
+    has_clf = state.variant in ("full", "vanilla_ada")
     # vanilla keeps only the plain adversarial game: both the cycle and
     # the identity anchor are the constrained-translation additions.
-    beta = 0.0 if variant == "vanilla_ada" else config.identity_weight
+    beta = 0.0 if state.variant == "vanilla_ada" else config.identity_weight
     chi = config.cycle_weight
     xi = config.classifier_weight
-    n = source.n
-    d = target.features.shape[1]
+    n, d = target.features.shape
     u = state.n_unseen
-    labels = source.labels
+    nets = state.nets
 
-    def seed_for(tag: str):
-        return None if rng_seed is None else named_seed(rng_seed, tag)
+    def fw(role: str, X: np.ndarray, tag: str, commit: bool = commit_stats):
+        return mlp_forward(nets[role], X, update_stats=commit,
+                           rng_seed=None if rng_seed is None else named_seed(rng_seed, tag))
 
-    ya = augment_batch(source.features, labels, u)
-    xa = augment_batch(target.features, target.labels, u)
-
-    grads = {role: np.zeros_like(state.nets[role].params)
-             for role in (("g_t", "g_s", "c_t", "c_s") if has_s else ("g_t", "c_t"))
-             if has_clf or role in ("g_t", "g_s")}
-    breakdown: dict[str, float] = {}
-
-    # T-side generator terms
-    gt_src, cache_gt_src = _fw(state.g_t, ya, commit_stats, seed_for("gt_src"))
-    d_fake_t, cache_d_fake_t = _fw(state.d_t, gt_src, False, seed_for("d_fake_t"))
-    gt_id, cache_gt_id = _fw(state.g_t, xa, commit_stats, seed_for("gt_id"))
-    ident_t, ident_t_grad = _mean_l1(gt_id, target.features)
-    breakdown["L_G_T"] = beta * ident_t - float(d_fake_t.mean())
-    breakdown["L_D_T"] = (float(d_fake_t.mean())
-                          - float(_fw(state.d_t, target.features, False,
-                                      seed_for("d_real_t"))[0].mean()))
-
-    g_at_gt_src = np.zeros((n, d))
-    pg, _ = mlp_backward(state.g_t, cache_gt_id, beta * ident_t_grad)
-    grads["g_t"] += pg
-    _, gin = mlp_backward(state.d_t, cache_d_fake_t, np.full((n, 1), -1.0 / n))
-    g_at_gt_src += gin
-
-    g_at_gs_tgt = None
-    cache_gs_tgt = None
-    if has_s:
-        gs_tgt, cache_gs_tgt = _fw(state.g_s, xa, commit_stats, seed_for("gs_tgt"))
-        d_fake_s, cache_d_fake_s = _fw(state.d_s, gs_tgt, False, seed_for("d_fake_s"))
-        gs_id, cache_gs_id = _fw(state.g_s, ya, commit_stats, seed_for("gs_id"))
-        ident_s, ident_s_grad = _mean_l1(gs_id, source.features)
-        breakdown["L_G_S"] = beta * ident_s - float(d_fake_s.mean())
-        breakdown["L_D_S"] = (float(d_fake_s.mean())
-                              - float(_fw(state.d_s, source.features, False,
-                                          seed_for("d_real_s"))[0].mean()))
-        g_at_gs_tgt = np.zeros((n, d))
-        pg, _ = mlp_backward(state.g_s, cache_gs_id, beta * ident_s_grad)
-        grads["g_s"] += pg
-        _, gin = mlp_backward(state.d_s, cache_d_fake_s, np.full((n, 1), -1.0 / n))
-        g_at_gs_tgt += gin
-
-        # cycle legs
-        back_s, cache_back_s = _fw(state.g_s, augment_batch(gt_src, labels, u),
-                                   commit_stats, seed_for("cyc_back_s"))
-        back_t, cache_back_t = _fw(state.g_t, augment_batch(gs_tgt, target.labels, u),
-                                   commit_stats, seed_for("cyc_back_t"))
-        if config.cycle_form == "cross_domain":
-            ref1, ref2 = target.features, source.features
-        else:
-            ref1, ref2 = source.features, target.features
-        leg1, leg1_grad = _mean_l1(back_s, ref1)
-        leg2, leg2_grad = _mean_l1(back_t, ref2)
-        breakdown["L_cyc"] = leg1 + leg2
-        pg, gin = mlp_backward(state.g_s, cache_back_s, chi * leg1_grad)
-        grads["g_s"] += pg
-        g_at_gt_src += gin[:, :d]
-        pg, gin = mlp_backward(state.g_t, cache_back_t, chi * leg2_grad)
-        grads["g_t"] += pg
-        g_at_gs_tgt += gin[:, :d]
-    else:
-        breakdown["L_G_S"] = 0.0
-        breakdown["L_D_S"] = 0.0
-        breakdown["L_cyc"] = 0.0
-
+    aug_src = augment_batch(source.features, source.labels, u)
+    aug_tgt = augment_batch(target.features, target.labels, u)
+    grads = {side.g: np.zeros_like(nets[side.g].params) for side in sides}
     if has_clf:
-        ct_real, cache_ct_real = _fw(state.c_t, target.features, commit_stats,
-                                     seed_for("ct_real"))
-        clf_t, ce_grad = _ce(ct_real, target.labels)
-        pg, _ = mlp_backward(state.c_t, cache_ct_real, xi * ce_grad)
-        grads["c_t"] += pg
+        grads.update((side.c, np.zeros_like(nets[side.c].params)) for side in sides)
+    breakdown = dict.fromkeys(
+        ("L_G_T", "L_D_T", "L_G_S", "L_D_S", "L_cyc", "L_clf_T", "L_clf_S"), 0.0)
+    moved, cache, at_moved = {}, {}, {}
+
+    # translation, identity anchor and critic score
+    for side in sides:
+        own, other = _own_other(side, source, target)
+        own_aug, other_aug = _own_other(side, aug_src, aug_tgt)
+        moved[side], cache[side] = fw(side.g, other_aug, side.translate)
+        d_fake, cache_d_fake = fw(side.d, moved[side], side.d_fake, False)
+        ident_out, cache_ident = fw(side.g, own_aug, side.ident)
+        ident, ident_grad = _mean_l1(ident_out, own.features)
+        breakdown[f"L_G_{side.name}"] = beta * ident - float(d_fake.mean())
+        breakdown[f"L_D_{side.name}"] = (
+            float(d_fake.mean())
+            - float(fw(side.d, own.features, side.d_real, False)[0].mean()))
+        at_moved[side] = np.zeros((n, d))
+        grads[side.g] += mlp_backward(nets[side.g], cache_ident, beta * ident_grad)[0]
+        at_moved[side] += mlp_backward(nets[side.d], cache_d_fake,
+                                       np.full((n, 1), -1.0 / n))[1]
+
+    # cycle legs: each side's translated rows go back through the other generator
+    if len(sides) == 2:
+        for side, back in zip(sides, reversed(sides)):
+            own, other = _own_other(side, source, target)
+            rebuilt, cache_back = fw(back.g, augment_batch(moved[side], other.labels, u),
+                                     side.cyc_back)
+            ref = own if config.cycle_form == "cross_domain" else other
+            leg, leg_grad = _mean_l1(rebuilt, ref.features)
+            breakdown["L_cyc"] += leg
+            pg, gin = mlp_backward(nets[back.g], cache_back, chi * leg_grad)
+            grads[back.g] += pg
+            at_moved[side] += gin[:, :d]
+
+    # classifiers: real own-domain rows, plus the translated rows in recovery
+    for side in sides if has_clf else ():
+        own, other = _own_other(side, source, target)
+        out, cache_c = fw(side.c, own.features, side.c_real)
+        clf, ce_grad = _ce(out, own.labels)
+        grads[side.c] += mlp_backward(nets[side.c], cache_c, xi * ce_grad)[0]
         if state.phase == "recovery":
-            ct_gen, cache_ct_gen = _fw(state.c_t, gt_src, commit_stats,
-                                       seed_for("ct_gen"))
-            term, ce_grad = _ce(ct_gen, labels)
-            clf_t += term
-            pg, gin = mlp_backward(state.c_t, cache_ct_gen, xi * ce_grad)
-            grads["c_t"] += pg
-            g_at_gt_src += gin
-        if config.mismatched_pairs and u > 1:
-            wrong = _mismatched_labels(target.labels, u, config.seed, state.iteration)
-            ct_wrong, cache_ct_wrong = _fw(state.c_t, target.features, False,
-                                           seed_for("ct_wrong"))
-            term, ce_grad = _ce(ct_wrong, wrong)
-            clf_t -= config.mismatched_weight * term
-            pg, _ = mlp_backward(state.c_t, cache_ct_wrong,
-                                 -config.mismatched_weight * xi * ce_grad)
-            grads["c_t"] += pg
-        breakdown["L_clf_T"] = clf_t
+            out, cache_c = fw(side.c, moved[side], side.c_gen)
+            term, ce_grad = _ce(out, other.labels)
+            clf += term
+            pg, gin = mlp_backward(nets[side.c], cache_c, xi * ce_grad)
+            grads[side.c] += pg
+            at_moved[side] += gin
+        breakdown[f"L_clf_{side.name}"] = clf
+    if has_clf and config.mismatched_pairs and u > 1:
+        wrong = _mismatched_labels(target.labels, u, config.seed, state.iteration)
+        out, cache_c = fw("c_t", target.features, "ct_wrong", False)
+        term, ce_grad = _ce(out, wrong)
+        breakdown["L_clf_T"] -= config.mismatched_weight * term
+        grads["c_t"] += mlp_backward(nets["c_t"], cache_c,
+                                     -config.mismatched_weight * xi * ce_grad)[0]
 
-        if has_s:
-            cs_real, cache_cs_real = _fw(state.c_s, source.features, commit_stats,
-                                         seed_for("cs_real"))
-            clf_s, ce_grad = _ce(cs_real, labels)
-            pg, _ = mlp_backward(state.c_s, cache_cs_real, xi * ce_grad)
-            grads["c_s"] += pg
-            if state.phase == "recovery":
-                cs_gen, cache_cs_gen = _fw(state.c_s, gs_tgt, commit_stats,
-                                           seed_for("cs_gen"))
-                term, ce_grad = _ce(cs_gen, target.labels)
-                clf_s += term
-                pg, gin = mlp_backward(state.c_s, cache_cs_gen, xi * ce_grad)
-                grads["c_s"] += pg
-                g_at_gs_tgt += gin
-            breakdown["L_clf_S"] = clf_s
-        else:
-            breakdown["L_clf_S"] = 0.0
-    else:
-        breakdown["L_clf_T"] = 0.0
-        breakdown["L_clf_S"] = 0.0
-
-    pg, _ = mlp_backward(state.g_t, cache_gt_src, g_at_gt_src)
-    grads["g_t"] += pg
-    if has_s:
-        pg, _ = mlp_backward(state.g_s, cache_gs_tgt, g_at_gs_tgt)
-        grads["g_s"] += pg
+    for side in sides:
+        grads[side.g] += mlp_backward(nets[side.g], cache[side], at_moved[side])[0]
 
     value = breakdown["L_G_T"] + breakdown["L_G_S"] + chi * breakdown["L_cyc"]
     value += xi * (breakdown["L_clf_T"] + breakdown["L_clf_S"])
@@ -584,40 +417,26 @@ def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
                      ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
     """Critic-step objective with generators frozen."""
     _check_batches(source, target)
-    if state.variant == "std_da":
-        raise ConfigError("std_da has no critic objective")
-    has_s = state.variant in ("full", "cyclegan_wo")
     u = state.n_unseen
+    nets = state.nets
 
-    def seed_for(tag: str):
-        return None if rng_seed is None else named_seed(rng_seed, tag)
+    def fw(role: str, X: np.ndarray, tag: str, commit: bool = commit_stats):
+        return mlp_forward(nets[role], X, update_stats=commit,
+                           rng_seed=None if rng_seed is None else named_seed(rng_seed, tag))
 
     grads = {}
-    breakdown = {}
-    ya = augment_batch(source.features, source.labels, u)
-    fakes_t = _fw(state.g_t, ya, False, seed_for("gt_src"))[0]
-    nf, nr = fakes_t.shape[0], target.n
-    out_f, cache_f = _fw(state.d_t, fakes_t, commit_stats, seed_for("d_fake_t"))
-    out_r, cache_r = _fw(state.d_t, target.features, commit_stats, seed_for("d_real_t"))
-    breakdown["L_D_T"] = float(out_f.mean()) - float(out_r.mean())
-    pg_f, _ = mlp_backward(state.d_t, cache_f, np.full((nf, 1), 1.0 / nf))
-    pg_r, _ = mlp_backward(state.d_t, cache_r, np.full((nr, 1), -1.0 / nr))
-    grads["d_t"] = pg_f + pg_r
-
-    if has_s:
-        xa = augment_batch(target.features, target.labels, u)
-        fakes_s = _fw(state.g_s, xa, False, seed_for("gs_tgt"))[0]
-        out_f, cache_f = _fw(state.d_s, fakes_s, commit_stats, seed_for("d_fake_s"))
-        out_r, cache_r = _fw(state.d_s, source.features, commit_stats,
-                             seed_for("d_real_s"))
-        breakdown["L_D_S"] = float(out_f.mean()) - float(out_r.mean())
-        pg_f, _ = mlp_backward(state.d_s, cache_f,
-                               np.full((fakes_s.shape[0], 1), 1.0 / fakes_s.shape[0]))
-        pg_r, _ = mlp_backward(state.d_s, cache_r, np.full((source.n, 1), -1.0 / source.n))
-        grads["d_s"] = pg_f + pg_r
-    else:
-        breakdown["L_D_S"] = 0.0
-
+    breakdown = {"L_D_T": 0.0, "L_D_S": 0.0}
+    for side in _sides(state.variant, "critic"):
+        own, other = _own_other(side, source, target)
+        fakes = fw(side.g, augment_batch(other.features, other.labels, u), side.translate,
+                   False)[0]
+        out_f, cache_f = fw(side.d, fakes, side.d_fake)
+        out_r, cache_r = fw(side.d, own.features, side.d_real)
+        breakdown[f"L_D_{side.name}"] = float(out_f.mean()) - float(out_r.mean())
+        nf, nr = fakes.shape[0], own.n
+        pg_f, _ = mlp_backward(nets[side.d], cache_f, np.full((nf, 1), 1.0 / nf))
+        pg_r, _ = mlp_backward(nets[side.d], cache_r, np.full((nr, 1), -1.0 / nr))
+        grads[side.d] = pg_f + pg_r
     return float(sum(breakdown.values())), breakdown, grads
 
 
@@ -730,7 +549,6 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
                bd["L_G_T"] + bd["L_D_T"],
                bd["L_G_S"] + bd["L_D_S"],
                bd["L_cyc"], bd["L_clf_T"], bd["L_clf_S"], state.phase)
-        state.loss_history.append(row)
         log.append(row)
     state.iteration = config.n_steps
     return state, log
@@ -770,8 +588,8 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
         else:
             X = synth
         labels = np.full(X.shape[0], j, dtype=np.int64)
-        out, cache = _fw(state.c_t, X, True,
-                         named_seed(config.seed, "drop", "std", it))
+        out, cache = mlp_forward(state.c_t, X, update_stats=True,
+                                 rng_seed=named_seed(config.seed, "drop", "std", it))
         loss, ce_grad = _ce(out, labels)
         if not np.isfinite(loss):
             raise NumericalDivergence("non-finite classifier loss", iteration=it,
@@ -781,7 +599,6 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
             state.c_t.params, pg, state.optimizers["c_t"])
         state.c_t.set_params(params)
         row = (it, 0.0, 0.0, 0.0, loss, 0.0, state.phase)
-        state.loss_history.append(row)
         log.append(row)
     state.iteration = config.n_steps
     return state, log
@@ -840,10 +657,7 @@ def load_ada_state(path: str | Path) -> tuple[AdaState, AdaConfig]:
         nets[role] = MlpNetwork(spec=spec, params=arrays[f"{role}_params"],
                                 stats=arrays[f"{role}_stats"],
                                 seed=meta["seeds"][role], mode="eval")
-    optimizers = {role: init_optimizer("rmsprop", nets[role].params.size,
-                                       learning_rate=config.learning_rate)
-                  for role in ROLES}
-    state = AdaState(nets=nets, optimizers=optimizers,
+    state = AdaState(nets=nets, optimizers=_rmsprop_states(nets, config.learning_rate),
                      unseen_ids=meta["unseen_ids"], variant=meta["variant"],
                      phase=meta["phase"], iteration=int(meta["iteration"]),
                      agreement_estimate=meta.get("agreement_estimate"))

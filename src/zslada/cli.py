@@ -171,7 +171,6 @@ def cmd_adapt(args) -> int:
         # default stays the config/profile seed (100) when the flag is unset
         ada_cfg = dataclasses.replace(ada_cfg, seed=args.seed)
 
-    rep = pseudo_labels(model, bundle.dataset)
     state, log = adapt(model, bundle.dataset, ada_cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_ada_state(out / "ada_state.ckpt", state, ada_cfg)
@@ -190,7 +189,7 @@ def cmd_adapt(args) -> int:
     if state.variant != "std_da":
         m2 = m2_accuracy(state, model, bundle.dataset,
                          n_samples=n_samples, seed=eval_seed).mean_per_class_acc
-    agreement = rep.mean_agreement
+    agreement = state.agreement_estimate
     with open(out / "summary.csv", "w") as fh:
         fh.write("metric,value\n")
         fh.write(f"pseudo_label_agreement,{'NA' if agreement is None else repr(agreement)}\n")

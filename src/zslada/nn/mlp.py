@@ -132,8 +132,8 @@ class MlpSpec:
         out = []
         for i, sl in enumerate(_layout(self)[0]):
             for key in ("W", "b", "gamma", "beta"):
-                if sl.get(key) is not None:
-                    s = sl[key]
+                s = getattr(sl, key)
+                if s is not None:
                     out.append((f"layer{i}.{key}", s.start, s.stop))
         return tuple(out)
 
@@ -146,12 +146,6 @@ class _LayerSlices:
     beta: slice | None
     r_mean: slice | None
     r_var: slice | None
-
-    def get(self, key):
-        return getattr(self, key)
-
-    def __getitem__(self, key):
-        return getattr(self, key)
 
 
 _LAYOUT_CACHE: dict[MlpSpec, tuple] = {}

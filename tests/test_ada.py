@@ -1,4 +1,5 @@
 """Adversarial adaptation stage: losses, state, and the training loop."""
+import dataclasses
 import math
 
 import numpy as np
@@ -13,18 +14,12 @@ from zslada.ada import (
     adapt,
     augment_batch,
     augment_label,
-    classifier_loss_S,
-    classifier_loss_T,
-    critic_loss_T,
     critic_objective,
-    cycle_loss,
-    generator_loss_T,
     generator_objective,
     init_ada_state,
     load_ada_state,
     map_prototypes,
     save_ada_state,
-    total_loss,
 )
 from zslada.errors import ConfigError, DataError, NumericalDivergence
 from zslada.nn.mlp import MlpSpec, forward_eval
@@ -108,22 +103,59 @@ def test_labeled_batch_validation():
 # ---------------------------------------------------------------- loss terms
 
 
+def _exact_state(d, u, config, base_seed=0, **nets):
+    """State on exact toy nets: identity generators, zero critics and
+    classifiers sure of index 0, with any role replaced by ``nets``."""
+    table = toy_table(S=2, U=u, attr_dim=3, seed=base_seed)
+    model = linear_model(table, d=d, seed=base_seed)
+    state = init_ada_state(model, config)
+    state.nets["g_t"] = identity_generator(d, u)
+    state.nets["g_s"] = identity_generator(d, u)
+    state.nets["d_t"] = constant_critic(d, 0.0)
+    state.nets["d_s"] = constant_critic(d, 0.0)
+    state.nets["c_t"] = biased_classifier(d, u, favored=0)
+    state.nets["c_s"] = biased_classifier(d, u, favored=0)
+    state.nets.update(nets)
+    return state
+
+
+TOY_CONFIG = dict(gen_hidden=(4,), disc_hidden=(4,), use_batchnorm=False)
+
+
+def _gen_terms(src, tgt, d, u, phase="warmup", config=None, **nets):
+    """Generator-objective breakdown on an exact toy state."""
+    config = config or AdaConfig(**TOY_CONFIG)
+    state = _exact_state(d, u, config, **nets)
+    state.phase = phase
+    return generator_objective(state, config, src, tgt)[1]
+
+
+def _critic_terms(src, tgt, d, u, **nets):
+    config = AdaConfig(**TOY_CONFIG)
+    return critic_objective(_exact_state(d, u, config, **nets), config, src, tgt)[1]
+
+
+def _cycle(src, tgt, d, u, cycle_form=None, **nets):
+    form = {} if cycle_form is None else {"cycle_form": cycle_form}
+    config = AdaConfig(**form, **TOY_CONFIG)
+    return _gen_terms(src, tgt, d, u, config=config, **nets)["L_cyc"]
+
+
 def test_generator_loss_identity_and_zero_critic():
     rng = np.random.default_rng(0)
     src = batch(rng.standard_normal((3, 3)), np.array([0, 1, 0]))
     tgt = batch(rng.standard_normal((3, 3)), np.array([0, 1, 0]), origin="target")
-    loss = generator_loss_T(identity_generator(3, 2), constant_critic(3, 0.0),
-                            src, tgt, beta=5.0)
-    assert loss == 0.0
+    config = AdaConfig(identity_weight=5.0, **TOY_CONFIG)
+    assert _gen_terms(src, tgt, 3, 2, config=config)["L_G_T"] == 0.0
 
 
 def test_generator_loss_constant_critic():
     rng = np.random.default_rng(1)
     src = batch(rng.standard_normal((4, 2)), np.zeros(4, dtype=int))
     tgt = batch(rng.standard_normal((4, 2)), np.zeros(4, dtype=int), origin="target")
-    loss = generator_loss_T(identity_generator(2, 1), constant_critic(2, 2.5),
-                            src, tgt, beta=0.0)
-    assert loss == -2.5
+    config = AdaConfig(identity_weight=0.0, **TOY_CONFIG)
+    bd = _gen_terms(src, tgt, 2, 1, config=config, d_t=constant_critic(2, 2.5))
+    assert bd["L_G_T"] == -2.5
 
 
 def test_generator_loss_offset_toy():
@@ -131,23 +163,21 @@ def test_generator_loss_offset_toy():
     g_t = identity_generator(2, 1, offset=np.array([1.0, 0.0]))
     src = batch(np.array([[0.3, -0.4]]), np.array([0]))
     tgt = batch(np.array([[0.0, 0.0]]), np.array([0]), origin="target")
-    loss = generator_loss_T(g_t, constant_critic(2, 0.0), src, tgt, beta=5.0)
-    assert loss == 5.0
+    config = AdaConfig(identity_weight=5.0, **TOY_CONFIG)
+    assert _gen_terms(src, tgt, 2, 1, config=config, g_t=g_t)["L_G_T"] == 5.0
 
 
 def test_critic_loss_constant_critic_is_zero():
     rng = np.random.default_rng(2)
     src = batch(rng.standard_normal((5, 2)), np.zeros(5, dtype=int))
     tgt = batch(rng.standard_normal((5, 2)), np.zeros(5, dtype=int), origin="target")
-    loss = critic_loss_T(constant_critic(2, 0.7), identity_generator(2, 1), src, tgt)
-    assert loss == 0.0
+    assert _critic_terms(src, tgt, 2, 1, d_t=constant_critic(2, 0.7))["L_D_T"] == 0.0
 
 
 def test_critic_loss_fakes_minus_reals():
     src = batch(np.array([[1.0]]), np.array([0]))
     tgt = batch(np.array([[3.0]]), np.array([0]), origin="target")
-    loss = critic_loss_T(linear_critic(1, [1.0]), identity_generator(1, 1), src, tgt)
-    assert loss == -2.0
+    assert _critic_terms(src, tgt, 1, 1, d_t=linear_critic(1, [1.0]))["L_D_T"] == -2.0
 
 
 def test_cycle_loss_identity_generators():
@@ -156,23 +186,20 @@ def test_cycle_loss_identity_generators():
     labels = np.array([0, 1, 1, 0])
     src = batch(X, labels)
     tgt = batch(X.copy(), labels, origin="target")
-    g_t = identity_generator(3, 2)
-    g_s = identity_generator(3, 2)
-    assert cycle_loss(g_t, g_s, src, tgt) == 0.0
-    assert cycle_loss(g_t, g_s, src, tgt, cycle_form="within_domain") == 0.0
+    assert _cycle(src, tgt, 3, 2) == 0.0
+    assert _cycle(src, tgt, 3, 2, cycle_form="within_domain") == 0.0
 
 
 def test_cycle_loss_scalar_toy_depends_on_pairing_form():
     # y=0, x=1, G_T(v)=v+1, G_S(v)=v-1.  Comparing each reconstruction
     # with its own starting row gives 0+0; the cross-domain default
     # compares with the paired row from the other domain and gives 2.
-    g_t = linear_generator(1, 1, +1.0)
-    g_s = linear_generator(1, 1, -1.0)
+    nets = dict(g_t=linear_generator(1, 1, +1.0), g_s=linear_generator(1, 1, -1.0))
     src = batch(np.array([[0.0]]), np.array([0]))
     tgt = batch(np.array([[1.0]]), np.array([0]), origin="target")
-    assert cycle_loss(g_t, g_s, src, tgt, cycle_form="within_domain") == 0.0
-    assert cycle_loss(g_t, g_s, src, tgt) == 2.0
-    assert cycle_loss(g_t, g_s, src, tgt, cycle_form="cross_domain") == 2.0
+    assert _cycle(src, tgt, 1, 1, cycle_form="within_domain", **nets) == 0.0
+    assert _cycle(src, tgt, 1, 1, **nets) == 2.0
+    assert _cycle(src, tgt, 1, 1, cycle_form="cross_domain", **nets) == 2.0
 
 
 def test_cycle_loss_isolates_second_leg():
@@ -183,35 +210,23 @@ def test_cycle_loss_isolates_second_leg():
     g_s = linear_generator(1, 1, 0.0)
     src = batch(np.array([[2.0]]), np.array([0]))
     tgt = batch(np.array([[-2.0]]), np.array([0]), origin="target")
-    value = cycle_loss(g_t, g_s, src, tgt, cycle_form="within_domain")
+    value = _cycle(src, tgt, 1, 1, cycle_form="within_domain", g_t=g_t, g_s=g_s)
     # second leg alone: |relu(G_S(-2)) - (-2)| = |0 - (-2)|
     assert value == 2.0
 
 
-def test_cycle_loss_errors():
-    g = identity_generator(2, 1)
-    src = batch(np.zeros((2, 2)), np.zeros(2, dtype=int))
-    tgt = batch(np.zeros((3, 2)), np.zeros(3, dtype=int), origin="target")
-    with pytest.raises(ConfigError):
-        cycle_loss(g, g, src, tgt)
-    tgt = batch(np.zeros((2, 2)), np.zeros(2, dtype=int), origin="target")
-    with pytest.raises(ConfigError):
-        cycle_loss(g, g, src, tgt, cycle_form="diagonal")
-
-
 def test_classifier_loss_perfect_and_uniform():
-    g_t = identity_generator(3, 4)
     src = batch(np.zeros((5, 3)), np.full(5, 1))
     tgt = batch(np.zeros((5, 3)), np.full(5, 1), origin="target")
 
     perfect = biased_classifier(3, 4, favored=1)
-    assert classifier_loss_T(perfect, g_t, src, tgt, phase="warmup") == 0.0
-    assert classifier_loss_T(perfect, g_t, src, tgt, phase="recovery") == 0.0
+    assert _gen_terms(src, tgt, 3, 4, "warmup", c_t=perfect)["L_clf_T"] == 0.0
+    assert _gen_terms(src, tgt, 3, 4, "recovery", c_t=perfect)["L_clf_T"] == 0.0
 
     uniform = uniform_classifier(3, 4)
-    loss = classifier_loss_T(uniform, g_t, src, tgt, phase="warmup")
-    assert abs(loss - math.log(4.0)) < 1e-12
-    assert classifier_loss_S(uniform, g_t, src, tgt, phase="warmup") == loss
+    bd = _gen_terms(src, tgt, 3, 4, "warmup", c_t=uniform, c_s=uniform)
+    assert abs(bd["L_clf_T"] - math.log(4.0)) < 1e-12
+    assert bd["L_clf_S"] == bd["L_clf_T"]
 
 
 def test_classifier_loss_warmup_ignores_generator():
@@ -222,97 +237,81 @@ def test_classifier_loss_warmup_ignores_generator():
     plain = identity_generator(2, 2)
     shifted = identity_generator(2, 2, offset=np.array([10.0, -3.0]))
 
-    warm_a = classifier_loss_T(c_t, plain, src, tgt, phase="warmup")
-    warm_b = classifier_loss_T(c_t, shifted, src, tgt, phase="warmup")
+    warm_a = _gen_terms(src, tgt, 2, 2, "warmup", c_t=c_t, g_t=plain)["L_clf_T"]
+    warm_b = _gen_terms(src, tgt, 2, 2, "warmup", c_t=c_t, g_t=shifted)["L_clf_T"]
     assert warm_a == warm_b
     assert abs(warm_a - math.log(2.0)) < 1e-12
 
     # recovery adds the generator-transformed term, so G_T now matters
-    rec = classifier_loss_T(c_t, plain, src, tgt, phase="recovery")
+    rec = _gen_terms(src, tgt, 2, 2, "recovery", c_t=c_t, g_t=plain)["L_clf_T"]
     assert abs(rec - 2 * math.log(2.0)) < 1e-12
+    state = _exact_state(2, 2, AdaConfig(**TOY_CONFIG))
     with pytest.raises(ConfigError):
-        classifier_loss_T(c_t, plain, src, tgt, phase="later")
+        dataclasses.replace(state, phase="later")
 
 
 def test_classifier_loss_rejects_out_of_range_labels():
     src = batch(np.zeros((2, 2)), np.array([0, 0]))
     bad = batch(np.zeros((2, 2)), np.array([0, 5]), origin="target")
     with pytest.raises(ConfigError):
-        classifier_loss_T(uniform_classifier(2, 2), identity_generator(2, 2),
-                          src, bad, phase="warmup")
+        _gen_terms(src, bad, 2, 2, c_t=uniform_classifier(2, 2))
 
 
 # ---------------------------------------------------------------- total loss
 
 
-def _exact_state(d, u, config, base_seed=0):
-    table = toy_table(S=2, U=u, attr_dim=3, seed=base_seed)
-    model = linear_model(table, d=d, seed=base_seed)
-    state = init_ada_state(model, config)
-    state.nets["g_t"] = identity_generator(d, u)
-    state.nets["g_s"] = identity_generator(d, u)
-    state.nets["d_t"] = constant_critic(d, 0.0)
-    state.nets["d_s"] = constant_critic(d, 0.0)
-    state.nets["c_t"] = biased_classifier(d, u, favored=0)
-    state.nets["c_s"] = biased_classifier(d, u, favored=0)
-    return state
-
-
 def test_total_loss_all_terms_zero():
-    config = AdaConfig(gen_hidden=(4,), disc_hidden=(4,), use_batchnorm=False)
+    config = AdaConfig(**TOY_CONFIG)
     state = _exact_state(d=2, u=2, config=config)
     rng = np.random.default_rng(5)
     X = rng.standard_normal((4, 2))
     labels = np.zeros(4, dtype=int)
-    total, breakdown = total_loss(state, batch(X, labels),
-                                  batch(X.copy(), labels, origin="target"), config)
-    assert total == 0.0
+    src, tgt = batch(X, labels), batch(X.copy(), labels, origin="target")
+    value, breakdown, _ = generator_objective(state, config, src, tgt)
+    critic_value, critic_breakdown, _ = critic_objective(state, config, src, tgt)
+    assert value + breakdown["L_D_T"] + breakdown["L_D_S"] == 0.0
+    assert critic_value == 0.0
     assert all(v == 0.0 for v in breakdown.values())
+    assert all(v == 0.0 for v in critic_breakdown.values())
 
 
 def test_total_loss_cycle_term_only():
-    config = AdaConfig(gen_hidden=(4,), disc_hidden=(4,), use_batchnorm=False,
-                       cycle_weight=10.0, identity_weight=5.0)
+    config = AdaConfig(cycle_weight=10.0, identity_weight=5.0, **TOY_CONFIG)
     state = _exact_state(d=2, u=2, config=config)
     rng = np.random.default_rng(6)
     # eighths keep x + 0.5 exact, so every term below is float-exact
     X = rng.integers(-20, 20, size=(4, 2)).astype(np.float64) / 8.0
     Y = X + np.array([0.5, 0.0])
     labels = np.zeros(4, dtype=int)
-    total, breakdown = total_loss(state, batch(Y, labels),
-                                  batch(X, labels, origin="target"), config)
-    assert breakdown["cyc"] == 10.0
-    assert total == 10.0
-    assert breakdown["adv_T"] == breakdown["adv_S"] == 0.0
-    assert breakdown["clf_T"] == breakdown["clf_S"] == 0.0
+    value, breakdown, _ = generator_objective(state, config, batch(Y, labels),
+                                              batch(X, labels, origin="target"))
+    assert breakdown["L_cyc"] == 1.0
+    assert value + breakdown["L_D_T"] + breakdown["L_D_S"] == 10.0
+    assert breakdown["L_G_T"] == breakdown["L_G_S"] == 0.0
+    assert breakdown["L_D_T"] == breakdown["L_D_S"] == 0.0
+    assert breakdown["L_clf_T"] == breakdown["L_clf_S"] == 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_total_loss_breakdown_sums_and_matches_objectives(seed):
     table = toy_table(S=2, U=2, attr_dim=3, seed=seed)
     model = linear_model(table, d=3, seed=seed)
-    config = AdaConfig(gen_hidden=(4,), disc_hidden=(4,), use_batchnorm=False,
-                       seed=seed)
+    config = AdaConfig(seed=seed, **TOY_CONFIG)
     state = init_ada_state(model, config)
     rng = np.random.default_rng(seed + 50)
     labels = np.array([0, 1, 0, 1])
     src = batch(rng.standard_normal((4, 3)), labels)
     tgt = batch(rng.standard_normal((4, 3)), labels, origin="target")
 
-    total, breakdown = total_loss(state, src, tgt, config)
-    assert abs(total - sum(breakdown.values())) <= 1e-12
-
-    _, gen_bd, _ = generator_objective(state, config, src, tgt)
-    _, crit_bd, _ = critic_objective(state, config, src, tgt)
+    value, gen_bd, _ = generator_objective(state, config, src, tgt)
+    critic_value, crit_bd, _ = critic_objective(state, config, src, tgt)
     assert abs(gen_bd["L_D_T"] - crit_bd["L_D_T"]) <= 1e-12
-    assert abs(breakdown["adv_T"] - (gen_bd["L_G_T"] + crit_bd["L_D_T"])) <= 1e-12
-    assert abs(breakdown["adv_S"] - (gen_bd["L_G_S"] + crit_bd["L_D_S"])) <= 1e-12
-    assert abs(breakdown["cyc"] - config.cycle_weight * gen_bd["L_cyc"]) <= 1e-12
+    assert abs(gen_bd["L_D_S"] - crit_bd["L_D_S"]) <= 1e-12
+    assert abs(critic_value - (crit_bd["L_D_T"] + crit_bd["L_D_S"])) <= 1e-12
     rebuilt = (gen_bd["L_G_T"] + gen_bd["L_G_S"]
-               + crit_bd["L_D_T"] + crit_bd["L_D_S"]
                + config.cycle_weight * gen_bd["L_cyc"]
                + config.classifier_weight * (gen_bd["L_clf_T"] + gen_bd["L_clf_S"]))
-    assert abs(total - rebuilt) <= 1e-12
+    assert abs(value - rebuilt) <= 1e-12
 
 
 def test_variant_term_structure():
@@ -344,15 +343,14 @@ def test_variant_term_structure():
     assert bd["L_cyc"] == 0.0 and bd["L_G_S"] == 0.0 and bd["L_clf_S"] == 0.0
     _, cbd, cgrads = critic_objective(state, config, src, tgt)
     assert set(cgrads) == {"d_t"}
-    total, breakdown = total_loss(state, src, tgt, config)
-    assert set(breakdown) == {"adv_T", "clf_T"}
+    assert cbd["L_D_S"] == 0.0
 
     state, config = state_for("cyclegan_wo")
     _, bd, grads = generator_objective(state, config, src, tgt)
     assert set(grads) == {"g_t", "g_s"}
     assert bd["L_clf_T"] == 0.0 and bd["L_clf_S"] == 0.0
-    _, breakdown = total_loss(state, src, tgt, config)
-    assert set(breakdown) == {"adv_T", "adv_S", "cyc"}
+    _, _, cgrads = critic_objective(state, config, src, tgt)
+    assert set(cgrads) == {"d_t", "d_s"}
 
 
 def test_generator_objective_requires_aligned_sizes():
@@ -574,6 +572,7 @@ def test_ada_state_checkpoint_round_trip(tmp_path, small_adapted):
         assert np.array_equal(loaded.nets[role].params, state.nets[role].params)
         assert np.array_equal(loaded.nets[role].stats, state.nets[role].stats)
         assert loaded.nets[role].spec == state.nets[role].spec
+        assert loaded.optimizers[role].param_layout == state.optimizers[role].param_layout
 
     X = np.random.default_rng(1).standard_normal((5, state.g_t.spec.in_dim))
     assert np.array_equal(forward_eval(loaded.g_t, X), forward_eval(state.g_t, X))

@@ -8,7 +8,6 @@ from zslada.ada import (
     critic_objective,
     generator_objective,
     init_ada_state,
-    total_loss,
 )
 from zslada.base_model import BaseZslModel, pretrain_objective
 from zslada.errors import ConfigError
@@ -96,11 +95,11 @@ def test_gaussian_objective_gradients_hidden_layer():
     assert report.passed, report
 
 
-def _toy_ada(seed=5, cycle_form="cross_domain", phase="recovery"):
+def _toy_ada(seed=5, phase="recovery", **overrides):
     table = toy_table(S=2, U=2, attr_dim=3, seed=0)
     model = linear_model(table, d=3, seed=7)
-    config = AdaConfig(gen_hidden=(4,), disc_hidden=(4,), use_batchnorm=False,
-                       gen_dropout=0.0, seed=seed, cycle_form=cycle_form)
+    config = AdaConfig(**dict(gen_hidden=(4,), disc_hidden=(4,), use_batchnorm=False,
+                              gen_dropout=0.0, seed=seed) | overrides)
     state = init_ada_state(model, config)
     state.phase = phase
     rng = np.random.default_rng(seed + 100)
@@ -110,9 +109,23 @@ def _toy_ada(seed=5, cycle_form="cross_domain", phase="recovery"):
     return state, config, source, target
 
 
-@pytest.mark.parametrize("role", ["g_t", "g_s", "c_t", "c_s"])
-def test_generator_objective_gradients(role):
-    state, config, source, target = _toy_ada()
+MISMATCHED = {"mismatched_pairs": True}
+VANILLA = {"variant": "vanilla_ada"}
+CYCLEGAN_WO = {"variant": "cyclegan_wo"}
+
+
+@pytest.mark.parametrize("role, phase, overrides", [
+    *(pytest.param(role, "recovery", {}, id=role) for role in ("g_t", "g_s", "c_t", "c_s")),
+    pytest.param("c_t", "warmup", MISMATCHED, id="c_t-mismatched-warmup"),
+    pytest.param("c_t", "recovery", MISMATCHED, id="c_t-mismatched"),
+    pytest.param("g_t", "recovery", MISMATCHED, id="g_t-mismatched"),
+    pytest.param("g_t", "recovery", VANILLA, id="g_t-vanilla_ada"),
+    pytest.param("c_t", "recovery", VANILLA, id="c_t-vanilla_ada"),
+    pytest.param("g_t", "recovery", CYCLEGAN_WO, id="g_t-cyclegan_wo"),
+    pytest.param("g_s", "recovery", CYCLEGAN_WO, id="g_s-cyclegan_wo"),
+])
+def test_generator_objective_gradients(role, phase, overrides):
+    state, config, source, target = _toy_ada(phase=phase, **overrides)
 
     def fn(p):
         state.nets[role].set_params(p)
@@ -123,9 +136,15 @@ def test_generator_objective_gradients(role):
     assert report.passed, (role, report)
 
 
-@pytest.mark.parametrize("role", ["d_t", "d_s"])
-def test_critic_objective_gradients(role):
-    state, config, source, target = _toy_ada(seed=6)
+@pytest.mark.parametrize("role, overrides", [
+    pytest.param("d_t", {}, id="d_t"),
+    pytest.param("d_s", {}, id="d_s"),
+    pytest.param("d_t", VANILLA, id="d_t-vanilla_ada"),
+    pytest.param("d_t", CYCLEGAN_WO, id="d_t-cyclegan_wo"),
+    pytest.param("d_s", CYCLEGAN_WO, id="d_s-cyclegan_wo"),
+])
+def test_critic_objective_gradients(role, overrides):
+    state, config, source, target = _toy_ada(seed=6, **overrides)
 
     def fn(p):
         state.nets[role].set_params(p)
@@ -147,7 +166,8 @@ def test_total_loss_gradient_assembled_from_parts():
 
     def scalar(p):
         g_t.set_params(p)
-        return total_loss(state, source, target, config)[0]
+        value, bd, _ = generator_objective(state, config, source, target)
+        return value + bd["L_D_T"] + bd["L_D_S"]
 
     numeric = numeric_gradient(scalar, p0.copy())
 
@@ -180,5 +200,3 @@ def test_std_da_has_no_adversarial_objectives():
         generator_objective(state, config, src, tgt)
     with pytest.raises(ConfigError):
         critic_objective(state, config, src, tgt)
-    with pytest.raises(ConfigError):
-        total_loss(state, src, tgt, config)
