@@ -436,7 +436,8 @@ def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
         nf, nr = fakes.shape[0], own.n
         pg_f, _ = mlp_backward(nets[side.d], cache_f, np.full((nf, 1), 1.0 / nf))
         pg_r, _ = mlp_backward(nets[side.d], cache_r, np.full((nr, 1), -1.0 / nr))
-        grads[side.d] = pg_f + pg_r
+        pg_f += pg_r
+        grads[side.d] = pg_f
     return float(sum(breakdown.values())), breakdown, grads
 
 
@@ -524,9 +525,9 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
             rng_seed=named_seed(config.seed, "drop", it, "gen"))
         _abort_if_nonfinite(value, bd, it)
         for role, g in grads.items():
-            params, state.optimizers[role] = rmsprop_step(
-                state.nets[role].params, g, state.optimizers[role])
-            state.nets[role].set_params(params)
+            net = state.nets[role]
+            rmsprop_step(net.params, g, state.optimizers[role])
+            net.set_params(net.params)
 
         for inner in range(config.n_critic):
             src2, tgt2 = _draw_batches(base_model, test_X, state.pseudo, state,
@@ -536,10 +537,10 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
                 rng_seed=named_seed(config.seed, "drop", it, "critic", inner))
             _abort_if_nonfinite(cval, cbd, it)
             for role, g in cgrads.items():
-                params, state.optimizers[role] = rmsprop_step(
-                    state.nets[role].params, g, state.optimizers[role])
-                state.nets[role].set_params(
-                    np.clip(params, -config.clip_c, config.clip_c))
+                net = state.nets[role]
+                rmsprop_step(net.params, g, state.optimizers[role])
+                np.clip(net.params, -config.clip_c, config.clip_c, out=net.params)
+                net.set_params(net.params)
 
         if config.relabel_interval and (it + 1) % config.relabel_interval == 0 \
                 and state.variant in ("full", "vanilla_ada"):
@@ -595,9 +596,8 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
             raise NumericalDivergence("non-finite classifier loss", iteration=it,
                                       breakdown={"L_clf_T": loss})
         pg, _ = mlp_backward(state.c_t, cache, ce_grad)
-        params, state.optimizers["c_t"] = rmsprop_step(
-            state.c_t.params, pg, state.optimizers["c_t"])
-        state.c_t.set_params(params)
+        rmsprop_step(state.c_t.params, pg, state.optimizers["c_t"])
+        state.c_t.set_params(state.c_t.params)
         row = (it, 0.0, 0.0, 0.0, loss, 0.0, state.phase)
         log.append(row)
     state.iteration = config.n_steps

@@ -323,8 +323,9 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
     Holds out ``holdout_fraction`` of each seen class, monitors the
     held-out mean log-likelihood, stops after ``patience`` epochs
     without improvement and restores the best parameters plus
-    normalization statistics.  Returns the model and a per-epoch trace
-    of ``(epoch, train_ll, heldout_ll)``.
+    normalization statistics.  The heads' parameter vectors are updated
+    in place.  Returns the model and a per-epoch trace of
+    ``(epoch, train_ll, heldout_ll)``.
     """
     X_all, y_all = seen_data.train_rows()
     if y_all is None:
@@ -372,10 +373,10 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
             if not np.isfinite(loss):
                 raise NumericalDivergence("non-finite pretraining loss",
                                           iteration=step, breakdown={"loss": loss})
-            new_mean, opt_mean = adam_step(model.mean_net.params, g_mean, opt_mean)
-            new_prec, opt_prec = adam_step(model.prec_net.params, g_prec, opt_prec)
-            model.mean_net.set_params(new_mean)
-            model.prec_net.set_params(new_prec)
+            adam_step(model.mean_net.params, g_mean, opt_mean)
+            adam_step(model.prec_net.params, g_prec, opt_prec)
+            model.mean_net.set_params(model.mean_net.params)
+            model.prec_net.set_params(model.prec_net.params)
             epoch_ll += -loss
             n_batches += 1
             step += 1

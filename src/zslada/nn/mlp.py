@@ -209,6 +209,11 @@ class MlpNetwork:
         return self._version
 
     def set_params(self, params: np.ndarray) -> None:
+        """Install ``params`` and bump ``version``.
+
+        Call it also after updating ``self.params`` in place, so caches
+        from earlier forward passes are refused as stale.
+        """
         params = np.asarray(params, dtype=np.float64)
         if params.shape != self.params.shape:
             raise ConfigError("parameter vector length changed")
@@ -347,7 +352,8 @@ def mlp_backward(net: MlpNetwork, cache: MlpCache,
             f"upstream gradient has {g.shape[0]} rows, cache saw {cache.n_rows}")
     if g.shape[1] != spec.out_dim:
         raise DimensionMismatch(spec.n_layers - 1, spec.out_dim, g.shape[1])
-    grads = np.zeros_like(net.params)
+    # every parameter slice is written below, so no zero fill is needed
+    grads = np.empty_like(net.params)
     train = cache.mode == "train"
     for i in reversed(range(spec.n_layers)):
         sl = net._slices[i]
@@ -379,7 +385,7 @@ def mlp_backward(net: MlpNetwork, cache: MlpCache,
                 g = gx * inv
         h_in = rec["h_in"]
         n_in, n_out = spec.layer_widths[i], spec.layer_widths[i + 1]
-        grads[sl.W] = (h_in.T @ g).reshape(n_in * n_out)
+        np.matmul(h_in.T, g, out=grads[sl.W].reshape(n_in, n_out))
         grads[sl.b] = g.sum(axis=0)
         g = g @ net.weight(i).T
     return grads, g

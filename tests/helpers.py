@@ -12,6 +12,7 @@ from zslada.ada import LabeledBatch
 from zslada.base_model import BaseZslModel, PretrainConfig, pretrain, pseudo_labels
 from zslada.data import ClassAttributeTable
 from zslada.nn.mlp import MlpNetwork, MlpSpec, init_network
+from zslada.nn.optim import OptimizerState
 from zslada.rng import named_seed
 from zslada.synthetic import SyntheticWorld, SyntheticWorldSpec, make_synthetic_world
 
@@ -35,6 +36,36 @@ def max_rel_err(a, b) -> float:
     b = np.asarray(b, dtype=np.float64).ravel()
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / scale)) if a.size else 0.0
+
+
+def reference_adam_step(params: np.ndarray, grads: np.ndarray,
+                        state: OptimizerState) -> tuple[np.ndarray, OptimizerState]:
+    """Whole-vector Adam in one expression per quantity; returns fresh
+    (params, state) and leaves its inputs alone."""
+    hp = state.hyper
+    t = state.step_count + 1
+    m = hp.beta1 * state.first_moment + (1.0 - hp.beta1) * grads
+    v = hp.beta2 * state.second_moment + (1.0 - hp.beta2) * grads * grads
+    m_hat = m / (1.0 - hp.beta1 ** t)
+    v_hat = v / (1.0 - hp.beta2 ** t)
+    update = m_hat / (np.sqrt(v_hat) + hp.epsilon)
+    if hp.weight_decay:
+        update = update + hp.weight_decay * params
+    return params - hp.learning_rate * update, OptimizerState(
+        kind="adam", step_count=t, first_moment=m, second_moment=v, hyper=hp)
+
+
+def reference_rmsprop_step(params: np.ndarray, grads: np.ndarray,
+                           state: OptimizerState) -> tuple[np.ndarray, OptimizerState]:
+    """Whole-vector rmsprop, same conventions as ``reference_adam_step``."""
+    hp = state.hyper
+    v = hp.beta2 * state.second_moment + (1.0 - hp.beta2) * grads * grads
+    update = grads / (np.sqrt(v) + hp.epsilon)
+    if hp.weight_decay:
+        update = update + hp.weight_decay * params
+    return params - hp.learning_rate * update, OptimizerState(
+        kind="rmsprop", step_count=state.step_count + 1,
+        first_moment=state.first_moment, second_moment=v, hyper=hp)
 
 
 def toy_table(S: int = 2, U: int = 2, attr_dim: int = 3,

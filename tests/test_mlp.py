@@ -5,6 +5,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from zslada.errors import ConfigError, DimensionMismatch, StaleCache
+from zslada.nn import mlp as mlp_module
 from zslada.nn.mlp import (
     MlpNetwork,
     MlpSpec,
@@ -271,6 +272,22 @@ def _net_cases(draw):
     return widths, hidden, out_act, batchnorm, dropout, seed
 
 
+def _grads_on_filled_buffer(fill, spec, params, X, C, rng_seed):
+    """``_loss_and_grad``'s parameter gradient with backward's gradient
+    buffer pre-filled with ``fill``, so a slice backward forgets to write
+    shows up in the result."""
+    allocate = np.empty_like
+
+    def filled_like(a, *args, **kwargs):
+        out = allocate(a, *args, **kwargs)
+        out.fill(fill)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mlp_module.np, "empty_like", filled_like)
+        return _loss_and_grad(spec, params, X, C, rng_seed=rng_seed)[1]
+
+
 @given(_net_cases())
 def test_backward_matches_fd_on_random_architectures(case):
     widths, hidden, out_act, batchnorm, dropout, seed = case
@@ -285,3 +302,7 @@ def test_backward_matches_fd_on_random_architectures(case):
     numeric = numeric_grad(
         lambda p: _loss_and_grad(spec, p, X, C, rng_seed=17)[0], net.params)
     assert max_rel_err(analytic, numeric) < 1e-4
+    zeroed, poisoned = (_grads_on_filled_buffer(fill, spec, net.params, X, C, 17)
+                        for fill in (0.0, np.nan))
+    assert np.all(np.isfinite(poisoned))
+    assert np.array_equal(poisoned, zeroed)

@@ -7,24 +7,32 @@ from hypothesis.extra import numpy as hnp
 
 from zslada.errors import ConfigError, NonFiniteGradient
 from zslada.nn.optim import (
+    BLOCK,
     OptimizerHyper,
     adam_step,
     init_optimizer,
     rmsprop_step,
 )
 
+from .helpers import reference_adam_step, reference_rmsprop_step
+
+STEPS = {"adam": adam_step, "rmsprop": rmsprop_step}
+REFERENCE_STEPS = {"adam": reference_adam_step, "rmsprop": reference_rmsprop_step}
+
 
 def test_adam_zero_gradient_is_identity():
     params = np.array([1.0, -2.0, 0.5])
     state = init_optimizer("adam", 3)
-    new, state2 = adam_step(params, np.zeros(3), state)
+    new = params.copy()
+    adam_step(new, np.zeros(3), state)
     assert np.array_equal(new, params)
-    assert state2.step_count == 1
+    assert state.step_count == 1
 
 
 def test_adam_first_step_is_minus_lr_times_sign():
     state = init_optimizer("adam", 1, learning_rate=0.1)
-    new, _ = adam_step(np.array([3.0]), np.array([1.0]), state)
+    new = np.array([3.0])
+    adam_step(new, np.array([1.0]), state)
     # m_hat = g, v_hat = g^2, so the step is -lr * g/(|g| + eps)
     assert abs(new[0] - (3.0 - 0.1)) < 1e-8
 
@@ -32,17 +40,19 @@ def test_adam_first_step_is_minus_lr_times_sign():
 def test_adam_decoupled_weight_decay_pulls_toward_zero():
     hyper = OptimizerHyper(learning_rate=0.1, weight_decay=0.001)
     state = init_optimizer("adam", 1, hyper=hyper)
-    new, state2 = adam_step(np.array([1.0]), np.array([0.0]), state)
+    new = np.array([1.0])
+    adam_step(new, np.array([0.0]), state)
     assert 0.0 < new[0] < 1.0
     # decay never enters the moment accumulators
-    assert np.all(state2.first_moment == 0.0)
-    assert np.all(state2.second_moment == 0.0)
+    assert np.all(state.first_moment == 0.0)
+    assert np.all(state.second_moment == 0.0)
 
 
 def test_rmsprop_zero_gradient_is_identity():
     params = np.array([0.3, -0.7])
     state = init_optimizer("rmsprop", 2)
-    new, _ = rmsprop_step(params, np.zeros(2), state)
+    new = params.copy()
+    rmsprop_step(new, np.zeros(2), state)
     assert np.array_equal(new, params)
 
 
@@ -59,7 +69,7 @@ def test_rmsprop_step_size_saturates_at_learning_rate():
     g = np.array([2.5])
     for _ in range(500):
         prev = params.copy()
-        params, state = rmsprop_step(params, g, state)
+        rmsprop_step(params, g, state)
     # accumulator -> g^2, so |step| -> lr regardless of gradient scale
     assert abs(abs(params[0] - prev[0]) - lr) < 0.01 * lr
 
@@ -72,21 +82,32 @@ def test_same_inputs_give_bitwise_identical_trajectories():
         params = np.zeros(4)
         state = init_optimizer("rmsprop", 4, learning_rate=1e-3)
         for _ in range(50):
-            params, state = rmsprop_step(params, rng.standard_normal(4), state)
+            rmsprop_step(params, rng.standard_normal(4), state)
         return params
 
     assert np.array_equal(run(rng_a), run(rng_b))
 
 
-def test_nonfinite_gradient_names_the_slice():
-    layout = [("layer0.W", 0, 4), ("layer0.b", 4, 6)]
-    state = init_optimizer("adam", 6, param_layout=layout)
-    grads = np.zeros(6)
-    grads[5] = np.nan
+@pytest.mark.parametrize("kind", sorted(STEPS))
+def test_nonfinite_gradient_names_the_slice(kind):
+    # the bad entry sits in the third block, so a step that checked one
+    # block at a time would already have written the first two
+    n = 2 * BLOCK + 6
+    layout = [("layer0.W", 0, n - 2), ("layer0.b", n - 2, n)]
+    state = init_optimizer(kind, n, param_layout=layout)
+    rng = np.random.default_rng(3)
+    params = rng.standard_normal(n)
+    STEPS[kind](params, rng.standard_normal(n), state)
+    before = (params.tobytes(), state.first_moment.tobytes(),
+              state.second_moment.tobytes(), state.step_count)
+    grads = rng.standard_normal(n)
+    grads[n - 1] = np.nan
     with pytest.raises(NonFiniteGradient) as err:
-        adam_step(np.zeros(6), grads, state)
+        STEPS[kind](params, grads, state)
     assert "layer0.b" in str(err.value)
     assert err.value.where.startswith("layer0.b")
+    assert (params.tobytes(), state.first_moment.tobytes(),
+            state.second_moment.tobytes(), state.step_count) == before
 
 
 def test_kind_and_shape_mismatches_are_config_errors():
@@ -101,6 +122,14 @@ def test_kind_and_shape_mismatches_are_config_errors():
         OptimizerHyper(learning_rate=-1.0)
     with pytest.raises(ConfigError):
         OptimizerHyper(learning_rate=1.0, beta2=1.0)
+    # params the step could only update on a silent copy
+    read_only = np.zeros(3)
+    read_only.flags.writeable = False
+    for params in ([0.0, 0.0, 0.0], np.zeros(3, dtype=np.float32),
+                   np.zeros(6)[::2], read_only):
+        with pytest.raises(ConfigError):
+            adam_step(params, np.zeros(3), state)
+    assert state.step_count == 0
 
 
 @given(
@@ -111,16 +140,43 @@ def test_kind_and_shape_mismatches_are_config_errors():
 def test_zero_gradient_zero_decay_is_identity_for_any_params(params, kind):
     state = init_optimizer(kind, params.size)
     step = adam_step if kind == "adam" else rmsprop_step
-    new, _ = step(params, np.zeros_like(params), state)
+    new = params.copy()
+    step(new, np.zeros_like(params), state)
     assert np.array_equal(new, params)
 
 
-def test_step_does_not_mutate_inputs():
+@pytest.mark.parametrize("kind", sorted(STEPS))
+def test_step_updates_params_and_state_in_place(kind):
     params = np.array([1.0, 2.0])
     grads = np.array([0.5, -0.5])
-    state = init_optimizer("adam", 2)
-    adam_step(params, grads, state)
-    assert np.array_equal(params, [1.0, 2.0])
+    state = init_optimizer(kind, 2)
+    expected, _ = REFERENCE_STEPS[kind](params.copy(), grads, init_optimizer(kind, 2))
+    moment = state.second_moment
+    assert STEPS[kind](params, grads, state) is None
     assert np.array_equal(grads, [0.5, -0.5])
-    assert state.step_count == 0
-    assert np.all(state.second_moment == 0.0)
+    assert np.array_equal(params, expected)
+    assert not np.array_equal(params, [1.0, 2.0])
+    assert state.step_count == 1
+    assert state.second_moment is moment
+    assert np.all(moment > 0.0)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+@pytest.mark.parametrize("kind", sorted(STEPS))
+def test_step_is_bitwise_the_whole_vector_formula(kind, n, weight_decay):
+    hyper = OptimizerHyper(learning_rate=1e-2, beta2=0.99, weight_decay=weight_decay)
+    state = init_optimizer(kind, n, hyper=hyper)
+    ref_state = init_optimizer(kind, n, hyper=hyper)
+    rng = np.random.default_rng(n)
+    params = rng.standard_normal(n)
+    ref_params = params.copy()
+    for _ in range(4):
+        # gradients over six decades, so every rounding path is exercised
+        grads = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, n)
+        STEPS[kind](params, grads, state)
+        ref_params, ref_state = REFERENCE_STEPS[kind](ref_params, grads, ref_state)
+        assert params.tobytes() == ref_params.tobytes()
+        assert state.first_moment.tobytes() == ref_state.first_moment.tobytes()
+        assert state.second_moment.tobytes() == ref_state.second_moment.tobytes()
+        assert state.step_count == ref_state.step_count
