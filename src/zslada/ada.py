@@ -358,7 +358,8 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
             float(d_fake.mean())
             - float(fw(side.d, own.features, side.d_real, False)[0].mean()))
         at_moved[side] = np.zeros((n, d))
-        grads[side.g] += mlp_backward(nets[side.g], cache_ident, beta * ident_grad)[0]
+        grads[side.g] += mlp_backward(nets[side.g], cache_ident, beta * ident_grad,
+                                      input_grad=False)[0]
         at_moved[side] += mlp_backward(nets[side.d], cache_d_fake,
                                        np.full((n, 1), -1.0 / n))[1]
 
@@ -380,7 +381,7 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
         own, other = _own_other(side, source, target)
         out, cache_c = fw(side.c, own.features, side.c_real)
         clf, ce_grad = _ce(out, own.labels)
-        grads[side.c] += mlp_backward(nets[side.c], cache_c, xi * ce_grad)[0]
+        grads[side.c] += mlp_backward(nets[side.c], cache_c, xi * ce_grad, input_grad=False)[0]
         if state.phase == "recovery":
             out, cache_c = fw(side.c, moved[side], side.c_gen)
             term, ce_grad = _ce(out, other.labels)
@@ -395,10 +396,12 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
         term, ce_grad = _ce(out, wrong)
         breakdown["L_clf_T"] -= config.mismatched_weight * term
         grads["c_t"] += mlp_backward(nets["c_t"], cache_c,
-                                     -config.mismatched_weight * xi * ce_grad)[0]
+                                     -config.mismatched_weight * xi * ce_grad,
+                                     input_grad=False)[0]
 
     for side in sides:
-        grads[side.g] += mlp_backward(nets[side.g], cache[side], at_moved[side])[0]
+        grads[side.g] += mlp_backward(nets[side.g], cache[side], at_moved[side],
+                                      input_grad=False)[0]
 
     value = breakdown["L_G_T"] + breakdown["L_G_S"] + chi * breakdown["L_cyc"]
     value += xi * (breakdown["L_clf_T"] + breakdown["L_clf_S"])
@@ -434,10 +437,10 @@ def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
         out_r, cache_r = fw(side.d, own.features, side.d_real)
         breakdown[f"L_D_{side.name}"] = float(out_f.mean()) - float(out_r.mean())
         nf, nr = fakes.shape[0], own.n
-        pg_f, _ = mlp_backward(nets[side.d], cache_f, np.full((nf, 1), 1.0 / nf))
-        pg_r, _ = mlp_backward(nets[side.d], cache_r, np.full((nr, 1), -1.0 / nr))
-        pg_f += pg_r
-        grads[side.d] = pg_f
+        grads[side.d] = mlp_backward(nets[side.d], cache_f, np.full((nf, 1), 1.0 / nf),
+                                     input_grad=False)[0]
+        grads[side.d] += mlp_backward(nets[side.d], cache_r, np.full((nr, 1), -1.0 / nr),
+                                      input_grad=False)[0]
     return float(sum(breakdown.values())), breakdown, grads
 
 
@@ -595,7 +598,7 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
         if not np.isfinite(loss):
             raise NumericalDivergence("non-finite classifier loss", iteration=it,
                                       breakdown={"L_clf_T": loss})
-        pg, _ = mlp_backward(state.c_t, cache, ce_grad)
+        pg, _ = mlp_backward(state.c_t, cache, ce_grad, input_grad=False)
         rmsprop_step(state.c_t.params, pg, state.optimizers["c_t"])
         state.c_t.set_params(state.c_t.params)
         row = (it, 0.0, 0.0, 0.0, loss, 0.0, state.phase)

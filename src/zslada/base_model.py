@@ -115,6 +115,22 @@ def gaussian_loglik(x: np.ndarray, params: GaussianClassParams,
     return -quad
 
 
+def gaussian_scores(X: np.ndarray, means: np.ndarray, precisions: np.ndarray,
+                    include_logdet: bool = True) -> np.ndarray:
+    """[n_rows x n_classes] ``gaussian_loglik`` table, as two matrix products.
+
+    ``sum(p (x - mu)^2) = (x*x)·p - x·(2 p mu) + sum(p mu^2)``, so the
+    largest temporary is n_rows x d.  Classes with bit-identical (mu, p)
+    get bit-identical columns: ``argmax`` still picks the first of them.
+    """
+    quad = (X * X) @ precisions.T
+    quad -= X @ (2.0 * precisions * means).T
+    quad += np.sum(precisions * means * means, axis=1)
+    if include_logdet:
+        return np.log(precisions).sum(axis=1) - quad
+    return -quad
+
+
 def loglik_matrix(model: BaseZslModel, X: np.ndarray,
                   class_ids: Sequence[int]) -> np.ndarray:
     """[n_rows x n_classes] log-likelihood table over ``class_ids``."""
@@ -124,11 +140,7 @@ def loglik_matrix(model: BaseZslModel, X: np.ndarray,
     if X.shape[1] != model.dim:
         raise DimensionMismatch(0, model.dim, X.shape[1])
     means, precisions = class_params_matrix(model, class_ids)
-    diff = X[:, None, :] - means[None, :, :]
-    out = -np.einsum("ncd,cd->nc", diff * diff, precisions)
-    if model.include_logdet:
-        out = out + np.log(precisions).sum(axis=1)[None, :]
-    return out
+    return gaussian_scores(X, means, precisions, model.include_logdet)
 
 
 def _resolve_label_space(model: BaseZslModel,
@@ -286,17 +298,16 @@ def pretrain_objective(model: BaseZslModel, X: np.ndarray, y: np.ndarray,
         grad_p -= counts[:, None] / (n * p)
     grad_raw = grad_p * (p - PRECISION_FLOOR) * (PRECISION_FLOOR + PRECISION_SPAN - p)
 
-    grads_mean, _ = mlp_backward(model.mean_net, mean_cache, grad_mean_out)
-    grads_prec, _ = mlp_backward(model.prec_net, prec_cache, grad_raw)
+    grads_mean, _ = mlp_backward(model.mean_net, mean_cache, grad_mean_out,
+                                 input_grad=False)
+    grads_prec, _ = mlp_backward(model.prec_net, prec_cache, grad_raw, input_grad=False)
     return loss, grads_mean, grads_prec
 
 
 def dataset_mean_loglik(model: BaseZslModel, X: np.ndarray, y: np.ndarray) -> float:
     """Eval-mode mean log-likelihood of each row under its own class."""
-    classes = sorted(set(int(v) for v in y))
+    classes, picks = np.unique(np.asarray(y, dtype=np.int64), return_inverse=True)
     ll = loglik_matrix(model, X, classes)
-    col = {c: j for j, c in enumerate(classes)}
-    picks = np.asarray([col[int(v)] for v in y])
     return float(ll[np.arange(len(y)), picks].mean())
 
 

@@ -122,17 +122,11 @@ class ClassAttributeTable:
     def unseen_ids(self) -> list[int]:
         return [c for c, m in zip(self.class_ids, self.seen_mask) if not m]
 
-    def has_class(self, class_id: int) -> bool:
-        return int(class_id) in self._index
-
     def row_of(self, class_id: int) -> int:
         try:
             return self._index[int(class_id)]
         except KeyError:
             raise UnknownClass(f"class {class_id} not in attribute table") from None
-
-    def attribute_vector(self, class_id: int) -> np.ndarray:
-        return self.attributes[self.row_of(class_id)]
 
     def table_hash(self) -> str:
         h = hashlib.sha256()

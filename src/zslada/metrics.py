@@ -3,8 +3,8 @@
 All accuracies are unweighted means over classes, so unbalanced test
 sets cannot hide a collapsed class behind overall accuracy.  Classes
 with no test rows are excluded from the mean and listed in the report.
-Row-level scoring is embarrassingly parallel; ``ZSLADA_THREADS`` caps
-the worker count (default 1, serial).
+Rows are scored independently; ``ZSLADA_THREADS`` (default 1) splits
+them over threads, which gains nothing once BLAS threads fill the cores.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ada import AdaState, classify, map_prototypes
-from .base_model import BaseZslModel, class_params_matrix, predict
+from .base_model import BaseZslModel, class_params_matrix, gaussian_scores, predict
 from .data import FeatureDataset
 from .errors import ConfigError, DataError
 
@@ -142,11 +142,8 @@ def m2_accuracy(state: AdaState, base_model: BaseZslModel,
     _, precisions = class_params_matrix(base_model, ids)
 
     def score(rows: np.ndarray) -> np.ndarray:
-        diff = rows[:, None, :] - mu[None, :, :]
-        dist = np.einsum("ncd,cd->nc", diff * diff, precisions)
-        if base_model.include_logdet:
-            dist = dist - np.log(precisions).sum(axis=1)[None, :]
-        return np.asarray(ids, dtype=np.int64)[np.argmin(dist, axis=1)]
+        ll = gaussian_scores(rows, mu, precisions, base_model.include_logdet)
+        return np.asarray(ids, dtype=np.int64)[np.argmax(ll, axis=1)]
 
     picks = parallel_rows(score, X)
     return per_class_top1(picks, truth, label_space=ids, metric_kind="m2")

@@ -330,14 +330,14 @@ def mlp_forward(net: MlpNetwork, batch: np.ndarray, rng_seed: int | None = None,
     return h, cache
 
 
-def mlp_backward(net: MlpNetwork, cache: MlpCache,
-                 grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
+                 input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact gradients of the forward map.
 
-    Returns ``(param_grads, input_grads)`` where ``param_grads`` matches the
-    flat parameter vector and ``input_grads`` has the batch's shape. Raises
-    ``StaleCache`` if the network's parameters changed since the forward
-    pass that produced ``cache``.
+    Returns ``(param_grads, input_grads)``: ``param_grads`` matches the flat
+    parameter vector, ``input_grads`` has the batch's shape, or is ``None``
+    and never computed when ``input_grad`` is false. Raises ``StaleCache``
+    if the network changed since the forward pass that produced ``cache``.
     """
     spec = net.spec
     if cache.version != net.version or cache.mode != net.mode:
@@ -387,8 +387,9 @@ def mlp_backward(net: MlpNetwork, cache: MlpCache,
         n_in, n_out = spec.layer_widths[i], spec.layer_widths[i + 1]
         np.matmul(h_in.T, g, out=grads[sl.W].reshape(n_in, n_out))
         grads[sl.b] = g.sum(axis=0)
-        g = g @ net.weight(i).T
-    return grads, g
+        if i or input_grad:
+            g = g @ net.weight(i).T
+    return grads, g if input_grad else None
 
 
 def forward_eval(net: MlpNetwork, batch: np.ndarray) -> np.ndarray:

@@ -106,12 +106,6 @@ class SyntheticTruth:
     shift_matrix: np.ndarray | None = None
     nonlinear_weights: np.ndarray | None = None
 
-    def mean_of(self, class_index: int) -> np.ndarray:
-        return self.class_means[class_index]
-
-    def precision_of(self, class_index: int) -> np.ndarray:
-        return self.class_precisions[class_index]
-
     def apply_shift(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if self.shift_kind == "none" or self.shift_magnitude == 0.0:

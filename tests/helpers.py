@@ -6,6 +6,8 @@ the library with its own machinery.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from zslada.ada import LabeledBatch
@@ -36,6 +38,17 @@ def max_rel_err(a, b) -> float:
     b = np.asarray(b, dtype=np.float64).ravel()
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / scale)) if a.size else 0.0
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs; numpy reports its array
+    buffers to ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_adam_step(params: np.ndarray, grads: np.ndarray,

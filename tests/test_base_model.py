@@ -16,6 +16,7 @@ from zslada.base_model import (
     draw_gaussian,
     gaussian_loglik,
     load_base_model,
+    loglik_matrix,
     predict,
     pretrain,
     pseudo_labels,
@@ -31,6 +32,7 @@ from zslada.synthetic import make_synthetic_world
 from .helpers import (
     bench_spec,
     linear_model,
+    peak_traced_bytes,
     table_model,
     toy_table,
     zero_param_model,
@@ -132,6 +134,39 @@ def test_predict_matches_bruteforce_argmax(seed):
         scores = [gaussian_loglik(x, class_params(model, c))
                   for c in sorted(table.class_ids)]
         assert picks[i] == sorted(table.class_ids)[int(np.argmax(scores))]
+
+
+@pytest.mark.parametrize("include_logdet", [True, False])
+def test_loglik_matrix_matches_per_class_loop_at_scale(include_logdet):
+    # realistic n x C x d; the last class repeats class 0's (mu, p) exactly
+    n, C, d = 300, 50, 512
+    rng = np.random.default_rng(5)
+    means = rng.standard_normal((C, d))
+    precisions = rng.uniform(0.55, 1.45, (C, d))
+    means[-1], precisions[-1] = means[0], precisions[0]
+    model = table_model(means, precisions, include_logdet=include_logdet)
+    truth = rng.integers(C - 1, size=n)
+    X = means[truth] + rng.standard_normal((n, d)) / np.sqrt(precisions[truth])
+
+    ll = loglik_matrix(model, X, range(C))
+    params = [class_params(model, c) for c in range(C)]
+    ref = np.array([[gaussian_loglik(x, p, include_logdet) for p in params] for x in X])
+    assert np.max(np.abs(ll - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert np.array_equal(np.argmax(ll, axis=1), np.argmax(ref, axis=1))
+    assert np.array_equal(ll[:, 0], ll[:, -1])
+    picks = predict(model, X)
+    assert np.any(picks == 0) and not np.any(picks == C - 1)
+    assert np.array_equal(picks, np.argmax(ref, axis=1))
+
+
+def test_loglik_matrix_peak_memory_is_a_few_row_blocks():
+    # an n x C x d temporary would be 40x one n x d block
+    n, C, d = 400, 40, 256
+    rng = np.random.default_rng(6)
+    model = table_model(rng.standard_normal((C, d)), rng.uniform(0.55, 1.45, (C, d)))
+    X = rng.standard_normal((n, d))
+    peak = peak_traced_bytes(lambda: loglik_matrix(model, X, range(C)))
+    assert peak <= 4 * n * d * 8
 
 
 def test_predict_label_space_handling():

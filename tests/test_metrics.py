@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import zslada.metrics
 from zslada.ada import AdaConfig, init_ada_state
+from zslada.base_model import class_params_matrix
 from zslada.data import FeatureDataset, SplitSpec
 from zslada.errors import ConfigError, DataError
 from zslada.metrics import (
@@ -29,6 +31,7 @@ from .helpers import (
     exact_net,
     identity_generator,
     linear_model,
+    peak_traced_bytes,
     table_model,
     train_linear_model,
     uniform_classifier,
@@ -245,6 +248,43 @@ def test_m2_equal_precisions_match_euclidean_brute_force():
     picks = np.asarray(ids)[np.argmin(dist, axis=1)]
     assert report == per_class_top1(picks, truth, label_space=ids,
                                     metric_kind="m2")
+
+
+def test_m2_scoring_is_exact_and_memory_bounded(monkeypatch):
+    # fixed prototypes isolate the scoring; m2_accuracy reaches
+    # map_prototypes and per_class_top1 through its module globals
+    n, C, d = 400, 40, 256
+    rng = np.random.default_rng(9)
+    ids = list(range(1, C + 1))
+    precisions = rng.uniform(0.55, 1.45, (C + 1, d))
+    precisions[C] = precisions[1]
+    base = table_model(rng.standard_normal((C + 1, d)), precisions)
+    state = init_ada_state(base, AdaConfig(gen_hidden=(4,), disc_hidden=(4,),
+                                           use_batchnorm=False))
+    protos = {c: rng.standard_normal(d) for c in ids}
+    protos[C] = protos[1]
+    truth = np.repeat(ids, n // C)
+    X = np.vstack([protos[c] for c in truth]) + 0.6 * rng.standard_normal((n, d))
+    data = _test_dataset(X, truth, seen_ids=[0], unseen_ids=ids)
+    seen = {}
+    top1 = zslada.metrics.per_class_top1
+
+    def recording_top1(picks, *args, **kwargs):
+        seen["picks"] = picks
+        return top1(picks, *args, **kwargs)
+
+    monkeypatch.setattr(zslada.metrics, "map_prototypes", lambda *args: protos)
+    monkeypatch.setattr(zslada.metrics, "per_class_top1", recording_top1)
+    monkeypatch.delenv("ZSLADA_THREADS", raising=False)
+    peak = peak_traced_bytes(lambda: m2_accuracy(state, base, data, n_samples=1))
+    assert peak <= 4 * n * d * 8
+
+    mu = np.vstack([protos[c] for c in ids])
+    p = class_params_matrix(base, ids)[1]
+    logdet = np.log(p).sum(axis=1)
+    ref = [ids[int(np.argmin(np.sum(p * (x - mu) ** 2, axis=1) - logdet))] for x in X]
+    assert np.array_equal(seen["picks"], ref)
+    assert np.any(seen["picks"] == 1) and not np.any(seen["picks"] == C)
 
 
 def test_m2_is_seeded():

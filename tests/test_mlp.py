@@ -306,3 +306,20 @@ def test_backward_matches_fd_on_random_architectures(case):
                         for fill in (0.0, np.nan))
     assert np.all(np.isfinite(poisoned))
     assert np.array_equal(poisoned, zeroed)
+
+
+@given(_net_cases())
+def test_backward_without_input_grad_keeps_param_grads_bitwise(case):
+    widths, hidden, out_act, batchnorm, dropout, seed = case
+    spec = MlpSpec.dense(widths, activation=hidden, out_activation=out_act,
+                         batchnorm=batchnorm, dropout=dropout)
+    net = MlpNetwork(spec, init_network(spec, seed=seed).params,
+                     np.zeros(spec.n_stats()), mode="train")
+    rng = np.random.default_rng(seed + 1)
+    X = rng.standard_normal((3, spec.in_dim))
+    _, cache = mlp_forward(net, X, rng_seed=17, update_stats=False)
+    C = rng.standard_normal((3, spec.out_dim))
+    grads, gin = mlp_backward(net, cache, C)
+    only, skipped = mlp_backward(net, cache, C, input_grad=False)
+    assert gin.shape == X.shape and skipped is None
+    assert np.array_equal(only, grads)
