@@ -45,6 +45,8 @@ CYCLE_FORMS = ("cross_domain", "within_domain")
 TRIGGERS = ("accuracy_crossover", "fixed_fraction")
 PHASES = ("warmup", "recovery")
 ROLES = ("g_t", "g_s", "d_t", "d_s", "c_t", "c_s")
+# variants whose generator step also trains the classifiers
+_CLF_VARIANTS = ("full", "vanilla_ada")
 LOG_COLUMNS = ("iter", "L_adv_T", "L_adv_S", "L_cyc", "L_clf_T", "L_clf_S", "phase")
 
 
@@ -306,15 +308,37 @@ def init_ada_state(base_model: BaseZslModel, config: AdaConfig) -> AdaState:
                     unseen_ids=list(unseen), variant=config.variant)
 
 
+def _trained_roles(variant: str, objective: str) -> tuple[str, ...]:
+    """Roles whose parameters an objective of ``variant`` differentiates."""
+    sides = _sides(variant, objective)
+    if objective == "critic":
+        return tuple(side.d for side in sides)
+    clf = tuple(side.c for side in sides) if variant in _CLF_VARIANTS else ()
+    return tuple(side.g for side in sides) + clf
+
+
+def _zeroed_grads(nets: dict[str, MlpNetwork], roles: Sequence[str],
+                  buffers: dict[str, np.ndarray] | None) -> dict[str, np.ndarray]:
+    """One zeroed gradient buffer per role: the caller's, or fresh ones."""
+    if buffers is None:
+        return {role: np.zeros_like(nets[role].params) for role in roles}
+    for role in roles:
+        buffers[role].fill(0.0)
+    return {role: buffers[role] for role in roles}
+
+
 def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
                         target: LabeledBatch, commit_stats: bool = False,
                         rng_seed: int | None = None,
+                        buffers: dict[str, np.ndarray] | None = None,
                         ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
     """Generator-step objective: value, raw term breakdown, and exact
     gradients for every net updated in this step.
 
-    Critic parameters are frozen (their scores still shape the
-    gradient); the breakdown also carries the value-only critic losses
+    The gradients are summed into ``buffers[role]`` (zeroed first) when
+    given, else into fresh arrays.  Critic parameters are frozen (their
+    scores still shape the gradient, but no critic parameter gradient
+    is computed); the breakdown also carries the value-only critic losses
     ``L_D_T`` / ``L_D_S``, so the summed min-max value of the variant is
     ``value + L_D_T + L_D_S``.  Terms a variant does not train read 0.
     """
@@ -322,7 +346,7 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
     if source.n != target.n:
         raise ConfigError("generator step needs equally sized class-aligned batches")
     sides = _sides(state.variant, "generator")
-    has_clf = state.variant in ("full", "vanilla_ada")
+    has_clf = state.variant in _CLF_VARIANTS
     # vanilla keeps only the plain adversarial game: both the cycle and
     # the identity anchor are the constrained-translation additions.
     beta = 0.0 if state.variant == "vanilla_ada" else config.identity_weight
@@ -338,9 +362,7 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
 
     aug_src = augment_batch(source.features, source.labels, u)
     aug_tgt = augment_batch(target.features, target.labels, u)
-    grads = {side.g: np.zeros_like(nets[side.g].params) for side in sides}
-    if has_clf:
-        grads.update((side.c, np.zeros_like(nets[side.c].params)) for side in sides)
+    grads = _zeroed_grads(nets, _trained_roles(state.variant, "generator"), buffers)
     breakdown = dict.fromkeys(
         ("L_G_T", "L_D_T", "L_G_S", "L_D_S", "L_cyc", "L_clf_T", "L_clf_S"), 0.0)
     moved, cache, at_moved = {}, {}, {}
@@ -358,10 +380,10 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
             float(d_fake.mean())
             - float(fw(side.d, own.features, side.d_real, False)[0].mean()))
         at_moved[side] = np.zeros((n, d))
-        grads[side.g] += mlp_backward(nets[side.g], cache_ident, beta * ident_grad,
-                                      input_grad=False)[0]
+        mlp_backward(nets[side.g], cache_ident, beta * ident_grad, grads[side.g],
+                     input_grad=False)
         at_moved[side] += mlp_backward(nets[side.d], cache_d_fake,
-                                       np.full((n, 1), -1.0 / n))[1]
+                                       np.full((n, 1), -1.0 / n), None)
 
     # cycle legs: each side's translated rows go back through the other generator
     if len(sides) == 2:
@@ -372,8 +394,7 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
             ref = own if config.cycle_form == "cross_domain" else other
             leg, leg_grad = _mean_l1(rebuilt, ref.features)
             breakdown["L_cyc"] += leg
-            pg, gin = mlp_backward(nets[back.g], cache_back, chi * leg_grad)
-            grads[back.g] += pg
+            gin = mlp_backward(nets[back.g], cache_back, chi * leg_grad, grads[back.g])
             at_moved[side] += gin[:, :d]
 
     # classifiers: real own-domain rows, plus the translated rows in recovery
@@ -381,27 +402,25 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
         own, other = _own_other(side, source, target)
         out, cache_c = fw(side.c, own.features, side.c_real)
         clf, ce_grad = _ce(out, own.labels)
-        grads[side.c] += mlp_backward(nets[side.c], cache_c, xi * ce_grad, input_grad=False)[0]
+        mlp_backward(nets[side.c], cache_c, xi * ce_grad, grads[side.c], input_grad=False)
         if state.phase == "recovery":
             out, cache_c = fw(side.c, moved[side], side.c_gen)
             term, ce_grad = _ce(out, other.labels)
             clf += term
-            pg, gin = mlp_backward(nets[side.c], cache_c, xi * ce_grad)
-            grads[side.c] += pg
-            at_moved[side] += gin
+            at_moved[side] += mlp_backward(nets[side.c], cache_c, xi * ce_grad,
+                                           grads[side.c])
         breakdown[f"L_clf_{side.name}"] = clf
     if has_clf and config.mismatched_pairs and u > 1:
         wrong = _mismatched_labels(target.labels, u, config.seed, state.iteration)
         out, cache_c = fw("c_t", target.features, "ct_wrong", False)
         term, ce_grad = _ce(out, wrong)
         breakdown["L_clf_T"] -= config.mismatched_weight * term
-        grads["c_t"] += mlp_backward(nets["c_t"], cache_c,
-                                     -config.mismatched_weight * xi * ce_grad,
-                                     input_grad=False)[0]
+        mlp_backward(nets["c_t"], cache_c, -config.mismatched_weight * xi * ce_grad,
+                     grads["c_t"], input_grad=False)
 
     for side in sides:
-        grads[side.g] += mlp_backward(nets[side.g], cache[side], at_moved[side],
-                                      input_grad=False)[0]
+        mlp_backward(nets[side.g], cache[side], at_moved[side], grads[side.g],
+                     input_grad=False)
 
     value = breakdown["L_G_T"] + breakdown["L_G_S"] + chi * breakdown["L_cyc"]
     value += xi * (breakdown["L_clf_T"] + breakdown["L_clf_S"])
@@ -417,8 +436,10 @@ def _mismatched_labels(labels: np.ndarray, u: int, seed: int,
 def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
                      target: LabeledBatch, commit_stats: bool = False,
                      rng_seed: int | None = None,
+                     buffers: dict[str, np.ndarray] | None = None,
                      ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
-    """Critic-step objective with generators frozen."""
+    """Critic-step objective with generators frozen; gradients go into
+    ``buffers`` as in ``generator_objective``."""
     _check_batches(source, target)
     u = state.n_unseen
     nets = state.nets
@@ -427,7 +448,7 @@ def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
         return mlp_forward(nets[role], X, update_stats=commit,
                            rng_seed=None if rng_seed is None else named_seed(rng_seed, tag))
 
-    grads = {}
+    grads = _zeroed_grads(nets, _trained_roles(state.variant, "critic"), buffers)
     breakdown = {"L_D_T": 0.0, "L_D_S": 0.0}
     for side in _sides(state.variant, "critic"):
         own, other = _own_other(side, source, target)
@@ -437,10 +458,10 @@ def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
         out_r, cache_r = fw(side.d, own.features, side.d_real)
         breakdown[f"L_D_{side.name}"] = float(out_f.mean()) - float(out_r.mean())
         nf, nr = fakes.shape[0], own.n
-        grads[side.d] = mlp_backward(nets[side.d], cache_f, np.full((nf, 1), 1.0 / nf),
-                                     input_grad=False)[0]
-        grads[side.d] += mlp_backward(nets[side.d], cache_r, np.full((nr, 1), -1.0 / nr),
-                                      input_grad=False)[0]
+        mlp_backward(nets[side.d], cache_f, np.full((nf, 1), 1.0 / nf), grads[side.d],
+                     input_grad=False)
+        mlp_backward(nets[side.d], cache_r, np.full((nr, 1), -1.0 / nr), grads[side.d],
+                     input_grad=False)
     return float(sum(breakdown.values())), breakdown, grads
 
 
@@ -517,6 +538,9 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
     state.agreement_estimate = report.mean_agreement
     test_X, _ = test_data.test_rows()
     log: list[tuple] = []
+    # one gradient buffer per trained role, reused by every step of the loop
+    roles = _trained_roles(state.variant, "generator") + _trained_roles(state.variant, "critic")
+    buffers = {role: np.empty_like(state.nets[role].params) for role in roles}
 
     for it in range(config.n_steps):
         state.iteration = it
@@ -525,7 +549,7 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
                                  "gen", it)
         value, bd, grads = generator_objective(
             state, config, src, tgt, commit_stats=True,
-            rng_seed=named_seed(config.seed, "drop", it, "gen"))
+            rng_seed=named_seed(config.seed, "drop", it, "gen"), buffers=buffers)
         _abort_if_nonfinite(value, bd, it)
         for role, g in grads.items():
             net = state.nets[role]
@@ -537,7 +561,8 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
                                        config, "critic", it, inner)
             cval, cbd, cgrads = critic_objective(
                 state, config, src2, tgt2, commit_stats=True,
-                rng_seed=named_seed(config.seed, "drop", it, "critic", inner))
+                rng_seed=named_seed(config.seed, "drop", it, "critic", inner),
+                buffers=buffers)
             _abort_if_nonfinite(cval, cbd, it)
             for role, g in cgrads.items():
                 net = state.nets[role]
@@ -546,7 +571,7 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
                 net.set_params(net.params)
 
         if config.relabel_interval and (it + 1) % config.relabel_interval == 0 \
-                and state.variant in ("full", "vanilla_ada"):
+                and state.variant in _CLF_VARIANTS:
             state.pseudo = classify(state.c_t, test_X, state.unseen_ids)
 
         row = (it,
@@ -578,6 +603,7 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
     test_X, _ = test_data.test_rows()
     log: list[tuple] = []
     half = max(1, config.batch_size // 2)
+    grads = np.empty_like(state.c_t.params)
     for it in range(config.n_steps):
         state.iteration = it
         stream = named_stream(config.seed, "batch", "std", it)
@@ -598,8 +624,9 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
         if not np.isfinite(loss):
             raise NumericalDivergence("non-finite classifier loss", iteration=it,
                                       breakdown={"L_clf_T": loss})
-        pg, _ = mlp_backward(state.c_t, cache, ce_grad, input_grad=False)
-        rmsprop_step(state.c_t.params, pg, state.optimizers["c_t"])
+        grads.fill(0.0)
+        mlp_backward(state.c_t, cache, ce_grad, grads, input_grad=False)
+        rmsprop_step(state.c_t.params, grads, state.optimizers["c_t"])
         state.c_t.set_params(state.c_t.params)
         row = (it, 0.0, 0.0, 0.0, loss, 0.0, state.phase)
         log.append(row)

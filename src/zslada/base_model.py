@@ -249,11 +249,14 @@ class PretrainConfig:
 
 def pretrain_objective(model: BaseZslModel, X: np.ndarray, y: np.ndarray,
                        rng_seed: int | None = None, update_stats: bool = False,
+                       buffers: dict[str, np.ndarray] | None = None,
                        ) -> tuple[float, np.ndarray, np.ndarray]:
     """Negative mean log-likelihood of a labeled batch, with gradients.
 
     Runs both nets in their current modes on the batch's unique class
     attributes and returns ``(loss, mean_net_grads, prec_net_grads)``.
+    The gradients are written into ``buffers["mean_net"]`` and
+    ``buffers["prec_net"]`` when given, else into fresh arrays.
     Pure in the parameters when ``update_stats`` is false and
     ``rng_seed`` is fixed, which is what gradient checking needs.
     """
@@ -298,9 +301,15 @@ def pretrain_objective(model: BaseZslModel, X: np.ndarray, y: np.ndarray,
         grad_p -= counts[:, None] / (n * p)
     grad_raw = grad_p * (p - PRECISION_FLOOR) * (PRECISION_FLOOR + PRECISION_SPAN - p)
 
-    grads_mean, _ = mlp_backward(model.mean_net, mean_cache, grad_mean_out,
-                                 input_grad=False)
-    grads_prec, _ = mlp_backward(model.prec_net, prec_cache, grad_raw, input_grad=False)
+    if buffers is None:
+        grads_mean = np.zeros_like(model.mean_net.params)
+        grads_prec = np.zeros_like(model.prec_net.params)
+    else:
+        grads_mean, grads_prec = buffers["mean_net"], buffers["prec_net"]
+        grads_mean.fill(0.0)
+        grads_prec.fill(0.0)
+    mlp_backward(model.mean_net, mean_cache, grad_mean_out, grads_mean, input_grad=False)
+    mlp_backward(model.prec_net, prec_cache, grad_raw, grads_prec, input_grad=False)
     return loss, grads_mean, grads_prec
 
 
@@ -366,6 +375,9 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
 
     model.mean_net.set_mode("train")
     model.prec_net.set_mode("train")
+    # one gradient buffer per head, reused by every step
+    buffers = {"mean_net": np.empty_like(model.mean_net.params),
+               "prec_net": np.empty_like(model.prec_net.params)}
     best = -np.inf
     best_snapshot = None
     stall = 0
@@ -380,7 +392,7 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
             loss, g_mean, g_prec = pretrain_objective(
                 model, X_tr[rows], y_tr[rows],
                 rng_seed=named_seed(config.seed, "batch", step),
-                update_stats=True)
+                update_stats=True, buffers=buffers)
             if not np.isfinite(loss):
                 raise NumericalDivergence("non-finite pretraining loss",
                                           iteration=step, breakdown={"loss": loss})

@@ -22,25 +22,24 @@ _F8 = np.dtype("<f8")
 
 def save_container(path: str | Path, meta: dict,
                    arrays: dict[str, np.ndarray]) -> None:
-    entries = []
-    blobs = []
-    for name, arr in arrays.items():
-        flat = np.ascontiguousarray(np.asarray(arr, dtype=np.float64).ravel(),
-                                    dtype=_F8)
-        entries.append([name, int(flat.size)])
-        blobs.append(flat.tobytes())
+    flats = {name: np.ascontiguousarray(np.asarray(arr, dtype=np.float64).ravel(),
+                                        dtype=_F8)
+             for name, arr in arrays.items()}
+    entries = [[name, int(flat.size)] for name, flat in flats.items()]
     header = {"format_version": FORMAT_VERSION, "meta": meta, "arrays": entries}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        for flat in flats.values():
+            fh.write(memoryview(flat).cast("B"))
 
 
 def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays; each array is read straight into its own buffer."""
     path = Path(path)
     if not path.exists():
         raise DataError("MISSING_FILE", f"checkpoint not found: {path}")
+    arrays: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
         line = fh.readline()
         try:
@@ -51,21 +50,16 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             raise DataError(
                 "BAD_CHECKPOINT",
                 f"unsupported format_version {header.get('format_version')!r} in {path}")
-        body = fh.read()
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in header.get("arrays", []):
-        name, length = entry[0], int(entry[1])
-        nbytes = length * 8
-        chunk = body[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise DataError("BAD_CHECKPOINT",
-                            f"truncated array {name!r} in {path}")
-        arrays[name] = np.frombuffer(chunk, dtype=_F8).copy()
-        offset += nbytes
-    if offset != len(body):
-        raise DataError("BAD_CHECKPOINT",
-                        f"{len(body) - offset} trailing bytes in {path}")
+        for entry in header.get("arrays", []):
+            name, length = entry[0], int(entry[1])
+            arr = np.empty(length, dtype=_F8)
+            if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                raise DataError("BAD_CHECKPOINT",
+                                f"truncated array {name!r} in {path}")
+            arrays[name] = arr
+        trailing = len(fh.read())
+    if trailing:
+        raise DataError("BAD_CHECKPOINT", f"{trailing} trailing bytes in {path}")
     return header.get("meta", {}), arrays
 
 

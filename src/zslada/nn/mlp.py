@@ -331,13 +331,18 @@ def mlp_forward(net: MlpNetwork, batch: np.ndarray, rng_seed: int | None = None,
 
 
 def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
-                 input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+                 grads: np.ndarray | None,
+                 input_grad: bool = True) -> np.ndarray | None:
     """Exact gradients of the forward map.
 
-    Returns ``(param_grads, input_grads)``: ``param_grads`` matches the flat
-    parameter vector, ``input_grads`` has the batch's shape, or is ``None``
-    and never computed when ``input_grad`` is false. Raises ``StaleCache``
-    if the network changed since the forward pass that produced ``cache``.
+    ``grads`` is a float64 vector shaped like the flat parameter vector:
+    each parameter gradient is *added* into it, slice by slice, so several
+    calls into one zeroed buffer sum their gradients there without any
+    parameter-sized temporary.  With ``grads=None`` (a frozen network) no
+    parameter gradient is computed at all.  Returns the gradient wrt the
+    batch, or ``None`` and never computed when ``input_grad`` is false.
+    Raises ``StaleCache`` if the network changed since the forward pass
+    that produced ``cache``.
     """
     spec = net.spec
     if cache.version != net.version or cache.mode != net.mode:
@@ -352,8 +357,9 @@ def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
             f"upstream gradient has {g.shape[0]} rows, cache saw {cache.n_rows}")
     if g.shape[1] != spec.out_dim:
         raise DimensionMismatch(spec.n_layers - 1, spec.out_dim, g.shape[1])
-    # every parameter slice is written below, so no zero fill is needed
-    grads = np.empty_like(net.params)
+    if grads is not None and grads.shape != net.params.shape:
+        raise ConfigError(
+            f"gradient buffer has shape {grads.shape}, parameters {net.params.shape}")
     train = cache.mode == "train"
     for i in reversed(range(spec.n_layers)):
         sl = net._slices[i]
@@ -373,8 +379,10 @@ def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
             g = g - soft * g.sum(axis=1, keepdims=True)
         if spec.batchnorm[i]:
             xhat, inv, gamma = rec["xhat"], rec["inv"], rec["gamma"]
-            grads[sl.gamma] = (g * xhat).sum(axis=0)
-            grads[sl.beta] = g.sum(axis=0)
+            if grads is not None:
+                g_gamma, g_beta = grads[sl.gamma], grads[sl.beta]
+                g_gamma += (g * xhat).sum(axis=0)
+                g_beta += g.sum(axis=0)
             gx = g * gamma
             if train:
                 # gradient through the batch mean/variance
@@ -383,13 +391,13 @@ def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
                                  - xhat * (gx * xhat).sum(axis=0))
             else:
                 g = gx * inv
-        h_in = rec["h_in"]
-        n_in, n_out = spec.layer_widths[i], spec.layer_widths[i + 1]
-        np.matmul(h_in.T, g, out=grads[sl.W].reshape(n_in, n_out))
-        grads[sl.b] = g.sum(axis=0)
+        if grads is not None:
+            g_W, g_b = grads[sl.W], grads[sl.b]
+            g_W += (rec["h_in"].T @ g).ravel()
+            g_b += g.sum(axis=0)
         if i or input_grad:
             g = g @ net.weight(i).T
-    return grads, g if input_grad else None
+    return g if input_grad else None
 
 
 def forward_eval(net: MlpNetwork, batch: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .helpers import (
     identity_generator,
     linear_critic,
     linear_model,
+    peak_traced_bytes,
     table_model,
     toy_table,
     train_linear_model,
@@ -362,6 +363,49 @@ def test_generator_objective_requires_aligned_sizes():
     tgt = batch(np.zeros((3, 3)), np.zeros(3, dtype=int), origin="target")
     with pytest.raises(ConfigError):
         generator_objective(state, config, src, tgt)
+
+
+def _objective_case(d, u, n, config, phase="recovery"):
+    model = linear_model(toy_table(S=2, U=u, attr_dim=3), d=d, seed=5)
+    state = init_ada_state(model, config)
+    state.phase = phase
+    rng = np.random.default_rng(d + u)
+    labels = np.arange(n) % u
+    src = batch(rng.standard_normal((n, d)), labels)
+    tgt = batch(rng.standard_normal((n, d)), labels, origin="target")
+    return state, src, tgt
+
+
+@pytest.mark.parametrize("variant", ["full", "vanilla_ada", "cyclegan_wo"])
+def test_objectives_sum_into_the_given_buffers(variant):
+    config = AdaConfig(gen_hidden=(6, 5), disc_hidden=(4,), gen_dropout=0.2,
+                       mismatched_pairs=True, variant=variant)
+    state, src, tgt = _objective_case(d=3, u=3, n=6, config=config)
+    for objective in (generator_objective, critic_objective):
+        _, _, fresh = objective(state, config, src, tgt, rng_seed=4)
+        # stale contents must not leak into the sums: buffers are zeroed first
+        buffers = {role: np.full_like(net.params, np.nan) for role, net in state.nets.items()}
+        _, _, given_ = objective(state, config, src, tgt, rng_seed=4, buffers=buffers)
+        assert list(given_) == list(fresh)
+        for role, g in given_.items():
+            assert g is buffers[role]
+            assert np.array_equal(g, fresh[role])
+        untouched = set(buffers) - set(given_)
+        assert all(np.all(np.isnan(buffers[role])) for role in untouched)
+
+
+def test_objectives_with_buffers_allocate_no_parameter_sized_vector():
+    config = AdaConfig(gen_hidden=(512, 512), disc_hidden=(256,), gen_dropout=0.1)
+    state, src, tgt = _objective_case(d=256, u=4, n=16, config=config)
+    buffers = {role: np.empty_like(net.params) for role, net in state.nets.items()}
+
+    def one_step():
+        generator_objective(state, config, src, tgt, rng_seed=1, buffers=buffers)
+        critic_objective(state, config, src, tgt, rng_seed=2, buffers=buffers)
+
+    one_step()
+    n_params = state.g_t.params.size  # about 530k
+    assert peak_traced_bytes(one_step) < 2 * n_params * 8
 
 
 # ---------------------------------------------------------------- state

@@ -2,11 +2,14 @@
 
 The benchmark imports, traces and patches package functions by name, so
 an API cleanup that renames or drops one of them would break a bench run
-without failing any other test.
+without failing any other test.  Its tracer also tags each network span
+with the role of the network passed first, so a signature change that
+moves the network would fail the benchmark's traced checks.
 """
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def _load(name: str):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve string annotations through sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -49,3 +54,19 @@ def test_bench_imports_from_zslada_exist(script):
     for module_name, name in names:
         module = importlib.import_module(module_name)
         assert hasattr(module, name), f"{script}: {module_name}.{name}"
+
+
+def test_traced_toy_adapt_tags_every_network_span_with_its_role(tmp_path):
+    spans, workloads = _load("spans"), _load("workloads")
+    workload = workloads.AwaAdapt(workloads.TOY_SIZES["awa-adapt"])
+    inputs = workload.setup(1, tmp_path)
+    tracer = spans.Tracer()
+    tracer.install(callers=[workloads])
+    try:
+        workload.run(inputs, 1, tracer)
+    finally:
+        tracer.uninstall()
+    assert tracer.unknown_role_spans() == 0
+    labels = {span[1] for span in tracer.spans}
+    for role in ("g_t", "g_s", "d_t", "d_s", "c_t", "c_s"):
+        assert f"nn.mlp.mlp_backward.{role}" in labels

@@ -177,8 +177,9 @@ def test_total_loss_gradient_assembled_from_parts():
     ya = augment_batch(source.features, source.labels, state.n_unseen)
     fakes, cache_g = mlp_forward(g_t, ya, update_stats=False)
     _, cache_d = mlp_forward(state.nets["d_t"], fakes, update_stats=False)
-    _, gin = mlp_backward(state.nets["d_t"], cache_d, np.full((n, 1), 1.0 / n))
-    readded, _ = mlp_backward(g_t, cache_g, gin)
+    gin = mlp_backward(state.nets["d_t"], cache_d, np.full((n, 1), 1.0 / n), None)
+    readded = np.zeros_like(p0)
+    mlp_backward(g_t, cache_g, gin, readded)
 
     analytic = gen_grads["g_t"] + readded
     assert max_rel_err(analytic, numeric) < 1e-3

@@ -5,7 +5,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from zslada.errors import ConfigError, DimensionMismatch, StaleCache
-from zslada.nn import mlp as mlp_module
 from zslada.nn.mlp import (
     MlpNetwork,
     MlpSpec,
@@ -59,7 +58,8 @@ def test_scalar_layer_backward_analytic():
     net = exact_net(spec, np.array([1.5, 0.0]))
     out, cache = mlp_forward(net, np.array([[2.0]]))
     assert out[0, 0] == 3.0
-    grads, gin = mlp_backward(net, cache, np.array([[1.0]]))
+    grads = np.zeros_like(net.params)
+    gin = mlp_backward(net, cache, np.array([[1.0]]), grads)
     assert grads[0] == 2.0  # weight
     assert grads[1] == 1.0  # bias
     assert gin[0, 0] == 1.5
@@ -69,17 +69,20 @@ def test_relu_kills_gradient_on_negative_input():
     spec = MlpSpec((1, 1), ("relu",), (False,), (0.0,))
     net = exact_net(spec, np.array([1.0, 0.0]))
     _, cache = mlp_forward(net, np.array([[-1.0]]))
-    grads, gin = mlp_backward(net, cache, np.array([[5.0]]))
+    grads = np.zeros_like(net.params)
+    gin = mlp_backward(net, cache, np.array([[5.0]]), grads)
     assert gin[0, 0] == 0.0
     assert np.all(grads == 0.0)
 
 
-def _loss_and_grad(spec, params, X, C, rng_seed=None):
-    """sum(out * C) and its parameter gradient, fresh net per call."""
+def _loss_and_grad(spec, params, X, C, rng_seed=None, start=None):
+    """sum(out * C) and its parameter gradient, fresh net per call; the
+    gradient is added onto a copy of ``start`` when given."""
     net = MlpNetwork(spec, np.asarray(params, dtype=np.float64).copy(),
                      np.zeros(spec.n_stats()), mode="train")
     out, cache = mlp_forward(net, X, rng_seed=rng_seed, update_stats=False)
-    grads, _ = mlp_backward(net, cache, C)
+    grads = np.zeros_like(net.params) if start is None else start.copy()
+    mlp_backward(net, cache, C, grads)
     return float((out * C).sum()), grads, cache
 
 
@@ -188,14 +191,14 @@ def test_stale_cache_rejected_after_param_update():
     _, cache = mlp_forward(net, np.ones((2, 2)))
     net.set_params(net.params + 0.1)
     with pytest.raises(StaleCache):
-        mlp_backward(net, cache, np.ones((2, 1)))
+        mlp_backward(net, cache, np.ones((2, 1)), np.zeros_like(net.params))
 
 
 def test_upstream_row_count_must_match_cache():
     net = init_network(MlpSpec.dense((2, 1)), seed=0)
     _, cache = mlp_forward(net, np.ones((3, 2)))
     with pytest.raises(StaleCache):
-        mlp_backward(net, cache, np.ones((4, 1)))
+        mlp_backward(net, cache, np.ones((4, 1)), np.zeros_like(net.params))
 
 
 def test_spec_validation():
@@ -272,22 +275,6 @@ def _net_cases(draw):
     return widths, hidden, out_act, batchnorm, dropout, seed
 
 
-def _grads_on_filled_buffer(fill, spec, params, X, C, rng_seed):
-    """``_loss_and_grad``'s parameter gradient with backward's gradient
-    buffer pre-filled with ``fill``, so a slice backward forgets to write
-    shows up in the result."""
-    allocate = np.empty_like
-
-    def filled_like(a, *args, **kwargs):
-        out = allocate(a, *args, **kwargs)
-        out.fill(fill)
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mlp_module.np, "empty_like", filled_like)
-        return _loss_and_grad(spec, params, X, C, rng_seed=rng_seed)[1]
-
-
 @given(_net_cases())
 def test_backward_matches_fd_on_random_architectures(case):
     widths, hidden, out_act, batchnorm, dropout, seed = case
@@ -302,10 +289,11 @@ def test_backward_matches_fd_on_random_architectures(case):
     numeric = numeric_grad(
         lambda p: _loss_and_grad(spec, p, X, C, rng_seed=17)[0], net.params)
     assert max_rel_err(analytic, numeric) < 1e-4
-    zeroed, poisoned = (_grads_on_filled_buffer(fill, spec, net.params, X, C, 17)
-                        for fill in (0.0, np.nan))
-    assert np.all(np.isfinite(poisoned))
-    assert np.array_equal(poisoned, zeroed)
+    # a slice backward overwrites instead of adding to, or never touches,
+    # shows up against a buffer that already holds values
+    offset = rng.standard_normal(net.params.size)
+    accumulated = _loss_and_grad(spec, net.params, X, C, rng_seed=17, start=offset)[1]
+    assert np.array_equal(accumulated, offset + analytic)
 
 
 @given(_net_cases())
@@ -319,7 +307,54 @@ def test_backward_without_input_grad_keeps_param_grads_bitwise(case):
     X = rng.standard_normal((3, spec.in_dim))
     _, cache = mlp_forward(net, X, rng_seed=17, update_stats=False)
     C = rng.standard_normal((3, spec.out_dim))
-    grads, gin = mlp_backward(net, cache, C)
-    only, skipped = mlp_backward(net, cache, C, input_grad=False)
+    grads, only = np.zeros_like(net.params), np.zeros_like(net.params)
+    gin = mlp_backward(net, cache, C, grads)
+    skipped = mlp_backward(net, cache, C, only, input_grad=False)
     assert gin.shape == X.shape and skipped is None
     assert np.array_equal(only, grads)
+
+
+def _forward_twice(case, mode):
+    """A net in ``mode`` and two (cache, upstream gradient) pairs from two
+    batches, for the accumulate-contract tests."""
+    widths, hidden, out_act, batchnorm, dropout, seed = case
+    spec = MlpSpec.dense(widths, activation=hidden, out_activation=out_act,
+                         batchnorm=batchnorm, dropout=dropout)
+    net = init_network(spec, seed=seed, mode=mode)
+    rng = np.random.default_rng(seed + 2)
+    pairs = []
+    for rows, rng_seed in ((3, 17), (5, 18)):
+        _, cache = mlp_forward(net, rng.standard_normal((rows, spec.in_dim)),
+                               rng_seed=rng_seed, update_stats=False)
+        pairs.append((cache, rng.standard_normal((rows, spec.out_dim))))
+    return net, pairs
+
+
+@given(_net_cases(), st.sampled_from(["train", "eval"]))
+def test_backward_accumulates_into_the_buffer(case, mode):
+    net, ((cache_a, C_a), (cache_b, C_b)) = _forward_twice(case, mode)
+    summed = np.zeros_like(net.params)
+    mlp_backward(net, cache_a, C_a, summed)
+    mlp_backward(net, cache_b, C_b, summed)
+    alone_a, alone_b = np.zeros_like(net.params), np.zeros_like(net.params)
+    mlp_backward(net, cache_a, C_a, alone_a)
+    mlp_backward(net, cache_b, C_b, alone_b)
+    assert np.array_equal(summed, alone_a + alone_b)
+
+
+@given(_net_cases(), st.sampled_from(["train", "eval"]))
+def test_frozen_backward_gives_the_same_input_grad(case, mode):
+    net, ((cache, C), _) = _forward_twice(case, mode)
+    params, stats = net.params.copy(), net.stats.copy()
+    gin = mlp_backward(net, cache, C, np.zeros_like(net.params))
+    frozen = mlp_backward(net, cache, C, None)
+    assert np.array_equal(frozen, gin)
+    assert np.array_equal(net.params, params) and np.array_equal(net.stats, stats)
+    assert mlp_backward(net, cache, C, None, input_grad=False) is None
+
+
+def test_gradient_buffer_must_match_the_parameters():
+    net = init_network(MlpSpec.dense((2, 3, 1)), seed=0)
+    _, cache = mlp_forward(net, np.ones((2, 2)))
+    with pytest.raises(ConfigError):
+        mlp_backward(net, cache, np.ones((2, 1)), np.zeros(net.params.size + 1))
