@@ -36,8 +36,9 @@ from .base_model import BaseZslModel, pseudo_labels, sample_class
 from .data import FeatureDataset
 from .errors import ConfigError, DataError, NumericalDivergence
 from .nn.checkpoint import load_container, save_container
-from .nn.mlp import MlpNetwork, MlpSpec, forward_eval, init_network, mlp_backward, mlp_forward
-from .nn.optim import OptimizerState, init_optimizer, rmsprop_step
+from .nn.mlp import (MlpCache, MlpNetwork, MlpSpec, forward_eval, init_network, mlp_backward,
+                     mlp_forward, param_grads)
+from .nn.optim import init_optimizer, rmsprop_step
 from .rng import named_seed, named_stream
 
 VARIANTS = ("full", "vanilla_ada", "cyclegan_wo", "std_da")
@@ -149,7 +150,6 @@ class AdaConfig:
 @dataclass
 class AdaState:
     nets: dict[str, MlpNetwork]
-    optimizers: dict[str, OptimizerState]
     unseen_ids: list[int]
     variant: str
     phase: str = "warmup"
@@ -281,15 +281,30 @@ def _own_other(side: _Side, source_item, target_item) -> tuple:
     return source_item, target_item
 
 
-def _rmsprop_states(nets: dict[str, MlpNetwork],
-                    learning_rate: float) -> dict[str, OptimizerState]:
-    return {role: init_optimizer("rmsprop", net.params.size, learning_rate=learning_rate,
-                                 param_layout=list(net.spec.param_layout()))
-            for role, net in nets.items()}
+def _rmsprop_stepper(nets: dict[str, MlpNetwork], roles: Sequence[str], learning_rate: float):
+    """``step(tapes, clip=None)`` for one training loop: it steps each
+    taped role in order, building its gradient in one scratch sized to the
+    largest role just before its step, then empties ``tapes`` so no cache
+    outlives its step.  The fresh RMSprop states live as long as ``step``."""
+    states = {role: init_optimizer("rmsprop", nets[role].params.size,
+                                   learning_rate=learning_rate,
+                                   param_layout=nets[role].spec.param_layout())
+              for role in roles}
+    scratch = np.empty(max(nets[role].params.size for role in roles))
+
+    def step(tapes: dict[str, list[MlpCache]], clip: float | None = None) -> None:
+        for role, caches in tapes.items():
+            net = nets[role]
+            grads = param_grads(net, caches, scratch[:net.params.size])
+            rmsprop_step(net.params, grads, states[role], clip=clip)
+            net.set_params(net.params)
+        tapes.clear()
+
+    return step
 
 
 def init_ada_state(base_model: BaseZslModel, config: AdaConfig) -> AdaState:
-    """Fresh networks and RMSprop states sized from the base model."""
+    """Fresh networks sized from the base model."""
     d = base_model.dim
     unseen = base_model.attribute_table.unseen_ids
     if not unseen:
@@ -304,8 +319,7 @@ def init_ada_state(base_model: BaseZslModel, config: AdaConfig) -> AdaState:
     }
     nets = {role: init_network(specs[role[0]], seed=named_seed(config.seed, "init", role))
             for role in ROLES}
-    return AdaState(nets=nets, optimizers=_rmsprop_states(nets, config.learning_rate),
-                    unseen_ids=list(unseen), variant=config.variant)
+    return AdaState(nets=nets, unseen_ids=list(unseen), variant=config.variant)
 
 
 def _trained_roles(variant: str, objective: str) -> tuple[str, ...]:
@@ -317,28 +331,17 @@ def _trained_roles(variant: str, objective: str) -> tuple[str, ...]:
     return tuple(side.g for side in sides) + clf
 
 
-def _zeroed_grads(nets: dict[str, MlpNetwork], roles: Sequence[str],
-                  buffers: dict[str, np.ndarray] | None) -> dict[str, np.ndarray]:
-    """One zeroed gradient buffer per role: the caller's, or fresh ones."""
-    if buffers is None:
-        return {role: np.zeros_like(nets[role].params) for role in roles}
-    for role in roles:
-        buffers[role].fill(0.0)
-    return {role: buffers[role] for role in roles}
-
-
 def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
                         target: LabeledBatch, commit_stats: bool = False,
                         rng_seed: int | None = None,
-                        buffers: dict[str, np.ndarray] | None = None,
-                        ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
-    """Generator-step objective: value, raw term breakdown, and exact
-    gradients for every net updated in this step.
+                        ) -> tuple[float, dict[str, float], dict[str, list[MlpCache]]]:
+    """Generator-step objective: value, raw term breakdown, and the tape
+    of every net updated in this step.
 
-    The gradients are summed into ``buffers[role]`` (zeroed first) when
-    given, else into fresh arrays.  Critic parameters are frozen (their
-    scores still shape the gradient, but no critic parameter gradient
-    is computed); the breakdown also carries the value-only critic losses
+    A tape is the list of backpropagated caches whose gradients sum to
+    the role's exact parameter gradient; ``param_grads`` builds it.
+    Critic parameters are frozen (their scores still shape the gradient,
+    but they get no tape); the breakdown also carries the value-only critic losses
     ``L_D_T`` / ``L_D_S``, so the summed min-max value of the variant is
     ``value + L_D_T + L_D_S``.  Terms a variant does not train read 0.
     """
@@ -360,18 +363,22 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
         return mlp_forward(nets[role], X, update_stats=commit,
                            rng_seed=None if rng_seed is None else named_seed(rng_seed, tag))
 
+    def bw(role: str, cache: MlpCache, grad_out: np.ndarray, input_grad: bool = True):
+        tapes[role].append(cache)
+        return mlp_backward(nets[role], cache, grad_out, input_grad=input_grad)
+
     aug_src = augment_batch(source.features, source.labels, u)
     aug_tgt = augment_batch(target.features, target.labels, u)
-    grads = _zeroed_grads(nets, _trained_roles(state.variant, "generator"), buffers)
+    tapes = {role: [] for role in _trained_roles(state.variant, "generator")}
     breakdown = dict.fromkeys(
         ("L_G_T", "L_D_T", "L_G_S", "L_D_S", "L_cyc", "L_clf_T", "L_clf_S"), 0.0)
-    moved, cache, at_moved = {}, {}, {}
+    moved, cache_g, at_moved = {}, {}, {}
 
     # translation, identity anchor and critic score
     for side in sides:
         own, other = _own_other(side, source, target)
         own_aug, other_aug = _own_other(side, aug_src, aug_tgt)
-        moved[side], cache[side] = fw(side.g, other_aug, side.translate)
+        moved[side], cache_g[side] = fw(side.g, other_aug, side.translate)
         d_fake, cache_d_fake = fw(side.d, moved[side], side.d_fake, False)
         ident_out, cache_ident = fw(side.g, own_aug, side.ident)
         ident, ident_grad = _mean_l1(ident_out, own.features)
@@ -380,10 +387,8 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
             float(d_fake.mean())
             - float(fw(side.d, own.features, side.d_real, False)[0].mean()))
         at_moved[side] = np.zeros((n, d))
-        mlp_backward(nets[side.g], cache_ident, beta * ident_grad, grads[side.g],
-                     input_grad=False)
-        at_moved[side] += mlp_backward(nets[side.d], cache_d_fake,
-                                       np.full((n, 1), -1.0 / n), None)
+        bw(side.g, cache_ident, beta * ident_grad, input_grad=False)
+        at_moved[side] += mlp_backward(nets[side.d], cache_d_fake, np.full((n, 1), -1.0 / n))
 
     # cycle legs: each side's translated rows go back through the other generator
     if len(sides) == 2:
@@ -394,7 +399,7 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
             ref = own if config.cycle_form == "cross_domain" else other
             leg, leg_grad = _mean_l1(rebuilt, ref.features)
             breakdown["L_cyc"] += leg
-            gin = mlp_backward(nets[back.g], cache_back, chi * leg_grad, grads[back.g])
+            gin = bw(back.g, cache_back, chi * leg_grad)
             at_moved[side] += gin[:, :d]
 
     # classifiers: real own-domain rows, plus the translated rows in recovery
@@ -402,29 +407,26 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
         own, other = _own_other(side, source, target)
         out, cache_c = fw(side.c, own.features, side.c_real)
         clf, ce_grad = _ce(out, own.labels)
-        mlp_backward(nets[side.c], cache_c, xi * ce_grad, grads[side.c], input_grad=False)
+        bw(side.c, cache_c, xi * ce_grad, input_grad=False)
         if state.phase == "recovery":
             out, cache_c = fw(side.c, moved[side], side.c_gen)
             term, ce_grad = _ce(out, other.labels)
             clf += term
-            at_moved[side] += mlp_backward(nets[side.c], cache_c, xi * ce_grad,
-                                           grads[side.c])
+            at_moved[side] += bw(side.c, cache_c, xi * ce_grad)
         breakdown[f"L_clf_{side.name}"] = clf
     if has_clf and config.mismatched_pairs and u > 1:
         wrong = _mismatched_labels(target.labels, u, config.seed, state.iteration)
         out, cache_c = fw("c_t", target.features, "ct_wrong", False)
         term, ce_grad = _ce(out, wrong)
         breakdown["L_clf_T"] -= config.mismatched_weight * term
-        mlp_backward(nets["c_t"], cache_c, -config.mismatched_weight * xi * ce_grad,
-                     grads["c_t"], input_grad=False)
+        bw("c_t", cache_c, -config.mismatched_weight * xi * ce_grad, input_grad=False)
 
     for side in sides:
-        mlp_backward(nets[side.g], cache[side], at_moved[side], grads[side.g],
-                     input_grad=False)
+        bw(side.g, cache_g[side], at_moved[side], input_grad=False)
 
     value = breakdown["L_G_T"] + breakdown["L_G_S"] + chi * breakdown["L_cyc"]
     value += xi * (breakdown["L_clf_T"] + breakdown["L_clf_S"])
-    return float(value), breakdown, grads
+    return float(value), breakdown, tapes
 
 
 def _mismatched_labels(labels: np.ndarray, u: int, seed: int,
@@ -436,10 +438,9 @@ def _mismatched_labels(labels: np.ndarray, u: int, seed: int,
 def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
                      target: LabeledBatch, commit_stats: bool = False,
                      rng_seed: int | None = None,
-                     buffers: dict[str, np.ndarray] | None = None,
-                     ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
-    """Critic-step objective with generators frozen; gradients go into
-    ``buffers`` as in ``generator_objective``."""
+                     ) -> tuple[float, dict[str, float], dict[str, list[MlpCache]]]:
+    """Critic-step objective with generators frozen; returns each
+    critic's tape as ``generator_objective`` does."""
     _check_batches(source, target)
     u = state.n_unseen
     nets = state.nets
@@ -448,7 +449,7 @@ def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
         return mlp_forward(nets[role], X, update_stats=commit,
                            rng_seed=None if rng_seed is None else named_seed(rng_seed, tag))
 
-    grads = _zeroed_grads(nets, _trained_roles(state.variant, "critic"), buffers)
+    tapes = {role: [] for role in _trained_roles(state.variant, "critic")}
     breakdown = {"L_D_T": 0.0, "L_D_S": 0.0}
     for side in _sides(state.variant, "critic"):
         own, other = _own_other(side, source, target)
@@ -458,11 +459,10 @@ def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
         out_r, cache_r = fw(side.d, own.features, side.d_real)
         breakdown[f"L_D_{side.name}"] = float(out_f.mean()) - float(out_r.mean())
         nf, nr = fakes.shape[0], own.n
-        mlp_backward(nets[side.d], cache_f, np.full((nf, 1), 1.0 / nf), grads[side.d],
-                     input_grad=False)
-        mlp_backward(nets[side.d], cache_r, np.full((nr, 1), -1.0 / nr), grads[side.d],
-                     input_grad=False)
-    return float(sum(breakdown.values())), breakdown, grads
+        mlp_backward(nets[side.d], cache_f, np.full((nf, 1), 1.0 / nf), input_grad=False)
+        mlp_backward(nets[side.d], cache_r, np.full((nr, 1), -1.0 / nr), input_grad=False)
+        tapes[side.d] += (cache_f, cache_r)
+    return float(sum(breakdown.values())), breakdown, tapes
 
 
 def _draw_batches(base_model: BaseZslModel, test_X: np.ndarray, pseudo: np.ndarray,
@@ -538,37 +538,28 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
     state.agreement_estimate = report.mean_agreement
     test_X, _ = test_data.test_rows()
     log: list[tuple] = []
-    # one gradient buffer per trained role, reused by every step of the loop
     roles = _trained_roles(state.variant, "generator") + _trained_roles(state.variant, "critic")
-    buffers = {role: np.empty_like(state.nets[role].params) for role in roles}
+    step = _rmsprop_stepper(state.nets, roles, config.learning_rate)
 
     for it in range(config.n_steps):
         state.iteration = it
         _maybe_switch_phase(state, base_model, config)
         src, tgt = _draw_batches(base_model, test_X, state.pseudo, state, config,
                                  "gen", it)
-        value, bd, grads = generator_objective(
+        value, bd, tapes = generator_objective(
             state, config, src, tgt, commit_stats=True,
-            rng_seed=named_seed(config.seed, "drop", it, "gen"), buffers=buffers)
+            rng_seed=named_seed(config.seed, "drop", it, "gen"))
         _abort_if_nonfinite(value, bd, it)
-        for role, g in grads.items():
-            net = state.nets[role]
-            rmsprop_step(net.params, g, state.optimizers[role])
-            net.set_params(net.params)
+        step(tapes)
 
         for inner in range(config.n_critic):
             src2, tgt2 = _draw_batches(base_model, test_X, state.pseudo, state,
                                        config, "critic", it, inner)
-            cval, cbd, cgrads = critic_objective(
+            cval, cbd, tapes = critic_objective(
                 state, config, src2, tgt2, commit_stats=True,
-                rng_seed=named_seed(config.seed, "drop", it, "critic", inner),
-                buffers=buffers)
+                rng_seed=named_seed(config.seed, "drop", it, "critic", inner))
             _abort_if_nonfinite(cval, cbd, it)
-            for role, g in cgrads.items():
-                net = state.nets[role]
-                rmsprop_step(net.params, g, state.optimizers[role])
-                np.clip(net.params, -config.clip_c, config.clip_c, out=net.params)
-                net.set_params(net.params)
+            step(tapes, clip=config.clip_c)
 
         if config.relabel_interval and (it + 1) % config.relabel_interval == 0 \
                 and state.variant in _CLF_VARIANTS:
@@ -603,7 +594,7 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
     test_X, _ = test_data.test_rows()
     log: list[tuple] = []
     half = max(1, config.batch_size // 2)
-    grads = np.empty_like(state.c_t.params)
+    step = _rmsprop_stepper(state.nets, ("c_t",), config.learning_rate)
     for it in range(config.n_steps):
         state.iteration = it
         stream = named_stream(config.seed, "batch", "std", it)
@@ -624,10 +615,8 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
         if not np.isfinite(loss):
             raise NumericalDivergence("non-finite classifier loss", iteration=it,
                                       breakdown={"L_clf_T": loss})
-        grads.fill(0.0)
-        mlp_backward(state.c_t, cache, ce_grad, grads, input_grad=False)
-        rmsprop_step(state.c_t.params, grads, state.optimizers["c_t"])
-        state.c_t.set_params(state.c_t.params)
+        mlp_backward(state.c_t, cache, ce_grad, input_grad=False)
+        step({"c_t": [cache]})
         row = (it, 0.0, 0.0, 0.0, loss, 0.0, state.phase)
         log.append(row)
     state.iteration = config.n_steps
@@ -674,8 +663,8 @@ def save_ada_state(path: str | Path, state: AdaState, config: AdaConfig) -> None
 
 
 def load_ada_state(path: str | Path) -> tuple[AdaState, AdaConfig]:
-    """Rebuilds an adapted state for evaluation; optimizer moments are
-    not persisted, so resumed training starts with fresh accumulators."""
+    """Rebuilds an adapted state for evaluation.  Optimizer moments are
+    not persisted: ``adapt`` always starts from fresh ones."""
     meta, arrays = load_container(path)
     if meta.get("kind") != "ada_state":
         raise DataError("BAD_CHECKPOINT",
@@ -687,8 +676,7 @@ def load_ada_state(path: str | Path) -> tuple[AdaState, AdaConfig]:
         nets[role] = MlpNetwork(spec=spec, params=arrays[f"{role}_params"],
                                 stats=arrays[f"{role}_stats"],
                                 seed=meta["seeds"][role], mode="eval")
-    state = AdaState(nets=nets, optimizers=_rmsprop_states(nets, config.learning_rate),
-                     unseen_ids=meta["unseen_ids"], variant=meta["variant"],
+    state = AdaState(nets=nets, unseen_ids=meta["unseen_ids"], variant=meta["variant"],
                      phase=meta["phase"], iteration=int(meta["iteration"]),
                      agreement_estimate=meta.get("agreement_estimate"))
     if "pseudo" in arrays:

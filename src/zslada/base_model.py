@@ -24,7 +24,8 @@ from .errors import (
     NumericalDivergence,
 )
 from .nn.checkpoint import load_container, save_container
-from .nn.mlp import MlpNetwork, MlpSpec, forward_eval, mlp_backward, mlp_forward, stable_sigmoid
+from .nn.mlp import (MlpCache, MlpNetwork, MlpSpec, forward_eval, mlp_backward, mlp_forward,
+                     param_grads, stable_sigmoid)
 from .nn.optim import OptimizerHyper, adam_step, init_optimizer
 from .rng import named_seed, named_stream
 
@@ -249,14 +250,13 @@ class PretrainConfig:
 
 def pretrain_objective(model: BaseZslModel, X: np.ndarray, y: np.ndarray,
                        rng_seed: int | None = None, update_stats: bool = False,
-                       buffers: dict[str, np.ndarray] | None = None,
-                       ) -> tuple[float, np.ndarray, np.ndarray]:
+                       ) -> tuple[float, dict[str, list[MlpCache]]]:
     """Negative mean log-likelihood of a labeled batch, with gradients.
 
     Runs both nets in their current modes on the batch's unique class
-    attributes and returns ``(loss, mean_net_grads, prec_net_grads)``.
-    The gradients are written into ``buffers["mean_net"]`` and
-    ``buffers["prec_net"]`` when given, else into fresh arrays.
+    attributes and returns ``(loss, tapes)``: ``tapes["mean_net"]`` and
+    ``tapes["prec_net"]`` each hold the one backpropagated cache that
+    ``param_grads`` turns into that head's gradient.
     Pure in the parameters when ``update_stats`` is false and
     ``rng_seed`` is fixed, which is what gradient checking needs.
     """
@@ -301,16 +301,9 @@ def pretrain_objective(model: BaseZslModel, X: np.ndarray, y: np.ndarray,
         grad_p -= counts[:, None] / (n * p)
     grad_raw = grad_p * (p - PRECISION_FLOOR) * (PRECISION_FLOOR + PRECISION_SPAN - p)
 
-    if buffers is None:
-        grads_mean = np.zeros_like(model.mean_net.params)
-        grads_prec = np.zeros_like(model.prec_net.params)
-    else:
-        grads_mean, grads_prec = buffers["mean_net"], buffers["prec_net"]
-        grads_mean.fill(0.0)
-        grads_prec.fill(0.0)
-    mlp_backward(model.mean_net, mean_cache, grad_mean_out, grads_mean, input_grad=False)
-    mlp_backward(model.prec_net, prec_cache, grad_raw, grads_prec, input_grad=False)
-    return loss, grads_mean, grads_prec
+    mlp_backward(model.mean_net, mean_cache, grad_mean_out, input_grad=False)
+    mlp_backward(model.prec_net, prec_cache, grad_raw, input_grad=False)
+    return loss, {"mean_net": [mean_cache], "prec_net": [prec_cache]}
 
 
 def dataset_mean_loglik(model: BaseZslModel, X: np.ndarray, y: np.ndarray) -> float:
@@ -364,20 +357,17 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
     X_tr, y_tr = X_all[train_idx], y_all[train_idx]
     X_he, y_he = X_all[held_idx], y_all[held_idx]
 
-    hyper = OptimizerHyper(learning_rate=config.learning_rate,
-                           weight_decay=config.mean_weight_decay)
-    opt_mean = init_optimizer("adam", model.mean_net.params.size, hyper=hyper,
-                              param_layout=model.mean_net.spec.param_layout())
-    hyper_p = OptimizerHyper(learning_rate=config.learning_rate,
-                             weight_decay=config.prec_weight_decay)
-    opt_prec = init_optimizer("adam", model.prec_net.params.size, hyper=hyper_p,
-                              param_layout=model.prec_net.spec.param_layout())
-
-    model.mean_net.set_mode("train")
-    model.prec_net.set_mode("train")
-    # one gradient buffer per head, reused by every step
-    buffers = {"mean_net": np.empty_like(model.mean_net.params),
-               "prec_net": np.empty_like(model.prec_net.params)}
+    heads = {"mean_net": (model.mean_net, config.mean_weight_decay),
+             "prec_net": (model.prec_net, config.prec_weight_decay)}
+    states = {}
+    for role, (net, decay) in heads.items():
+        hyper = OptimizerHyper(learning_rate=config.learning_rate, weight_decay=decay)
+        states[role] = init_optimizer("adam", net.params.size, hyper=hyper,
+                                      param_layout=net.spec.param_layout())
+        net.set_mode("train")
+    # one gradient scratch for both heads: each gradient is built just
+    # before its head's step
+    scratch = np.empty(max(net.params.size for net, _ in heads.values()))
     best = -np.inf
     best_snapshot = None
     stall = 0
@@ -389,17 +379,16 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
         n_batches = 0
         for start in range(0, X_tr.shape[0], config.batch_size):
             rows = order[start:start + config.batch_size]
-            loss, g_mean, g_prec = pretrain_objective(
+            loss, tapes = pretrain_objective(
                 model, X_tr[rows], y_tr[rows],
-                rng_seed=named_seed(config.seed, "batch", step),
-                update_stats=True, buffers=buffers)
+                rng_seed=named_seed(config.seed, "batch", step), update_stats=True)
             if not np.isfinite(loss):
                 raise NumericalDivergence("non-finite pretraining loss",
                                           iteration=step, breakdown={"loss": loss})
-            adam_step(model.mean_net.params, g_mean, opt_mean)
-            adam_step(model.prec_net.params, g_prec, opt_prec)
-            model.mean_net.set_params(model.mean_net.params)
-            model.prec_net.set_params(model.prec_net.params)
+            for role, (net, _) in heads.items():
+                grads = param_grads(net, tapes.pop(role), scratch[:net.params.size])
+                adam_step(net.params, grads, states[role])
+                net.set_params(net.params)
             epoch_ll += -loss
             n_batches += 1
             step += 1

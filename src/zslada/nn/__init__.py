@@ -7,6 +7,7 @@ from zslada.nn.mlp import (
     init_network,
     mlp_forward,
     mlp_backward,
+    param_grads,
     forward_eval,
     stable_sigmoid,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "init_network",
     "mlp_forward",
     "mlp_backward",
+    "param_grads",
     "forward_eval",
     "stable_sigmoid",
     "OptimizerHyper",

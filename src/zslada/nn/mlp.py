@@ -250,7 +250,8 @@ def init_network(spec: MlpSpec, seed: int, mode: str = "train") -> MlpNetwork:
 
 @dataclass
 class MlpCache:
-    """Saved activations from one forward pass, sufficient for backward."""
+    """Saved activations from one forward pass, sufficient for backward;
+    after backward, the tape :func:`param_grads` reads."""
 
     version: int
     mode: str
@@ -331,24 +332,25 @@ def mlp_forward(net: MlpNetwork, batch: np.ndarray, rng_seed: int | None = None,
 
 
 def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
-                 grads: np.ndarray | None,
                  input_grad: bool = True) -> np.ndarray | None:
-    """Exact gradients of the forward map.
+    """Backpropagate ``grad_out`` through the forward pass behind ``cache``.
 
-    ``grads`` is a float64 vector shaped like the flat parameter vector:
-    each parameter gradient is *added* into it, slice by slice, so several
-    calls into one zeroed buffer sum their gradients there without any
-    parameter-sized temporary.  With ``grads=None`` (a frozen network) no
-    parameter gradient is computed at all.  Returns the gradient wrt the
-    batch, or ``None`` and never computed when ``input_grad`` is false.
-    Raises ``StaleCache`` if the network changed since the forward pass
-    that produced ``cache``.
+    Computes no weight gradient: each layer record on ``cache`` becomes a
+    tape entry holding ``h_in`` and ``delta`` (the signal after the
+    activation and batchnorm; the weight gradient is ``h_in.T @ delta``)
+    plus the small ``b``/``gamma``/``beta`` gradients, from which
+    :func:`param_grads` builds the parameter gradient.  The activations
+    only backward reads are dropped, so a cache is backpropagated once.
+    ``delta`` may alias ``grad_out``: do not change it in place before
+    ``param_grads``.  Returns the gradient wrt the batch, or ``None`` and
+    never computed when ``input_grad`` is false.  Raises ``StaleCache`` if
+    the network changed since the forward pass or ``cache`` was already
+    backpropagated.
     """
     spec = net.spec
-    if cache.version != net.version or cache.mode != net.mode:
-        raise StaleCache("activation cache does not match the network state")
-    if len(cache.layers) != spec.n_layers:
-        raise StaleCache("activation cache has the wrong number of layers")
+    _check_cache(net, cache)
+    if "delta" in cache.layers[-1]:
+        raise StaleCache("activation cache was already backpropagated")
     g = np.asarray(grad_out, dtype=np.float64)
     if g.ndim != 2:
         g = g.reshape(1, -1)
@@ -357,13 +359,10 @@ def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
             f"upstream gradient has {g.shape[0]} rows, cache saw {cache.n_rows}")
     if g.shape[1] != spec.out_dim:
         raise DimensionMismatch(spec.n_layers - 1, spec.out_dim, g.shape[1])
-    if grads is not None and grads.shape != net.params.shape:
-        raise ConfigError(
-            f"gradient buffer has shape {grads.shape}, parameters {net.params.shape}")
     train = cache.mode == "train"
     for i in reversed(range(spec.n_layers)):
-        sl = net._slices[i]
         rec = cache.layers[i]
+        tape = {"h_in": rec["h_in"]}
         if "mask" in rec:
             g = g * rec["mask"]
         kind, _ = parse_activation(spec.activations[i])
@@ -379,10 +378,8 @@ def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
             g = g - soft * g.sum(axis=1, keepdims=True)
         if spec.batchnorm[i]:
             xhat, inv, gamma = rec["xhat"], rec["inv"], rec["gamma"]
-            if grads is not None:
-                g_gamma, g_beta = grads[sl.gamma], grads[sl.beta]
-                g_gamma += (g * xhat).sum(axis=0)
-                g_beta += g.sum(axis=0)
+            tape["gamma"] = (g * xhat).sum(axis=0)
+            tape["beta"] = g.sum(axis=0)
             gx = g * gamma
             if train:
                 # gradient through the batch mean/variance
@@ -391,13 +388,49 @@ def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
                                  - xhat * (gx * xhat).sum(axis=0))
             else:
                 g = gx * inv
-        if grads is not None:
-            g_W, g_b = grads[sl.W], grads[sl.b]
-            g_W += (rec["h_in"].T @ g).ravel()
-            g_b += g.sum(axis=0)
+        tape["delta"] = g
+        tape["b"] = g.sum(axis=0)
+        cache.layers[i] = tape
         if i or input_grad:
             g = g @ net.weight(i).T
     return g if input_grad else None
+
+
+def _check_cache(net: MlpNetwork, cache: MlpCache) -> None:
+    if cache.version != net.version or cache.mode != net.mode:
+        raise StaleCache("activation cache does not match the network state")
+    if len(cache.layers) != net.spec.n_layers:
+        raise StaleCache("activation cache has the wrong number of layers")
+
+
+def param_grads(net: MlpNetwork, caches: list[MlpCache], out: np.ndarray) -> np.ndarray:
+    """Write the summed parameter gradient of backpropagated ``caches``
+    into ``out``, a float64 vector shaped like the parameters, and return
+    it.  The first cache's gradient is written straight into ``out`` (no
+    zero-fill, no temporary); each later one is added slice by slice, in
+    list order.  An empty list writes zeros."""
+    if out.shape != net.params.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ConfigError(f"gradient buffer must be a contiguous float64 vector shaped "
+                          f"{net.params.shape}, got {out.dtype} {out.shape}")
+    for cache in caches:
+        _check_cache(net, cache)
+        if "delta" not in cache.layers[0]:
+            raise StaleCache("activation cache has not been through mlp_backward")
+    if not caches:
+        out.fill(0.0)
+    for k, cache in enumerate(caches):
+        for sl, tape in zip(net._slices, cache.layers):
+            h_in, delta = tape["h_in"], tape["delta"]
+            g_W = out[sl.W].reshape(h_in.shape[1], delta.shape[1])
+            if k == 0:
+                np.matmul(h_in.T, delta, out=g_W)
+            else:
+                g_W += h_in.T @ delta
+            for key in ("b", "gamma", "beta"):
+                if key in tape:
+                    where = getattr(sl, key)
+                    out[where] = tape[key] if k == 0 else out[where] + tape[key]
+    return out
 
 
 def forward_eval(net: MlpNetwork, batch: np.ndarray) -> np.ndarray:

@@ -69,7 +69,8 @@ class OptimizerHyper:
 class OptimizerState:
     kind: str
     step_count: int
-    first_moment: np.ndarray
+    # adam's moving mean of the gradient; rmsprop keeps none
+    first_moment: np.ndarray | None
     second_moment: np.ndarray
     hyper: OptimizerHyper
     # Optional (label, start, stop) triples used to name the offending
@@ -104,7 +105,7 @@ def init_optimizer(
     return OptimizerState(
         kind=kind,
         step_count=0,
-        first_moment=np.zeros(n_params, dtype=np.float64),
+        first_moment=np.zeros(n_params, dtype=np.float64) if kind == "adam" else None,
         second_moment=np.zeros(n_params, dtype=np.float64),
         hyper=hyper,
         param_layout=param_layout,
@@ -140,10 +141,10 @@ def _prepare(params: np.ndarray, grads: np.ndarray, state: OptimizerState,
     grads = np.asarray(grads, dtype=np.float64)
     if state.kind != kind:
         raise ConfigError(f"state was initialized for {state.kind!r}, not {kind!r}")
-    if params.shape != grads.shape or params.shape != state.first_moment.shape:
+    if params.shape != grads.shape or params.shape != state.second_moment.shape:
         raise ConfigError(
             "parameter/gradient/state length mismatch: "
-            f"{params.shape} vs {grads.shape} vs {state.first_moment.shape}")
+            f"{params.shape} vs {grads.shape} vs {state.second_moment.shape}")
     _check_finite(grads, state)
     return grads
 
@@ -203,22 +204,26 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState) -> N
     state.step_count = t
 
 
-def rmsprop_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState) -> None:
+def rmsprop_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState,
+                 clip: float | None = None) -> None:
     """One rmsprop update of ``params`` and ``state``, in place, with
     ``beta2`` as the squared-gradient decay.
 
-    Same contract as :func:`adam_step`: nothing is written when it
-    raises.  ``first_moment`` stays zero; it is kept so the state shape
-    matches adam and checkpoints can store either interchangeably.
+    With ``clip`` set, each block of ``params`` is clipped to
+    ``[-clip, clip]`` right after its update, in the same pass (the WGAN
+    critics' weight clip).  Same contract as :func:`adam_step`: nothing
+    is written when it raises.
     """
     grads = _prepare(params, grads, state, "rmsprop")
     hp = state.hyper
     for sl, upd, tmp in _blocks(params.size):
-        g, v = grads[sl], state.second_moment[sl]
+        g, v, p = grads[sl], state.second_moment[sl], params[sl]
         _decay_square(v, g, hp.beta2, tmp)
         # update = g / (sqrt(v) + epsilon)
         np.sqrt(v, out=upd)
         np.add(upd, hp.epsilon, out=upd)
         np.divide(g, upd, out=upd)
-        _apply(params[sl], upd, tmp, hp)
+        _apply(p, upd, tmp, hp)
+        if clip is not None:
+            np.clip(p, -clip, clip, out=p)
     state.step_count += 1

@@ -13,7 +13,7 @@ import numpy as np
 from zslada.ada import LabeledBatch
 from zslada.base_model import BaseZslModel, PretrainConfig, pretrain, pseudo_labels
 from zslada.data import ClassAttributeTable
-from zslada.nn.mlp import MlpNetwork, MlpSpec, init_network
+from zslada.nn.mlp import MlpCache, MlpNetwork, MlpSpec, init_network, param_grads
 from zslada.nn.optim import OptimizerState
 from zslada.rng import named_seed
 from zslada.synthetic import SyntheticWorld, SyntheticWorldSpec, make_synthetic_world
@@ -49,6 +49,28 @@ def peak_traced_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def tape_grads(nets: dict[str, MlpNetwork],
+               tapes: dict[str, list[MlpCache]]) -> dict[str, np.ndarray]:
+    """Each taped role's parameter gradient, in a fresh array."""
+    return {role: param_grads(nets[role], caches, np.empty_like(nets[role].params))
+            for role, caches in tapes.items()}
+
+
+def reference_param_grads(net: MlpNetwork, caches: list[MlpCache]) -> np.ndarray:
+    """Summed parameter gradient of backpropagated caches by the plain
+    rule: start from zeros and add each cache's gradient in list order."""
+    out = np.zeros_like(net.params)
+    spans = {label: slice(start, stop) for label, start, stop in net.spec.param_layout()}
+    for cache in caches:
+        for i, tape in enumerate(cache.layers):
+            W = out[spans[f"layer{i}.W"]].reshape(tape["h_in"].shape[1], -1)
+            W += tape["h_in"].T @ tape["delta"]
+            for key in ("b", "gamma", "beta"):
+                if f"layer{i}.{key}" in spans:
+                    out[spans[f"layer{i}.{key}"]] += tape[key]
+    return out
 
 
 def reference_adam_step(params: np.ndarray, grads: np.ndarray,

@@ -12,9 +12,9 @@ from zslada.ada import (
 from zslada.base_model import BaseZslModel, pretrain_objective
 from zslada.errors import ConfigError
 from zslada.nn.gradcheck import grad_check, numeric_gradient
-from zslada.nn.mlp import MlpSpec, init_network, mlp_backward, mlp_forward
+from zslada.nn.mlp import MlpSpec, init_network, mlp_backward, mlp_forward, param_grads
 
-from .helpers import batch, linear_model, max_rel_err, toy_table
+from .helpers import batch, linear_model, max_rel_err, tape_grads, toy_table
 
 
 def test_quadratic_in_one_variable():
@@ -58,8 +58,9 @@ def _joint_objective(model):
     def fn(p):
         model.mean_net.set_params(p[:n_mean])
         model.prec_net.set_params(p[n_mean:])
-        loss, g_mean, g_prec = pretrain_objective(model, fn.X, fn.y)
-        return loss, np.concatenate([g_mean, g_prec])
+        loss, tapes = pretrain_objective(model, fn.X, fn.y)
+        grads = tape_grads({"mean_net": model.mean_net, "prec_net": model.prec_net}, tapes)
+        return loss, np.concatenate([grads["mean_net"], grads["prec_net"]])
 
     return fn
 
@@ -129,8 +130,8 @@ def test_generator_objective_gradients(role, phase, overrides):
 
     def fn(p):
         state.nets[role].set_params(p)
-        value, _, grads = generator_objective(state, config, source, target)
-        return value, grads[role]
+        value, _, tapes = generator_objective(state, config, source, target)
+        return value, tape_grads(state.nets, tapes)[role]
 
     report = grad_check(fn, state.nets[role].params.copy(), tolerance=1e-3)
     assert report.passed, (role, report)
@@ -148,8 +149,8 @@ def test_critic_objective_gradients(role, overrides):
 
     def fn(p):
         state.nets[role].set_params(p)
-        value, _, grads = critic_objective(state, config, source, target)
-        return value, grads[role]
+        value, _, tapes = critic_objective(state, config, source, target)
+        return value, tape_grads(state.nets, tapes)[role]
 
     report = grad_check(fn, state.nets[role].params.copy(), tolerance=1e-3)
     assert report.passed, (role, report)
@@ -172,14 +173,15 @@ def test_total_loss_gradient_assembled_from_parts():
     numeric = numeric_gradient(scalar, p0.copy())
 
     g_t.set_params(p0)
-    _, _, gen_grads = generator_objective(state, config, source, target)
+    _, _, tapes = generator_objective(state, config, source, target)
+    gen_grads = tape_grads(state.nets, tapes)
     n = source.n
     ya = augment_batch(source.features, source.labels, state.n_unseen)
     fakes, cache_g = mlp_forward(g_t, ya, update_stats=False)
     _, cache_d = mlp_forward(state.nets["d_t"], fakes, update_stats=False)
-    gin = mlp_backward(state.nets["d_t"], cache_d, np.full((n, 1), 1.0 / n), None)
-    readded = np.zeros_like(p0)
-    mlp_backward(g_t, cache_g, gin, readded)
+    gin = mlp_backward(state.nets["d_t"], cache_d, np.full((n, 1), 1.0 / n))
+    mlp_backward(g_t, cache_g, gin)
+    readded = param_grads(g_t, [cache_g], np.empty_like(p0))
 
     analytic = gen_grads["g_t"] + readded
     assert max_rel_err(analytic, numeric) < 1e-3

@@ -12,10 +12,11 @@ from zslada.nn.mlp import (
     init_network,
     mlp_backward,
     mlp_forward,
+    param_grads,
     stable_sigmoid,
 )
 
-from .helpers import exact_net, max_rel_err, numeric_grad
+from .helpers import exact_net, max_rel_err, numeric_grad, reference_param_grads
 
 # kink guard: central differences at h=1e-5 are meaningless when a relu /
 # leaky pre-activation sits closer to zero than this
@@ -23,6 +24,7 @@ KINK_MARGIN = 1e-3
 
 
 def _kink_safe(cache) -> bool:
+    """Read before backward, which drops the pre-activations."""
     return all(np.abs(rec["z"]).min() > KINK_MARGIN
                for rec in cache.layers if "z" in rec)
 
@@ -58,8 +60,8 @@ def test_scalar_layer_backward_analytic():
     net = exact_net(spec, np.array([1.5, 0.0]))
     out, cache = mlp_forward(net, np.array([[2.0]]))
     assert out[0, 0] == 3.0
-    grads = np.zeros_like(net.params)
-    gin = mlp_backward(net, cache, np.array([[1.0]]), grads)
+    gin = mlp_backward(net, cache, np.array([[1.0]]))
+    grads = param_grads(net, [cache], np.empty_like(net.params))
     assert grads[0] == 2.0  # weight
     assert grads[1] == 1.0  # bias
     assert gin[0, 0] == 1.5
@@ -69,21 +71,21 @@ def test_relu_kills_gradient_on_negative_input():
     spec = MlpSpec((1, 1), ("relu",), (False,), (0.0,))
     net = exact_net(spec, np.array([1.0, 0.0]))
     _, cache = mlp_forward(net, np.array([[-1.0]]))
-    grads = np.zeros_like(net.params)
-    gin = mlp_backward(net, cache, np.array([[5.0]]), grads)
+    gin = mlp_backward(net, cache, np.array([[5.0]]))
+    grads = param_grads(net, [cache], np.empty_like(net.params))
     assert gin[0, 0] == 0.0
     assert np.all(grads == 0.0)
 
 
-def _loss_and_grad(spec, params, X, C, rng_seed=None, start=None):
-    """sum(out * C) and its parameter gradient, fresh net per call; the
-    gradient is added onto a copy of ``start`` when given."""
+def _loss_and_grad(spec, params, X, C, rng_seed=None):
+    """sum(out * C), its parameter gradient and whether the point is
+    kink-safe, fresh net per call."""
     net = MlpNetwork(spec, np.asarray(params, dtype=np.float64).copy(),
                      np.zeros(spec.n_stats()), mode="train")
     out, cache = mlp_forward(net, X, rng_seed=rng_seed, update_stats=False)
-    grads = np.zeros_like(net.params) if start is None else start.copy()
-    mlp_backward(net, cache, C, grads)
-    return float((out * C).sum()), grads, cache
+    safe = _kink_safe(cache)
+    mlp_backward(net, cache, C)
+    return float((out * C).sum()), param_grads(net, [cache], np.empty_like(net.params)), safe
 
 
 def test_two_layer_net_matches_central_differences():
@@ -92,8 +94,8 @@ def test_two_layer_net_matches_central_differences():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((4, 3))
     C = rng.standard_normal((4, 2))
-    _, analytic, cache = _loss_and_grad(spec, net.params, X, C)
-    assert _kink_safe(cache)
+    _, analytic, safe = _loss_and_grad(spec, net.params, X, C)
+    assert safe
     numeric = numeric_grad(lambda p: _loss_and_grad(spec, p, X, C)[0], net.params)
     assert max_rel_err(analytic, numeric) < 1e-4
 
@@ -120,8 +122,8 @@ def test_gradients_match_fd_over_100_seeds(hidden, out_act, batchnorm):
         rng = np.random.default_rng(seed + 1000)
         X = rng.standard_normal((3, 2))
         C = rng.standard_normal((3, 3))
-        _, analytic, cache = _loss_and_grad(spec, net.params, X, C)
-        if not _kink_safe(cache):
+        _, analytic, safe = _loss_and_grad(spec, net.params, X, C)
+        if not safe:
             continue
         numeric = numeric_grad(lambda p: _loss_and_grad(spec, p, X, C)[0],
                                net.params)
@@ -191,14 +193,36 @@ def test_stale_cache_rejected_after_param_update():
     _, cache = mlp_forward(net, np.ones((2, 2)))
     net.set_params(net.params + 0.1)
     with pytest.raises(StaleCache):
-        mlp_backward(net, cache, np.ones((2, 1)), np.zeros_like(net.params))
+        mlp_backward(net, cache, np.ones((2, 1)))
+
+
+def test_param_grads_refuses_a_cache_stepped_past_or_never_backpropagated():
+    net = init_network(MlpSpec.dense((2, 3, 1), batchnorm=True), seed=0)
+    _, cache = mlp_forward(net, np.ones((2, 2)))
+    out = np.zeros_like(net.params)
+    with pytest.raises(StaleCache, match="mlp_backward"):
+        param_grads(net, [cache], out)
+    mlp_backward(net, cache, np.ones((2, 1)))
+    _, fresh = mlp_forward(net, np.ones((2, 2)))
+    with pytest.raises(StaleCache, match="mlp_backward"):
+        param_grads(net, [cache, fresh], out)
+    assert np.all(out == 0.0)
+    param_grads(net, [cache], out)
+    # backward drops the activations it consumed, so it runs once per cache
+    with pytest.raises(StaleCache, match="already"):
+        mlp_backward(net, cache, np.ones((2, 1)))
+    # the net was stepped after backward: its tape no longer describes it
+    net.params -= 0.1 * out
+    net.set_params(net.params)
+    with pytest.raises(StaleCache):
+        param_grads(net, [cache], out)
 
 
 def test_upstream_row_count_must_match_cache():
     net = init_network(MlpSpec.dense((2, 1)), seed=0)
     _, cache = mlp_forward(net, np.ones((3, 2)))
     with pytest.raises(StaleCache):
-        mlp_backward(net, cache, np.ones((4, 1)), np.zeros_like(net.params))
+        mlp_backward(net, cache, np.ones((4, 1)))
 
 
 def test_spec_validation():
@@ -284,16 +308,11 @@ def test_backward_matches_fd_on_random_architectures(case):
     rng = np.random.default_rng(seed + 1)
     X = rng.standard_normal((3, spec.in_dim))
     C = rng.standard_normal((3, spec.out_dim))
-    _, analytic, cache = _loss_and_grad(spec, net.params, X, C, rng_seed=17)
-    assume(_kink_safe(cache))
+    _, analytic, safe = _loss_and_grad(spec, net.params, X, C, rng_seed=17)
+    assume(safe)
     numeric = numeric_grad(
         lambda p: _loss_and_grad(spec, p, X, C, rng_seed=17)[0], net.params)
     assert max_rel_err(analytic, numeric) < 1e-4
-    # a slice backward overwrites instead of adding to, or never touches,
-    # shows up against a buffer that already holds values
-    offset = rng.standard_normal(net.params.size)
-    accumulated = _loss_and_grad(spec, net.params, X, C, rng_seed=17, start=offset)[1]
-    assert np.array_equal(accumulated, offset + analytic)
 
 
 @given(_net_cases())
@@ -305,13 +324,15 @@ def test_backward_without_input_grad_keeps_param_grads_bitwise(case):
                      np.zeros(spec.n_stats()), mode="train")
     rng = np.random.default_rng(seed + 1)
     X = rng.standard_normal((3, spec.in_dim))
-    _, cache = mlp_forward(net, X, rng_seed=17, update_stats=False)
     C = rng.standard_normal((3, spec.out_dim))
-    grads, only = np.zeros_like(net.params), np.zeros_like(net.params)
-    gin = mlp_backward(net, cache, C, grads)
-    skipped = mlp_backward(net, cache, C, only, input_grad=False)
+    _, cache = mlp_forward(net, X, rng_seed=17, update_stats=False)
+    gin = mlp_backward(net, cache, C)
+    grads = param_grads(net, [cache], np.empty_like(net.params))
+    _, cache = mlp_forward(net, X, rng_seed=17, update_stats=False)
+    skipped = mlp_backward(net, cache, C, input_grad=False)
+    only = param_grads(net, [cache], np.empty_like(net.params))
     assert gin.shape == X.shape and skipped is None
-    assert np.array_equal(only, grads)
+    assert only.tobytes() == grads.tobytes()
 
 
 def _forward_twice(case, mode):
@@ -332,29 +353,40 @@ def _forward_twice(case, mode):
 
 @given(_net_cases(), st.sampled_from(["train", "eval"]))
 def test_backward_accumulates_into_the_buffer(case, mode):
+    # param_grads over two tapes must equal zeros-then-add, whatever the
+    # buffer held before: a slice it overwrites, skips or double-adds shows
     net, ((cache_a, C_a), (cache_b, C_b)) = _forward_twice(case, mode)
-    summed = np.zeros_like(net.params)
-    mlp_backward(net, cache_a, C_a, summed)
-    mlp_backward(net, cache_b, C_b, summed)
-    alone_a, alone_b = np.zeros_like(net.params), np.zeros_like(net.params)
-    mlp_backward(net, cache_a, C_a, alone_a)
-    mlp_backward(net, cache_b, C_b, alone_b)
-    assert np.array_equal(summed, alone_a + alone_b)
+    mlp_backward(net, cache_a, C_a)
+    mlp_backward(net, cache_b, C_b, input_grad=False)
+    out = np.full_like(net.params, np.nan)
+    assert param_grads(net, [cache_a, cache_b], out) is out
+    assert np.array_equal(out, reference_param_grads(net, [cache_a, cache_b]))
+    alone_a = param_grads(net, [cache_a], np.full_like(net.params, np.nan))
+    alone_b = param_grads(net, [cache_b], np.full_like(net.params, np.nan))
+    assert np.array_equal(out, alone_a + alone_b)
+    assert np.array_equal(param_grads(net, [], out), np.zeros_like(out))
 
 
 @given(_net_cases(), st.sampled_from(["train", "eval"]))
 def test_frozen_backward_gives_the_same_input_grad(case, mode):
+    # backward alone is the frozen-net path: it writes no parameter, stat
+    # or gradient, and taping the cache afterwards leaves the input grad
     net, ((cache, C), _) = _forward_twice(case, mode)
     params, stats = net.params.copy(), net.stats.copy()
-    gin = mlp_backward(net, cache, C, np.zeros_like(net.params))
-    frozen = mlp_backward(net, cache, C, None)
-    assert np.array_equal(frozen, gin)
+    frozen = mlp_backward(net, cache, C)
     assert np.array_equal(net.params, params) and np.array_equal(net.stats, stats)
-    assert mlp_backward(net, cache, C, None, input_grad=False) is None
+    taped, ((cache, C), _) = _forward_twice(case, mode)
+    assert np.array_equal(mlp_backward(taped, cache, C), frozen)
+    param_grads(taped, [cache], np.empty_like(taped.params))
+    _, ((cache, C), _) = _forward_twice(case, mode)
+    assert mlp_backward(net, cache, C, input_grad=False) is None
 
 
 def test_gradient_buffer_must_match_the_parameters():
     net = init_network(MlpSpec.dense((2, 3, 1)), seed=0)
     _, cache = mlp_forward(net, np.ones((2, 2)))
-    with pytest.raises(ConfigError):
-        mlp_backward(net, cache, np.ones((2, 1)), np.zeros(net.params.size + 1))
+    mlp_backward(net, cache, np.ones((2, 1)))
+    n = net.params.size
+    for out in (np.zeros(n + 1), np.zeros((1, n)), np.zeros(2 * n)[::2], np.zeros(n, np.float32)):
+        with pytest.raises(ConfigError):
+            param_grads(net, [cache], out)

@@ -20,6 +20,12 @@ STEPS = {"adam": adam_step, "rmsprop": rmsprop_step}
 REFERENCE_STEPS = {"adam": reference_adam_step, "rmsprop": reference_rmsprop_step}
 
 
+def _moment_bytes(state) -> tuple:
+    """The state's moments as bytes; rmsprop keeps no first moment."""
+    first = None if state.first_moment is None else state.first_moment.tobytes()
+    return first, state.second_moment.tobytes()
+
+
 def test_adam_zero_gradient_is_identity():
     params = np.array([1.0, -2.0, 0.5])
     state = init_optimizer("adam", 3)
@@ -62,6 +68,15 @@ def test_rmsprop_default_learning_rate():
     assert state.hyper.beta2 == 0.99
 
 
+def test_rmsprop_state_holds_no_first_moment():
+    state = init_optimizer("rmsprop", 5)
+    assert state.first_moment is None
+    params = np.ones(5)
+    rmsprop_step(params, np.full(5, 0.5), state)
+    assert state.first_moment is None and state.step_count == 1
+    assert init_optimizer("adam", 5).first_moment.shape == (5,)
+
+
 def test_rmsprop_step_size_saturates_at_learning_rate():
     lr = 1e-3
     state = init_optimizer("rmsprop", 1, learning_rate=lr)
@@ -98,16 +113,14 @@ def test_nonfinite_gradient_names_the_slice(kind):
     rng = np.random.default_rng(3)
     params = rng.standard_normal(n)
     STEPS[kind](params, rng.standard_normal(n), state)
-    before = (params.tobytes(), state.first_moment.tobytes(),
-              state.second_moment.tobytes(), state.step_count)
+    before = (params.tobytes(), _moment_bytes(state), state.step_count)
     grads = rng.standard_normal(n)
     grads[n - 1] = np.nan
     with pytest.raises(NonFiniteGradient) as err:
         STEPS[kind](params, grads, state)
     assert "layer0.b" in str(err.value)
     assert err.value.where.startswith("layer0.b")
-    assert (params.tobytes(), state.first_moment.tobytes(),
-            state.second_moment.tobytes(), state.step_count) == before
+    assert (params.tobytes(), _moment_bytes(state), state.step_count) == before
 
 
 def test_kind_and_shape_mismatches_are_config_errors():
@@ -177,6 +190,36 @@ def test_step_is_bitwise_the_whole_vector_formula(kind, n, weight_decay):
         STEPS[kind](params, grads, state)
         ref_params, ref_state = REFERENCE_STEPS[kind](ref_params, grads, ref_state)
         assert params.tobytes() == ref_params.tobytes()
-        assert state.first_moment.tobytes() == ref_state.first_moment.tobytes()
-        assert state.second_moment.tobytes() == ref_state.second_moment.tobytes()
+        assert _moment_bytes(state) == _moment_bytes(ref_state)
         assert state.step_count == ref_state.step_count
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_fused_clip_is_bitwise_step_then_clip(n):
+    hyper = OptimizerHyper(learning_rate=1e-2, beta2=0.99)
+    clip = 0.05
+    state = init_optimizer("rmsprop", n, hyper=hyper)
+    ref_state = init_optimizer("rmsprop", n, hyper=hyper)
+    rng = np.random.default_rng(n + 1)
+    # start with most entries at or beyond the bound, as critics sit
+    params = rng.uniform(-2 * clip, 2 * clip, n)
+    ref_params = params.copy()
+    for _ in range(4):
+        grads = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, n)
+        rmsprop_step(params, grads, state, clip=clip)
+        rmsprop_step(ref_params, grads, ref_state)
+        np.clip(ref_params, -clip, clip, out=ref_params)
+        assert params.tobytes() == ref_params.tobytes()
+        assert _moment_bytes(state) == _moment_bytes(ref_state)
+    assert np.abs(params).max() <= clip
+
+
+def test_fused_clip_writes_nothing_on_a_nonfinite_gradient():
+    n = BLOCK + 3
+    state = init_optimizer("rmsprop", n)
+    params = np.full(n, 1.0)
+    grads = np.ones(n)
+    grads[-1] = np.inf
+    with pytest.raises(NonFiniteGradient):
+        rmsprop_step(params, grads, state, clip=0.01)
+    assert np.all(params == 1.0) and np.all(state.second_moment == 0.0)
