@@ -32,12 +32,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .base_model import BaseZslModel, pseudo_labels, sample_class
+from .base_model import (BaseZslModel, GaussianClassParams, class_params, draw_class,
+                         pseudo_labels, sample_class)
 from .data import FeatureDataset
 from .errors import ConfigError, DataError, NumericalDivergence
 from .nn.checkpoint import load_container, save_container
-from .nn.mlp import (MlpCache, MlpNetwork, MlpSpec, forward_eval, init_network, mlp_backward,
-                     mlp_forward, param_grads)
+from .nn.mlp import (GradientTape, MlpCache, MlpNetwork, MlpSpec, dropout_seed, forward_eval,
+                     init_network, mlp_backward, mlp_forward)
 from .nn.optim import init_optimizer, rmsprop_step
 from .rng import named_seed, named_stream
 
@@ -283,20 +284,19 @@ def _own_other(side: _Side, source_item, target_item) -> tuple:
 
 def _rmsprop_stepper(nets: dict[str, MlpNetwork], roles: Sequence[str], learning_rate: float):
     """``step(tapes, clip=None)`` for one training loop: it steps each
-    taped role in order, building its gradient in one scratch sized to the
-    largest role just before its step, then empties ``tapes`` so no cache
+    taped role in order straight from its tape, through one gradient
+    window buffer shared by every role, then empties ``tapes`` so no cache
     outlives its step.  The fresh RMSprop states live as long as ``step``."""
     states = {role: init_optimizer("rmsprop", nets[role].params.size,
                                    learning_rate=learning_rate,
                                    param_layout=nets[role].spec.param_layout())
               for role in roles}
-    scratch = np.empty(max(nets[role].params.size for role in roles))
+    window = np.empty(max(nets[role].spec.max_window for role in roles))
 
     def step(tapes: dict[str, list[MlpCache]], clip: float | None = None) -> None:
         for role, caches in tapes.items():
             net = nets[role]
-            grads = param_grads(net, caches, scratch[:net.params.size])
-            rmsprop_step(net.params, grads, states[role], clip=clip)
+            rmsprop_step(net.params, GradientTape(net, caches, window), states[role], clip=clip)
             net.set_params(net.params)
         tapes.clear()
 
@@ -361,7 +361,7 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
 
     def fw(role: str, X: np.ndarray, tag: str, commit: bool = commit_stats):
         return mlp_forward(nets[role], X, update_stats=commit,
-                           rng_seed=None if rng_seed is None else named_seed(rng_seed, tag))
+                           rng_seed=dropout_seed(nets[role], rng_seed, tag))
 
     def bw(role: str, cache: MlpCache, grad_out: np.ndarray, input_grad: bool = True):
         tapes[role].append(cache)
@@ -447,7 +447,7 @@ def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
 
     def fw(role: str, X: np.ndarray, tag: str, commit: bool = commit_stats):
         return mlp_forward(nets[role], X, update_stats=commit,
-                           rng_seed=None if rng_seed is None else named_seed(rng_seed, tag))
+                           rng_seed=dropout_seed(nets[role], rng_seed, tag))
 
     tapes = {role: [] for role in _trained_roles(state.variant, "critic")}
     breakdown = {"L_D_T": 0.0, "L_D_S": 0.0}
@@ -465,20 +465,24 @@ def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
     return float(sum(breakdown.values())), breakdown, tapes
 
 
-def _draw_batches(base_model: BaseZslModel, test_X: np.ndarray, pseudo: np.ndarray,
-                  state: AdaState, config: AdaConfig, *path,
+def _class_pools(pseudo: np.ndarray, unseen_ids: Sequence[int]) -> list[np.ndarray]:
+    """The test rows pseudo-labelled as each unseen class, in class order."""
+    return [np.flatnonzero(pseudo == cid) for cid in unseen_ids]
+
+
+def _draw_batches(gaussians: list[GaussianClassParams], test_X: np.ndarray,
+                  pools: list[np.ndarray], config: AdaConfig, *path,
                   ) -> tuple[LabeledBatch, LabeledBatch]:
-    """One class-aligned (source, target) pair, deterministic in path."""
-    nonempty = [j for j, cid in enumerate(state.unseen_ids)
-                if np.any(pseudo == cid)]
+    """One class-aligned (source, target) pair, deterministic in path.
+    ``gaussians`` and ``pools`` hold each unseen class's (mu, p) and
+    pseudo-labelled rows, in class order."""
+    nonempty = [j for j, rows in enumerate(pools) if rows.size]
     stream = named_stream(config.seed, "batch", *path)
     j = nonempty[int(stream.integers(len(nonempty)))]
-    cid = state.unseen_ids[j]
-    rows = np.flatnonzero(pseudo == cid)
+    rows = pools[j]
     picks = rows[stream.integers(rows.size, size=config.batch_size)]
     labels = np.full(config.batch_size, j, dtype=np.int64)
-    y = sample_class(base_model, cid, config.batch_size,
-                     seed=named_seed(config.seed, "src", *path))
+    y = draw_class(gaussians[j], config.batch_size, seed=named_seed(config.seed, "src", *path))
     return (LabeledBatch(features=y, labels=labels, origin="source"),
             LabeledBatch(features=test_X[picks], labels=labels, origin="target"))
 
@@ -490,13 +494,13 @@ def classify(net: MlpNetwork, X: np.ndarray, unseen_ids: Sequence[int]) -> np.nd
     return ids[np.argmax(log_probs, axis=1)]
 
 
-def _crossover_accuracy(state: AdaState, base_model: BaseZslModel,
+def _crossover_accuracy(state: AdaState, gaussians: list[GaussianClassParams],
                         config: AdaConfig, iteration: int) -> float:
     """C_T accuracy on freshly generated, G_T-transformed labeled draws."""
     correct = []
     for j, cid in enumerate(state.unseen_ids):
-        draws = sample_class(base_model, cid, config.crossover_samples,
-                             seed=named_seed(config.seed, "xover", iteration))
+        draws = draw_class(gaussians[j], config.crossover_samples,
+                           seed=named_seed(config.seed, "xover", iteration))
         labels = np.full(config.crossover_samples, j, dtype=np.int64)
         moved = forward_eval(state.g_t, augment_batch(draws, labels, state.n_unseen))
         picks = classify(state.c_t, moved, state.unseen_ids)
@@ -504,7 +508,7 @@ def _crossover_accuracy(state: AdaState, base_model: BaseZslModel,
     return float(np.mean(correct))
 
 
-def _maybe_switch_phase(state: AdaState, base_model: BaseZslModel,
+def _maybe_switch_phase(state: AdaState, gaussians: list[GaussianClassParams],
                         config: AdaConfig) -> None:
     if state.phase == "recovery" or state.variant == "cyclegan_wo":
         return
@@ -515,7 +519,7 @@ def _maybe_switch_phase(state: AdaState, base_model: BaseZslModel,
     if (config.recovery_trigger == "accuracy_crossover"
             and state.agreement_estimate is not None
             and it > 0 and it % config.crossover_interval == 0):
-        acc = _crossover_accuracy(state, base_model, config, it)
+        acc = _crossover_accuracy(state, gaussians, config, it)
         if acc >= state.agreement_estimate:
             state.phase = "recovery"
 
@@ -537,15 +541,16 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
     state.pseudo = report.labels.copy()
     state.agreement_estimate = report.mean_agreement
     test_X, _ = test_data.test_rows()
+    gaussians = [class_params(base_model, cid) for cid in state.unseen_ids]
+    pools = _class_pools(state.pseudo, state.unseen_ids)
     log: list[tuple] = []
     roles = _trained_roles(state.variant, "generator") + _trained_roles(state.variant, "critic")
     step = _rmsprop_stepper(state.nets, roles, config.learning_rate)
 
     for it in range(config.n_steps):
         state.iteration = it
-        _maybe_switch_phase(state, base_model, config)
-        src, tgt = _draw_batches(base_model, test_X, state.pseudo, state, config,
-                                 "gen", it)
+        _maybe_switch_phase(state, gaussians, config)
+        src, tgt = _draw_batches(gaussians, test_X, pools, config, "gen", it)
         value, bd, tapes = generator_objective(
             state, config, src, tgt, commit_stats=True,
             rng_seed=named_seed(config.seed, "drop", it, "gen"))
@@ -553,8 +558,7 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
         step(tapes)
 
         for inner in range(config.n_critic):
-            src2, tgt2 = _draw_batches(base_model, test_X, state.pseudo, state,
-                                       config, "critic", it, inner)
+            src2, tgt2 = _draw_batches(gaussians, test_X, pools, config, "critic", it, inner)
             cval, cbd, tapes = critic_objective(
                 state, config, src2, tgt2, commit_stats=True,
                 rng_seed=named_seed(config.seed, "drop", it, "critic", inner))
@@ -564,6 +568,7 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
         if config.relabel_interval and (it + 1) % config.relabel_interval == 0 \
                 and state.variant in _CLF_VARIANTS:
             state.pseudo = classify(state.c_t, test_X, state.unseen_ids)
+            pools = _class_pools(state.pseudo, state.unseen_ids)
 
         row = (it,
                bd["L_G_T"] + bd["L_D_T"],
@@ -592,6 +597,8 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
     state.pseudo = report.labels.copy()
     state.agreement_estimate = report.mean_agreement
     test_X, _ = test_data.test_rows()
+    gaussians = [class_params(base_model, cid) for cid in state.unseen_ids]
+    pools = _class_pools(state.pseudo, state.unseen_ids)
     log: list[tuple] = []
     half = max(1, config.batch_size // 2)
     step = _rmsprop_stepper(state.nets, ("c_t",), config.learning_rate)
@@ -599,10 +606,8 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
         state.iteration = it
         stream = named_stream(config.seed, "batch", "std", it)
         j = int(stream.integers(state.n_unseen))
-        cid = state.unseen_ids[j]
-        synth = sample_class(base_model, cid, half,
-                             seed=named_seed(config.seed, "src", "std", it))
-        rows = np.flatnonzero(state.pseudo == cid)
+        synth = draw_class(gaussians[j], half, seed=named_seed(config.seed, "src", "std", it))
+        rows = pools[j]
         if rows.size:
             picks = rows[stream.integers(rows.size, size=half)]
             X = np.vstack([synth, test_X[picks]])
@@ -610,7 +615,7 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
             X = synth
         labels = np.full(X.shape[0], j, dtype=np.int64)
         out, cache = mlp_forward(state.c_t, X, update_stats=True,
-                                 rng_seed=named_seed(config.seed, "drop", "std", it))
+                                 rng_seed=dropout_seed(state.c_t, config.seed, "drop", "std", it))
         loss, ce_grad = _ce(out, labels)
         if not np.isfinite(loss):
             raise NumericalDivergence("non-finite classifier loss", iteration=it,

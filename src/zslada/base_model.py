@@ -24,8 +24,8 @@ from .errors import (
     NumericalDivergence,
 )
 from .nn.checkpoint import load_container, save_container
-from .nn.mlp import (MlpCache, MlpNetwork, MlpSpec, forward_eval, mlp_backward, mlp_forward,
-                     param_grads, stable_sigmoid)
+from .nn.mlp import (GradientTape, MlpCache, MlpNetwork, MlpSpec, dropout_seed, forward_eval,
+                     mlp_backward, mlp_forward, stable_sigmoid)
 from .nn.optim import OptimizerHyper, adam_step, init_optimizer
 from .rng import named_seed, named_stream
 
@@ -184,11 +184,16 @@ def draw_gaussian(params: GaussianClassParams, n: int,
     return params.mean + noise / np.sqrt(params.precision_diag)
 
 
+def draw_class(params: GaussianClassParams, n: int, seed: int) -> np.ndarray:
+    """n i.i.d. draws from one class's Gaussian on its ``"sample"`` stream,
+    deterministic in seed; for callers that hold the class's parameters."""
+    return draw_gaussian(params, n, named_stream(seed, "sample", int(params.class_id)))
+
+
 def sample_class(model: BaseZslModel, class_id: int, n: int,
                  seed: int) -> np.ndarray:
     """n i.i.d. draws from the class-conditional, deterministic in seed."""
-    params = class_params(model, class_id)
-    return draw_gaussian(params, n, named_stream(seed, "sample", int(class_id)))
+    return draw_class(class_params(model, class_id), n, seed)
 
 
 @dataclass(frozen=True)
@@ -268,14 +273,12 @@ def pretrain_objective(model: BaseZslModel, X: np.ndarray, y: np.ndarray,
     rows = [model.attribute_table.row_of(int(c)) for c in classes]
     attrs = model.attribute_table.attributes[rows]
 
-    mean_out, mean_cache = mlp_forward(
-        model.mean_net, attrs,
-        rng_seed=None if rng_seed is None else named_seed(rng_seed, "mean"),
-        update_stats=update_stats)
-    raw_out, prec_cache = mlp_forward(
-        model.prec_net, attrs,
-        rng_seed=None if rng_seed is None else named_seed(rng_seed, "prec"),
-        update_stats=update_stats)
+    mean_out, mean_cache = mlp_forward(model.mean_net, attrs,
+                                       rng_seed=dropout_seed(model.mean_net, rng_seed, "mean"),
+                                       update_stats=update_stats)
+    raw_out, prec_cache = mlp_forward(model.prec_net, attrs,
+                                      rng_seed=dropout_seed(model.prec_net, rng_seed, "prec"),
+                                      update_stats=update_stats)
     p = raw_to_precision(raw_out)
 
     n = X.shape[0]
@@ -365,9 +368,9 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
         states[role] = init_optimizer("adam", net.params.size, hyper=hyper,
                                       param_layout=net.spec.param_layout())
         net.set_mode("train")
-    # one gradient scratch for both heads: each gradient is built just
-    # before its head's step
-    scratch = np.empty(max(net.params.size for net, _ in heads.values()))
+    # one gradient window buffer for both heads: each step builds its
+    # head's gradient there from the tape, window by window
+    window = np.empty(max(net.spec.max_window for net, _ in heads.values()))
     best = -np.inf
     best_snapshot = None
     stall = 0
@@ -386,8 +389,7 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
                 raise NumericalDivergence("non-finite pretraining loss",
                                           iteration=step, breakdown={"loss": loss})
             for role, (net, _) in heads.items():
-                grads = param_grads(net, tapes.pop(role), scratch[:net.params.size])
-                adam_step(net.params, grads, states[role])
+                adam_step(net.params, GradientTape(net, tapes.pop(role), window), states[role])
                 net.set_params(net.params)
             epoch_ll += -loss
             n_batches += 1

@@ -195,9 +195,17 @@ class FeatureDataset:
         return self.features[idx], labels
 
     def test_rows(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Test features and labels.  When the test rows form one ascending
+        contiguous run they are read-only views, not copies."""
         idx = np.asarray(self.split.test_row_indices, dtype=np.int64)
-        labels = None if self.labels is None else self.labels[idx]
-        return self.features[idx], labels
+        run = bool(idx.size) and bool(np.all(np.diff(idx) == 1))
+        rows = slice(idx[0], idx[-1] + 1) if run else idx
+        features = self.features[rows]
+        labels = None if self.labels is None else self.labels[rows]
+        for view in (features, labels) if run else ():
+            if view is not None:
+                view.flags.writeable = False
+        return features, labels
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Dense MLP engine: exact reverse-mode gradients, optimizers, checkpoints."""
 
 from zslada.nn.mlp import (
+    GradientTape,
     MlpSpec,
     MlpNetwork,
     MlpCache,
@@ -27,6 +28,7 @@ from zslada.nn.checkpoint import (
 )
 
 __all__ = [
+    "GradientTape",
     "MlpSpec",
     "MlpNetwork",
     "MlpCache",

@@ -7,6 +7,13 @@ zero-copy views into that vector.
 
 Supported activations: ``relu``, ``leaky_relu:<slope>`` (bare ``leaky_relu``
 means slope 0.2), ``sigmoid``, ``log_softmax``, ``identity``.
+
+Backward materialises no parameter gradient: a :class:`GradientTape`
+builds it from backpropagated caches one window at a time, a weight
+matrix in pieces of whole rows.  With OpenBLAS a piece of two or more
+rows gives exactly the bits of those rows of the whole product, while a
+one-row piece or an ``n_out = 1`` product runs through gemv and may not;
+so ``n_out = 1`` weights stay whole and no piece has a single row.
 """
 
 from __future__ import annotations
@@ -16,9 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from zslada.errors import ConfigError, DimensionMismatch, StaleCache
-from zslada.rng import named_stream
+from zslada.rng import named_seed, named_stream
 
 BN_EPS = 1e-5
+
+# Most entries per gradient window (2 MiB of float64): pieces this big
+# keep the weight-gradient GEMMs efficient (32K-entry pieces made an
+# AWA-shape step 15-20% slower), and a window stays in L2 while the
+# optimizer consumes it.
+WINDOW = 1 << 18
 
 _ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "log_softmax", "identity")
 
@@ -70,10 +83,15 @@ class MlpSpec:
                            (self.dropout, "dropout")):
             if len(seq) != n:
                 raise ConfigError(f"{label} must have {n} entries, got {len(seq)}")
-        for a in self.activations:
-            parse_activation(a)
         if any(not (0.0 <= p < 1.0) for p in self.dropout):
             raise ConfigError("dropout probabilities must lie in [0, 1)")
+        # derived once per spec: forward/backward and every step read these
+        object.__setattr__(self, "_acts", tuple(parse_activation(a) for a in self.activations))
+        object.__setattr__(self, "has_dropout", any(p > 0 for p in self.dropout))
+        object.__setattr__(self, "_layout", _build_layout(self))
+        windows = _window_plan(self)
+        object.__setattr__(self, "_windows", windows)
+        object.__setattr__(self, "max_window", max(stop - start for start, stop, _ in windows))
 
     @property
     def n_layers(self) -> int:
@@ -122,15 +140,15 @@ class MlpSpec:
         )
 
     def n_params(self) -> int:
-        return _layout(self)[1]
+        return self._layout[1]
 
     def n_stats(self) -> int:
-        return _layout(self)[2]
+        return self._layout[2]
 
     def param_layout(self) -> tuple[tuple[str, int, int], ...]:
         """(label, start, stop) for every parameter slice, for error reports."""
         out = []
-        for i, sl in enumerate(_layout(self)[0]):
+        for i, sl in enumerate(self._layout[0]):
             for key in ("W", "b", "gamma", "beta"):
                 s = getattr(sl, key)
                 if s is not None:
@@ -148,14 +166,8 @@ class _LayerSlices:
     r_var: slice | None
 
 
-_LAYOUT_CACHE: dict[MlpSpec, tuple] = {}
-
-
-def _layout(spec: MlpSpec):
-    """Slices of the flat parameter/stat vectors, cached per spec."""
-    cached = _LAYOUT_CACHE.get(spec)
-    if cached is not None:
-        return cached
+def _build_layout(spec: MlpSpec):
+    """Slices of the flat parameter/stat vectors and their lengths."""
     slices = []
     p = s = 0
     for i in range(spec.n_layers):
@@ -169,9 +181,45 @@ def _layout(spec: MlpSpec):
             r_mean = slice(s, s + n_out); s = r_mean.stop
             r_var = slice(s, s + n_out); s = r_var.stop
         slices.append(_LayerSlices(W, b, gamma, beta, r_mean, r_var))
-    result = (tuple(slices), p, s)
-    _LAYOUT_CACHE[spec] = result
-    return result
+    return tuple(slices), p, s
+
+
+def _window_plan(spec: MlpSpec) -> tuple:
+    """``(start, stop, segments)`` per gradient window, in flat order.
+
+    Each segment is ``(key, layer, r0, r1, lo, hi)``: weight rows
+    ``r0:r1`` (``key == "W"``) or a whole vector, written to
+    ``window[lo:hi]``.  Consecutive segments share a window while it stays
+    within the spec's limit; a larger segment gets a window of its own.
+    The limit is a sixteenth of the parameters, so the gradient a step
+    holds stays small next to what it updates, clamped to
+    ``[WINDOW // 8, WINDOW]``: a small net stays in one window and a large
+    one keeps GEMM-sized pieces.
+    """
+    limit = min(WINDOW, max(WINDOW // 8, spec._layout[1] // 16))
+    segments = []
+    for i, sl in enumerate(spec._layout[0]):
+        n_in, n_out = spec.layer_widths[i], spec.layer_widths[i + 1]
+        rows = n_in if n_out == 1 else max(2, limit // n_out)
+        cuts = list(range(0, n_in, rows))
+        if n_in - cuts[-1] == 1 and len(cuts) > 1:
+            cuts.pop()  # never a one-row piece
+        for r0, r1 in zip(cuts, cuts[1:] + [n_in]):
+            segments.append(("W", i, r0, r1, sl.W.start + r0 * n_out, sl.W.start + r1 * n_out))
+        for key in ("b", "gamma", "beta"):
+            where = getattr(sl, key)
+            if where is not None:
+                segments.append((key, i, 0, 0, where.start, where.stop))
+    windows = []
+    for seg in segments:
+        if windows and seg[5] - windows[-1][0] <= limit:
+            windows[-1][1] = seg[5]
+            windows[-1][2].append(seg)
+        else:
+            windows.append([seg[4], seg[5], [seg]])
+    return tuple((start, stop, tuple((key, i, r0, r1, lo - start, hi - start)
+                                     for key, i, r0, r1, lo, hi in segs))
+                 for start, stop, segs in windows)
 
 
 class MlpNetwork:
@@ -179,7 +227,7 @@ class MlpNetwork:
 
     def __init__(self, spec: MlpSpec, params: np.ndarray, stats: np.ndarray,
                  mode: str = "train", seed: int = 0):
-        slices, n_params, n_stats = _layout(spec)
+        slices, n_params, n_stats = spec._layout
         if params.shape != (n_params,):
             raise ConfigError(
                 f"parameter vector has length {params.shape}, spec needs {n_params}")
@@ -233,15 +281,23 @@ class MlpNetwork:
 
 
 def init_network(spec: MlpSpec, seed: int, mode: str = "train") -> MlpNetwork:
-    """Fresh network: Glorot-uniform weights, zero biases, identity batchnorm."""
-    slices, n_params, n_stats = _layout(spec)
+    """Fresh network: Glorot-uniform weights, zero biases, identity batchnorm.
+
+    The weights are drawn in place: ``rng.uniform(low, high)`` computes
+    ``low + (high - low) * u`` from ``rng.random()``'s ``u``, so scaling
+    and shifting the draws where they lie gives the same bits without a
+    layer-sized temporary.
+    """
+    slices, n_params, n_stats = spec._layout
     params = np.zeros(n_params)
     stats = np.zeros(n_stats)
     for i, sl in enumerate(slices):
         n_in, n_out = spec.layer_widths[i], spec.layer_widths[i + 1]
         bound = np.sqrt(6.0 / (n_in + n_out))
-        rng = named_stream(seed, "init", i)
-        params[sl.W] = rng.uniform(-bound, bound, n_in * n_out)
+        w = params[sl.W]
+        named_stream(seed, "init", i).random(out=w)
+        w *= bound - (-bound)
+        w += -bound
         if sl.gamma is not None:
             params[sl.gamma] = 1.0
             stats[sl.r_var] = 1.0
@@ -257,6 +313,15 @@ class MlpCache:
     mode: str
     n_rows: int
     layers: list = field(default_factory=list)
+
+
+def dropout_seed(net: MlpNetwork, root: int | None, *path) -> int | None:
+    """``named_seed(root, *path)`` for a forward pass that draws dropout
+    masks: a train-mode net with dropout.  ``None`` otherwise (and when
+    ``root`` is ``None``), since no other forward reads a seed."""
+    if root is None or net.mode != "train" or not net.spec.has_dropout:
+        return None
+    return named_seed(root, *path)
 
 
 def mlp_forward(net: MlpNetwork, batch: np.ndarray, rng_seed: int | None = None,
@@ -276,7 +341,7 @@ def mlp_forward(net: MlpNetwork, batch: np.ndarray, rng_seed: int | None = None,
     if x.shape[1] != spec.in_dim:
         raise DimensionMismatch(0, spec.in_dim, x.shape[1])
     train = net.mode == "train"
-    if train and rng_seed is None and any(p > 0 for p in spec.dropout):
+    if train and rng_seed is None and spec.has_dropout:
         raise ConfigError("train-mode forward with dropout needs rng_seed")
     cache = MlpCache(version=net.version, mode=net.mode, n_rows=x.shape[0])
     h = x
@@ -303,14 +368,13 @@ def mlp_forward(net: MlpNetwork, batch: np.ndarray, rng_seed: int | None = None,
             rec["xhat"] = xhat
             rec["inv"] = inv
             rec["gamma"] = gamma
-        kind, slope = parse_activation(spec.activations[i])
+        kind, slope = spec._acts[i]
         if kind == "relu":
             a = np.maximum(z, 0.0)
             rec["z"] = z
         elif kind == "leaky_relu":
             a = np.where(z > 0, z, slope * z)
             rec["z"] = z
-            rec["slope"] = slope
         elif kind == "sigmoid":
             a = stable_sigmoid(z)
             rec["a"] = a
@@ -365,11 +429,11 @@ def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
         tape = {"h_in": rec["h_in"]}
         if "mask" in rec:
             g = g * rec["mask"]
-        kind, _ = parse_activation(spec.activations[i])
+        kind, slope = spec._acts[i]
         if kind == "relu":
             g = g * (rec["z"] > 0)
         elif kind == "leaky_relu":
-            g = np.where(rec["z"] > 0, g, rec["slope"] * g)
+            g = np.where(rec["z"] > 0, g, slope * g)
         elif kind == "sigmoid":
             a = rec["a"]
             g = g * a * (1.0 - a)
@@ -403,33 +467,91 @@ def _check_cache(net: MlpNetwork, cache: MlpCache) -> None:
         raise StaleCache("activation cache has the wrong number of layers")
 
 
+class GradientTape:
+    """A role's summed parameter gradient over backpropagated ``caches``,
+    built on demand one window at a time.
+
+    ``windows`` is the spec's plan, ``(start, stop, segments)`` per
+    window.  :meth:`build` writes the gradient entries ``start:stop``:
+    for each segment, the first cache's product is written straight into
+    the window (``np.matmul(..., out=)``, no zero-fill) and each later
+    cache's is added in list order, so every entry is the same sum of the
+    same terms whatever window holds it.  ``buffer``, when given, is the
+    window :meth:`build` fills by default; one buffer of the largest
+    ``spec.max_window`` serves every role of a training loop.
+    """
+
+    def __init__(self, net: MlpNetwork, caches: list[MlpCache],
+                 buffer: np.ndarray | None = None):
+        for cache in caches:
+            _check_cache(net, cache)
+            if "delta" not in cache.layers[0]:
+                raise StaleCache("activation cache has not been through mlp_backward")
+        if buffer is not None and buffer.size < net.spec.max_window:
+            raise ConfigError(f"gradient window buffer holds {buffer.size} entries, "
+                              f"the spec needs {net.spec.max_window}")
+        self.caches = caches
+        self.size = net.params.size
+        self.windows = net.spec._windows
+        self._spec = net.spec
+        self._buffer = buffer
+
+    def build(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Write the gradient entries of window ``k`` into ``out`` (by
+        default the start of the buffer) and return it."""
+        start, stop, segments = self.windows[k]
+        if out is None:
+            if self._buffer is None:
+                self._buffer = np.empty(self._spec.max_window)
+            out = self._buffer[:stop - start]
+        if not self.caches:
+            out.fill(0.0)
+        for key, i, r0, r1, lo, hi in segments:
+            dst = out[lo:hi]
+            if key == "W":
+                dst = dst.reshape(r1 - r0, -1)
+            for c, cache in enumerate(self.caches):
+                tape = cache.layers[i]
+                if key == "W":
+                    h_in = tape["h_in"][:, r0:r1].T
+                    if c == 0:
+                        np.matmul(h_in, tape["delta"], out=dst)
+                    else:
+                        dst += h_in @ tape["delta"]
+                elif c == 0:
+                    dst[...] = tape[key]
+                else:
+                    dst += tape[key]
+        return out
+
+    def bound(self) -> float:
+        """An upper bound on the magnitude of every gradient entry: per
+        layer, ``sum_c n_rows_c * max|h_in_c| * max|delta_c|`` plus the
+        largest ``b``/``gamma``/``beta`` entries, maximised over layers.
+        NaN or inf when any tape entry is not finite."""
+        per_layer = np.zeros(self._spec.n_layers)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cache in self.caches:
+                for i, tape in enumerate(cache.layers):
+                    per_layer[i] += (cache.n_rows * np.abs(tape["h_in"]).max()
+                                     * np.abs(tape["delta"]).max())
+                    for key in ("b", "gamma", "beta"):
+                        if key in tape:
+                            per_layer[i] += np.abs(tape[key]).max()
+        return float(per_layer.max())
+
+
 def param_grads(net: MlpNetwork, caches: list[MlpCache], out: np.ndarray) -> np.ndarray:
     """Write the summed parameter gradient of backpropagated ``caches``
     into ``out``, a float64 vector shaped like the parameters, and return
-    it.  The first cache's gradient is written straight into ``out`` (no
-    zero-fill, no temporary); each later one is added slice by slice, in
-    list order.  An empty list writes zeros."""
+    it: every window of a :class:`GradientTape` built straight into its
+    slice of ``out``.  An empty list writes zeros."""
     if out.shape != net.params.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ConfigError(f"gradient buffer must be a contiguous float64 vector shaped "
                           f"{net.params.shape}, got {out.dtype} {out.shape}")
-    for cache in caches:
-        _check_cache(net, cache)
-        if "delta" not in cache.layers[0]:
-            raise StaleCache("activation cache has not been through mlp_backward")
-    if not caches:
-        out.fill(0.0)
-    for k, cache in enumerate(caches):
-        for sl, tape in zip(net._slices, cache.layers):
-            h_in, delta = tape["h_in"], tape["delta"]
-            g_W = out[sl.W].reshape(h_in.shape[1], delta.shape[1])
-            if k == 0:
-                np.matmul(h_in.T, delta, out=g_W)
-            else:
-                g_W += h_in.T @ delta
-            for key in ("b", "gamma", "beta"):
-                if key in tape:
-                    where = getattr(sl, key)
-                    out[where] = tape[key] if k == 0 else out[where] + tape[key]
+    tape = GradientTape(net, caches)
+    for k, (start, stop, _) in enumerate(tape.windows):
+        tape.build(k, out[start:stop])
     return out
 
 

@@ -4,12 +4,37 @@ Both update rules share one state container and one contract, so a
 training loop can swap optimizers without touching its bookkeeping: a
 step updates the caller's ``params`` and the state's moments in place,
 advances ``step_count`` and returns ``None``.  The whole gradient is
-checked for non-finite entries before anything is written, so a step
-that raises leaves ``params`` and the state exactly as they were.
-Weight decay is decoupled: the ``weight_decay * theta`` term is added to
-the scaled update directly and never enters the moment accumulators.
+known to be finite before anything is written, so a step that raises
+``NonFiniteGradient`` leaves ``params`` and the state exactly as they
+were.  Weight decay is decoupled: the ``weight_decay * theta`` term is
+added to the scaled update directly and never enters the moment
+accumulators.
 
-A step walks the vectors in blocks of ``BLOCK`` entries through one
+The gradient is either an array or a :class:`~zslada.nn.mlp.GradientTape`.
+A tape is stepped window by window: each window is built from the tape
+and consumed at once, so no parameter-sized gradient ever exists.  A
+window holds at most ``mlp.WINDOW`` entries (262,144, 2 MiB) and at most
+a sixteenth of the network's parameters (never fewer than
+``mlp.WINDOW // 8``).  It is made of whole segments: a bias/batchnorm
+vector, or a piece of whole rows of one weight matrix whose gradient is
+``h_in[:, r0:r1].T @ delta`` summed over the caches in list order.
+Pieces of two or more rows give exactly the bits of the whole product,
+so a step from a tape is bitwise the step from the materialised
+gradient.  32K-entry pieces made an AWA-shape step 15-20% slower
+than 256K-entry ones: the GEMMs got too small.
+
+Finiteness from a tape: a role that fits in one window is built,
+checked and then stepped.  For a role of several windows the tape is
+bounded first: ``GradientTape.bound`` sums ``n_rows * max|h_in| *
+max|delta|`` over the caches of each layer, plus the largest bias and
+batchnorm entries.  Below ``FINITE_BOUND`` (1e300, far from float64
+overflow) no entry can overflow, and finite tape entries make NaN
+impossible, so the windows are stepped as they are built.  Otherwise
+(a non-finite tape entry, or a product that might overflow) a dry pass
+builds and checks every window before the real pass, so the error
+still names the first bad slice and nothing is written.
+
+A step walks each window in blocks of ``BLOCK`` entries through one
 scratch buffer.  At the paper's network shapes a parameter vector holds
 millions of floats, and whole-vector temporaries would stream every
 intermediate through main memory.  A block of 32,768 float64 entries is
@@ -20,7 +45,7 @@ per core, at 6.4M entries, this size was the fastest of 4,096 to
 sizes, 107 ms as one whole-vector block) and Adam 68 ms (73-104 ms,
 150 ms).  Each block applies the same element-wise operations in the
 same order as the whole-vector formula, so the result is bitwise the
-same for any block size.
+same for any block or window size.
 """
 from __future__ import annotations
 
@@ -29,10 +54,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import ConfigError, NonFiniteGradient
+from .mlp import GradientTape
 
 _KINDS = ("adam", "rmsprop")
 
 BLOCK = 32_768
+# A tape whose bound stays below this cannot produce a non-finite entry.
+FINITE_BOUND = 1e300
 
 
 @dataclass(frozen=True)
@@ -112,11 +140,13 @@ def init_optimizer(
     )
 
 
-def _check_finite(grads: np.ndarray, state: OptimizerState) -> None:
+def _check_finite(grads: np.ndarray, state: OptimizerState, offset: int = 0) -> None:
+    """Raise ``NonFiniteGradient`` naming the first bad entry; ``grads``
+    holds the entries from flat index ``offset`` on."""
     bad = ~np.isfinite(grads)
     if not bad.any():
         return
-    index = int(np.argmax(bad))
+    index = offset + int(np.argmax(bad))
     where = f"parameter index {index}"
     if state.param_layout:
         for label, start, stop in state.param_layout:
@@ -126,9 +156,32 @@ def _check_finite(grads: np.ndarray, state: OptimizerState) -> None:
     raise NonFiniteGradient(where)
 
 
-def _prepare(params: np.ndarray, grads: np.ndarray, state: OptimizerState,
-             kind: str) -> np.ndarray:
-    """Validate a step's inputs and return ``grads`` as float64.
+def _gradient_windows(grads: np.ndarray | GradientTape, state: OptimizerState):
+    """Yield ``(start, window)`` over the gradient, once all of it is
+    known to be finite (see the module docstring)."""
+    if not isinstance(grads, GradientTape):
+        _check_finite(grads, state)
+        yield 0, grads
+        return
+    windows = grads.windows
+    if len(windows) == 1:
+        window = grads.build(0)
+        _check_finite(window, state)
+        yield 0, window
+        return
+    if not grads.bound() < FINITE_BOUND:
+        for k, (start, _, _) in enumerate(windows):
+            _check_finite(grads.build(k), state, start)
+    for k, (start, _, _) in enumerate(windows):
+        yield start, grads.build(k)
+
+
+def _blocks(params: np.ndarray, grads: np.ndarray | GradientTape, state: OptimizerState,
+            kind: str):
+    """Validate a step's inputs, then yield ``(slice, g, update, tmp)`` per
+    block: ``slice`` indexes ``params`` and the moments, ``g`` is the
+    block's gradient and ``update``/``tmp`` are two scratch rows of its
+    length.  Raises before the first block if anything is wrong.
 
     ``params`` is written through, so a list, another dtype or a strided
     view (which ``np.asarray`` would silently copy) is refused.
@@ -138,24 +191,23 @@ def _prepare(params: np.ndarray, grads: np.ndarray, state: OptimizerState,
         raise ConfigError(
             "params must be a writeable, C-contiguous float64 ndarray "
             "(the step updates it in place)")
-    grads = np.asarray(grads, dtype=np.float64)
     if state.kind != kind:
         raise ConfigError(f"state was initialized for {state.kind!r}, not {kind!r}")
-    if params.shape != grads.shape or params.shape != state.second_moment.shape:
+    if isinstance(grads, GradientTape):
+        shape = (grads.size,)
+    else:
+        grads = np.asarray(grads, dtype=np.float64)
+        shape = grads.shape
+    if params.shape != shape or params.shape != state.second_moment.shape:
         raise ConfigError(
             "parameter/gradient/state length mismatch: "
-            f"{params.shape} vs {grads.shape} vs {state.second_moment.shape}")
-    _check_finite(grads, state)
-    return grads
-
-
-def _blocks(n: int):
-    """Yield (slice, update, tmp): block bounds plus two scratch rows sized to it."""
-    scratch = np.empty((2, min(BLOCK, n)))
-    for start in range(0, n, BLOCK):
-        stop = min(start + BLOCK, n)
-        upd, tmp = scratch[:, :stop - start]
-        yield slice(start, stop), upd, tmp
+            f"{params.shape} vs {shape} vs {state.second_moment.shape}")
+    scratch = np.empty((2, min(BLOCK, params.size)))
+    for start, window in _gradient_windows(grads, state):
+        for lo in range(0, window.size, BLOCK):
+            hi = min(lo + BLOCK, window.size)
+            upd, tmp = scratch[:, :hi - lo]
+            yield slice(start + lo, start + hi), window[lo:hi], upd, tmp
 
 
 def _decay_square(v: np.ndarray, g: np.ndarray, beta2: float, tmp: np.ndarray) -> None:
@@ -175,20 +227,21 @@ def _apply(p: np.ndarray, upd: np.ndarray, tmp: np.ndarray, hp: OptimizerHyper) 
     np.subtract(p, upd, out=p)
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState) -> None:
+def adam_step(params: np.ndarray, grads: np.ndarray | GradientTape,
+              state: OptimizerState) -> None:
     """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
-    ``params`` must be a writeable, C-contiguous float64 vector.  Raises
+    ``params`` must be a writeable, C-contiguous float64 vector; ``grads``
+    is an array or a tape over the same parameters.  Raises
     ``NonFiniteGradient`` (naming the slice when the state has a layout)
     before writing anything.
     """
-    grads = _prepare(params, grads, state, "adam")
     hp = state.hyper
     t = state.step_count + 1
     m_scale = 1.0 - hp.beta1 ** t
     v_scale = 1.0 - hp.beta2 ** t
-    for sl, upd, tmp in _blocks(params.size):
-        g, m, v = grads[sl], state.first_moment[sl], state.second_moment[sl]
+    for sl, g, upd, tmp in _blocks(params, grads, state, "adam"):
+        m, v = state.first_moment[sl], state.second_moment[sl]
         # m = beta1 * m + (1 - beta1) * g
         np.multiply(g, 1.0 - hp.beta1, out=tmp)
         np.multiply(m, hp.beta1, out=m)
@@ -204,8 +257,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState) -> N
     state.step_count = t
 
 
-def rmsprop_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState,
-                 clip: float | None = None) -> None:
+def rmsprop_step(params: np.ndarray, grads: np.ndarray | GradientTape,
+                 state: OptimizerState, clip: float | None = None) -> None:
     """One rmsprop update of ``params`` and ``state``, in place, with
     ``beta2`` as the squared-gradient decay.
 
@@ -214,10 +267,9 @@ def rmsprop_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState,
     critics' weight clip).  Same contract as :func:`adam_step`: nothing
     is written when it raises.
     """
-    grads = _prepare(params, grads, state, "rmsprop")
     hp = state.hyper
-    for sl, upd, tmp in _blocks(params.size):
-        g, v, p = grads[sl], state.second_moment[sl], params[sl]
+    for sl, g, upd, tmp in _blocks(params, grads, state, "rmsprop"):
+        v, p = state.second_moment[sl], params[sl]
         _decay_square(v, g, hp.beta2, tmp)
         # update = g / (sqrt(v) + epsilon)
         np.sqrt(v, out=upd)

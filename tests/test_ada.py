@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zslada.ada
 from zslada.ada import (
     AdaConfig,
     LabeledBatch,
@@ -21,6 +22,7 @@ from zslada.ada import (
     map_prototypes,
     save_ada_state,
 )
+from zslada.base_model import class_params
 from zslada.errors import ConfigError, DataError, NumericalDivergence
 from zslada.nn.mlp import MlpSpec, forward_eval, param_grads
 from zslada.rng import named_seed
@@ -522,13 +524,14 @@ def test_adapt_respects_critic_clip(small_adapted):
     assert np.max(np.abs(state.g_t.params)) > config.clip_c
 
 
-def test_adapt_memory_is_parameters_moments_and_one_gradient():
+def test_adapt_memory_is_parameters_moments_and_tapes():
     # Besides the parameters and RMSprop second moments, a whole adapt
-    # keeps one gradient scratch sized to its largest role (1x), the
-    # generator step's tapes (about 0.5x at batch 16) and, while a later
-    # cache is added in, one product the size of the largest layer (0.5x
-    # here): 2.06x measured.  Per-role gradient buffers and RMSprop first
-    # moments would add about 3.7x more.
+    # keeps the generator step's tapes (about 0.5x the largest role at
+    # batch 16), the objective's own temporaries, and one gradient window
+    # (here a sixteenth of the generator) with its product and block
+    # scratch: 0.93x measured.  A gradient scratch sized to the largest
+    # role would add 1x, and adding each later cache through a whole-layer
+    # product another 0.5x.
     world = make_synthetic_world(bench_spec(seed=3, S=2, U=4, d=256, attr_dim=4,
                                             samples_per_class=8))
     model = linear_model(world.attributes, d=256, seed=5)
@@ -537,7 +540,29 @@ def test_adapt_memory_is_parameters_moments_and_one_gradient():
     sizes = [net.params.size for net in init_ada_state(model, config).nets.values()]
     peak = peak_traced_bytes(lambda: adapt(model, world.dataset, config))
     held = 2 * sum(sizes) * 8  # parameters and second moments of all six roles
-    assert peak - held <= 2.25 * max(sizes) * 8, (peak, held, max(sizes))
+    assert peak - held <= 1.0 * max(sizes) * 8, (peak, held, max(sizes))
+
+
+@pytest.mark.parametrize("variant", ["full", "std_da"])
+def test_adapt_computes_each_unseen_gaussian_once(small_adapted, monkeypatch, variant):
+    # batch draws and crossover checks read one cached (mu, p) per class
+    world, model, _, _, _, _ = small_adapted
+    calls = []
+
+    def counted(base, class_id):
+        calls.append(class_id)
+        return class_params(base, class_id)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("adapt re-ran the base model for a draw")
+
+    monkeypatch.setattr(zslada.ada, "class_params", counted)
+    monkeypatch.setattr(zslada.ada, "sample_class", refused)
+    config = AdaConfig(**{**ADAPT_CONFIG, "n_steps": 6, "variant": variant,
+                          "relabel_interval": 2, "recovery_trigger": "accuracy_crossover",
+                          "recovery_fraction": 1.0, "crossover_interval": 2})
+    state, log = adapt(model, world.dataset, config)
+    assert calls == state.unseen_ids and len(log) == 6
 
 
 def test_adapt_is_deterministic_in_seed(small_adapted):

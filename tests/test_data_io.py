@@ -1,4 +1,5 @@
 """Dataset containers and the CSV / npy / embeddings formats."""
+import dataclasses
 import json
 
 import numpy as np
@@ -100,6 +101,24 @@ def test_dataset_validation_errors():
         FeatureDataset(np.zeros((2, 3)), np.array([0, 0]), split)
     assert err.value.code == "UNKNOWN_CLASS"
     FeatureDataset(np.zeros((2, 3)), np.array([0, -1]), split)
+
+
+def test_contiguous_test_rows_are_read_only_views():
+    data, _ = _tiny_bundle(np.random.default_rng(4))
+    X, y = data.test_rows()  # the last class's rows: one ascending run
+    idx = data.split.test_row_indices
+    assert np.shares_memory(X, data.features) and np.shares_memory(y, data.labels)
+    assert not X.flags.writeable and not y.flags.writeable
+    assert np.array_equal(X, data.features[idx]) and np.array_equal(y, data.labels[idx])
+    assert data.features.flags.writeable
+
+    # the same rows out of order, or with a gap, are copied as before
+    for rows in (idx[::-1], idx[:1] + idx[2:]):
+        split = dataclasses.replace(data.split, test_row_indices=rows)
+        other = FeatureDataset(features=data.features, labels=data.labels, split=split)
+        X2, y2 = other.test_rows()
+        assert not np.shares_memory(X2, data.features) and X2.flags.writeable
+        assert np.array_equal(X2, data.features[rows]) and np.array_equal(y2, data.labels[rows])
 
 
 @pytest.mark.parametrize("binary", [False, True])

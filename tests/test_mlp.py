@@ -1,4 +1,6 @@
 """Forward/backward correctness of the dense network engine."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -6,8 +8,11 @@ from hypothesis import strategies as st
 
 from zslada.errors import ConfigError, DimensionMismatch, StaleCache
 from zslada.nn.mlp import (
+    GradientTape,
+    MlpCache,
     MlpNetwork,
     MlpSpec,
+    dropout_seed,
     forward_eval,
     init_network,
     mlp_backward,
@@ -15,6 +20,8 @@ from zslada.nn.mlp import (
     param_grads,
     stable_sigmoid,
 )
+from zslada.profiles import ada_profile, base_profile
+from zslada.rng import named_seed, named_stream
 
 from .helpers import exact_net, max_rel_err, numeric_grad, reference_param_grads
 
@@ -285,6 +292,69 @@ def test_glorot_init_bounds_and_zero_biases():
         assert np.all(net.bias(i) == 0.0)
     # same seed, fresh construction: identical parameters
     assert np.array_equal(net.params, init_network(spec, seed=13).params)
+
+
+@pytest.mark.parametrize("widths", [(5, 7, 2), (2058, 1200, 1200, 2048), (312, 1200, 1800, 2048),
+                                    (1, 3), (4, 1)])
+def test_glorot_draws_in_place_equal_rng_uniform(widths):
+    spec = MlpSpec.dense(widths, batchnorm=True)
+    net = init_network(spec, seed=21)
+    for i in range(spec.n_layers):
+        n_in, n_out = widths[i], widths[i + 1]
+        bound = np.sqrt(6.0 / (n_in + n_out))
+        drawn = named_stream(21, "init", i).uniform(-bound, bound, n_in * n_out)
+        assert net.weight(i).tobytes() == drawn.tobytes()
+
+
+def test_dropout_seed_only_for_train_mode_nets_with_dropout():
+    with_dropout = init_network(MlpSpec.dense((3, 4, 2), dropout=0.5), seed=0)
+    without = init_network(MlpSpec.dense((3, 4, 2)), seed=0)
+    assert dropout_seed(with_dropout, 9, "a", 1) == named_seed(9, "a", 1)
+    assert dropout_seed(with_dropout, None, "a") is None
+    assert dropout_seed(without, 9, "a") is None
+    assert dropout_seed(with_dropout.set_mode("eval"), 9, "a") is None
+
+
+def _real_specs(profile: str) -> dict[str, MlpSpec]:
+    """The networks ``adapt`` and ``pretrain`` build at a profile's shapes."""
+    d, u, attr = {"awa": (2048, 10, 85), "cub": (2048, 50, 312)}[profile]
+    ada, base = ada_profile(profile), base_profile(profile)
+    return {
+        "generator": MlpSpec.dense((d + u, *ada.gen_hidden, d), activation="leaky_relu:0.2",
+                                   batchnorm=ada.use_batchnorm),
+        "critic": MlpSpec.dense((d, *ada.disc_hidden, 1), activation="leaky_relu:0.2",
+                                batchnorm=ada.use_batchnorm),
+        "base_head": MlpSpec.dense((attr, *base.hidden, d), batchnorm=base.batchnorm),
+    }
+
+
+@pytest.mark.parametrize("profile", ["awa", "cub"])
+def test_piece_products_are_the_rows_of_the_whole_product_at_real_shapes(profile):
+    # the tape builds each weight gradient from pieces of whole rows; with
+    # OpenBLAS those give exactly the bits of the whole product's rows
+    # rows: an adapt batch, and the seen classes a pretraining batch holds
+    rng = np.random.default_rng(0)
+    for (name, spec), n in itertools.product(_real_specs(profile).items(), (40, 64)):
+        net = MlpNetwork(spec, np.zeros(spec.n_params()), np.zeros(spec.n_stats()))
+        layers = []
+        for i in range(spec.n_layers):
+            h_in = rng.standard_normal((n, spec.layer_widths[i]))
+            delta = rng.standard_normal((n, spec.layer_widths[i + 1]))
+            tape = {"h_in": h_in, "delta": delta, "b": delta.sum(axis=0)}
+            if spec.batchnorm[i]:
+                tape["gamma"] = tape["beta"] = tape["b"]
+            layers.append(tape)
+        whole = [tape["h_in"].T @ tape["delta"] for tape in layers]
+        tape = GradientTape(net, [MlpCache(net.version, net.mode, n, layers)])
+        assert len(tape.windows) > 1, name
+        pieces = 0
+        for k, (_, _, segments) in enumerate(tape.windows):
+            window = tape.build(k)
+            for key, i, r0, r1, lo, hi in segments:
+                if key == "W":
+                    assert window[lo:hi].tobytes() == whole[i][r0:r1].tobytes(), (name, n, i, r0)
+                    pieces += 1
+        assert pieces > spec.n_layers
 
 
 @st.composite

@@ -1,11 +1,15 @@
 """Adam / RMSprop update rules."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import zslada.nn.mlp as mlp
 from zslada.errors import ConfigError, NonFiniteGradient
+from zslada.nn.mlp import GradientTape, MlpSpec, init_network, mlp_backward, mlp_forward, param_grads
 from zslada.nn.optim import (
     BLOCK,
     OptimizerHyper,
@@ -14,7 +18,7 @@ from zslada.nn.optim import (
     rmsprop_step,
 )
 
-from .helpers import reference_adam_step, reference_rmsprop_step
+from .helpers import reference_adam_step, reference_param_grads, reference_rmsprop_step
 
 STEPS = {"adam": adam_step, "rmsprop": rmsprop_step}
 REFERENCE_STEPS = {"adam": reference_adam_step, "rmsprop": reference_rmsprop_step}
@@ -223,3 +227,86 @@ def test_fused_clip_writes_nothing_on_a_nonfinite_gradient():
     with pytest.raises(NonFiniteGradient):
         rmsprop_step(params, grads, state, clip=0.01)
     assert np.all(params == 1.0) and np.all(state.second_moment == 0.0)
+
+
+# ---------------------------------------------------------------- steps from tapes
+
+
+def _taped_net(widths, window: int, batchnorm: bool, n_caches: int, seed: int):
+    """A train-mode net whose spec was cut into windows of at most
+    ``window`` entries, and ``n_caches`` backpropagated caches of it."""
+    with mock.patch.object(mlp, "WINDOW", window):
+        spec = MlpSpec.dense(widths, activation="leaky_relu:0.2", batchnorm=batchnorm)
+    net = init_network(spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    caches = []
+    for rows in range(3, 3 + n_caches):
+        _, cache = mlp_forward(net, rng.standard_normal((rows, spec.in_dim)), update_stats=False)
+        mlp_backward(net, cache, rng.standard_normal((rows, spec.out_dim)), input_grad=False)
+        caches.append(cache)
+    return net, caches
+
+
+def _step_kwargs(kind: str, clip: float | None) -> dict:
+    return {"clip": clip} if kind == "rmsprop" and clip is not None else {}
+
+
+@given(st.lists(st.integers(1, 12), min_size=2, max_size=4), st.sampled_from([16, 40, 4096]),
+       st.booleans(), st.integers(0, 3), st.sampled_from(sorted(STEPS)),
+       st.sampled_from([None, 0.05]), st.integers(0, 1000))
+def test_step_from_a_tape_is_bitwise_param_grads_then_the_array_step(
+        widths, window, batchnorm, n_caches, kind, clip, seed):
+    # small windows cut most of these nets into several windows and their
+    # weights into pieces of a few rows
+    net, caches = _taped_net(widths, window, batchnorm, n_caches, seed)
+    grads = param_grads(net, caches, np.full_like(net.params, np.nan))
+    assert grads.tobytes() == reference_param_grads(net, caches).tobytes()
+    hyper = OptimizerHyper(learning_rate=1e-2, beta2=0.99, weight_decay=1e-3)
+    state = init_optimizer(kind, net.params.size, hyper=hyper)
+    ref_state = init_optimizer(kind, net.params.size, hyper=hyper)
+    params, ref = net.params.copy(), net.params.copy()
+    window_buffer = np.full(net.spec.max_window, np.nan)
+    for _ in range(2):
+        STEPS[kind](params, GradientTape(net, caches, window_buffer), state,
+                    **_step_kwargs(kind, clip))
+        STEPS[kind](ref, grads, ref_state, **_step_kwargs(kind, clip))
+        assert params.tobytes() == ref.tobytes()
+        assert _moment_bytes(state) == _moment_bytes(ref_state)
+        assert state.step_count == ref_state.step_count
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("window", [24, 4096])
+@pytest.mark.parametrize("poison", ["nan", "overflow"])
+@pytest.mark.parametrize("kind", sorted(STEPS))
+def test_nonfinite_tape_writes_nothing_and_names_the_layer(kind, poison, window):
+    # the bad entries sit in the last layer: a step of several windows
+    # that checked each window as it went would already have written the
+    # earlier ones
+    net, caches = _taped_net((6, 8, 8, 3), window, batchnorm=True, n_caches=2, seed=5)
+    assert (len(GradientTape(net, caches).windows) > 3) == (window == 24)
+    tape = caches[1].layers[2]
+    if poison == "nan":
+        tape["delta"][1, 2] = np.nan
+    else:
+        # every entry finite, but their products overflow
+        tape["h_in"] = np.full_like(tape["h_in"], 1e200)
+        tape["delta"] = np.full_like(tape["delta"], -1e200)
+    assert not GradientTape(net, caches).bound() < 1e300
+    state = init_optimizer(kind, net.params.size, param_layout=net.spec.param_layout())
+    params = net.params.copy()
+    STEPS[kind](params, GradientTape(net, caches[:1]), state)
+    before = (params.tobytes(), _moment_bytes(state), state.step_count)
+    with pytest.raises(NonFiniteGradient) as err:
+        STEPS[kind](params, GradientTape(net, caches), state)
+    assert err.value.where.startswith("layer2.W")
+    assert (params.tobytes(), _moment_bytes(state), state.step_count) == before
+
+
+def test_tape_window_buffer_must_hold_the_largest_window():
+    net, caches = _taped_net((6, 8, 3), 24, batchnorm=False, n_caches=1, seed=0)
+    with pytest.raises(ConfigError):
+        GradientTape(net, caches, np.empty(net.spec.max_window - 1))
+    state = init_optimizer("rmsprop", net.params.size)
+    with pytest.raises(ConfigError):
+        rmsprop_step(np.zeros(net.params.size + 1), GradientTape(net, caches), state)
