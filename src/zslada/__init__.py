@@ -35,7 +35,6 @@ from zslada.data import (
     SplitSpec,
     export_embeddings,
     load_dataset,
-    load_embeddings,
     save_dataset,
 )
 from zslada.errors import (
@@ -56,7 +55,6 @@ from zslada.metrics import (
     m1_accuracy,
     m2_accuracy,
     per_class_top1,
-    read_report_csv,
     write_report_csv,
 )
 from zslada.profiles import build_base_model, ada_profile, pretrain_config
@@ -64,7 +62,6 @@ from zslada.synthetic import (
     SyntheticTruth,
     SyntheticWorld,
     SyntheticWorldSpec,
-    load_truth,
     make_synthetic_world,
     save_synthetic_world,
 )

@@ -13,11 +13,12 @@ The reported total objective is the weighted sum
 ``L_adv = L_G + L_D`` per side.  Optimization is alternating: one
 RMSprop step on the generator-side objective (generators plus
 classifiers), then ``n_critic`` RMSprop steps on the critic objective
-with weight clipping.  Differentiating the summed min-max value
-directly would cancel the adversarial signal, so the two objectives
-are separated exactly as in standard adversarial training.  The T and
-S sides mirror each other; ``_SIDES`` describes each side once and both
-objectives loop over it.
+with weight clipping, all through ``nn.optim.role_stepper``, the one
+stepping routine of every training loop.  Differentiating the summed
+min-max value directly would cancel the adversarial signal, so the two
+objectives are separated exactly as in standard adversarial training.
+The T and S sides mirror each other; ``_SIDES`` describes each side
+once and both objectives loop over it.
 
 Classifier terms follow a two-phase schedule: during warmup only the
 real-data terms train the classifiers; after the recovery trigger
@@ -37,9 +38,9 @@ from .base_model import (BaseZslModel, GaussianClassParams, class_params, draw_c
 from .data import FeatureDataset
 from .errors import ConfigError, DataError, NumericalDivergence
 from .nn.checkpoint import load_container, save_container
-from .nn.mlp import (GradientTape, MlpCache, MlpNetwork, MlpSpec, dropout_seed, forward_eval,
+from .nn.mlp import (MlpCache, MlpNetwork, MlpSpec, dropout_seed, forward_eval,
                      init_network, mlp_backward, mlp_forward)
-from .nn.optim import init_optimizer, rmsprop_step
+from .nn.optim import RMSPROP_BETA2, OptimizerHyper, role_stepper
 from .rng import named_seed, named_stream
 
 VARIANTS = ("full", "vanilla_ada", "cyclegan_wo", "std_da")
@@ -175,24 +176,8 @@ class AdaState:
         return self.nets["g_t"]
 
     @property
-    def g_s(self) -> MlpNetwork:
-        return self.nets["g_s"]
-
-    @property
-    def d_t(self) -> MlpNetwork:
-        return self.nets["d_t"]
-
-    @property
-    def d_s(self) -> MlpNetwork:
-        return self.nets["d_s"]
-
-    @property
     def c_t(self) -> MlpNetwork:
         return self.nets["c_t"]
-
-    @property
-    def c_s(self) -> MlpNetwork:
-        return self.nets["c_s"]
 
 
 def augment_label(x: np.ndarray, c: int, n_unseen: int) -> np.ndarray:
@@ -280,27 +265,6 @@ def _own_other(side: _Side, source_item, target_item) -> tuple:
     if side.own == "target":
         return target_item, source_item
     return source_item, target_item
-
-
-def _rmsprop_stepper(nets: dict[str, MlpNetwork], roles: Sequence[str], learning_rate: float):
-    """``step(tapes, clip=None)`` for one training loop: it steps each
-    taped role in order straight from its tape, through one gradient
-    window buffer shared by every role, then empties ``tapes`` so no cache
-    outlives its step.  The fresh RMSprop states live as long as ``step``."""
-    states = {role: init_optimizer("rmsprop", nets[role].params.size,
-                                   learning_rate=learning_rate,
-                                   param_layout=nets[role].spec.param_layout())
-              for role in roles}
-    window = np.empty(max(nets[role].spec.max_window for role in roles))
-
-    def step(tapes: dict[str, list[MlpCache]], clip: float | None = None) -> None:
-        for role, caches in tapes.items():
-            net = nets[role]
-            rmsprop_step(net.params, GradientTape(net, caches, window), states[role], clip=clip)
-            net.set_params(net.params)
-        tapes.clear()
-
-    return step
 
 
 def init_ada_state(base_model: BaseZslModel, config: AdaConfig) -> AdaState:
@@ -524,6 +488,23 @@ def _maybe_switch_phase(state: AdaState, gaussians: list[GaussianClassParams],
             state.phase = "recovery"
 
 
+def _setup(base_model: BaseZslModel, test_data: FeatureDataset, config: AdaConfig,
+           ) -> tuple[AdaState, np.ndarray, list[GaussianClassParams], list[np.ndarray]]:
+    """What every adaptation loop starts from: a fresh state holding the
+    base model's pseudo-labels, the test rows, each unseen class's
+    Gaussian and its pool of pseudo-labelled rows.  Refuses a split with
+    no test rows before any of it is built."""
+    test_X, _ = test_data.test_rows()
+    if test_X.shape[0] == 0:
+        raise DataError("EMPTY_SPLIT", "adaptation needs test rows, the split has none")
+    state = init_ada_state(base_model, config)
+    report = pseudo_labels(base_model, test_data)
+    state.pseudo = report.labels.copy()
+    state.agreement_estimate = report.mean_agreement
+    gaussians = [class_params(base_model, cid) for cid in state.unseen_ids]
+    return state, test_X, gaussians, _class_pools(state.pseudo, state.unseen_ids)
+
+
 def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
           config: AdaConfig) -> tuple[AdaState, list[tuple]]:
     """Full alternating adversarial adaptation loop.
@@ -536,16 +517,11 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
     """
     if config.variant == "std_da":
         return train_std_da(base_model, test_data, config)
-    state = init_ada_state(base_model, config)
-    report = pseudo_labels(base_model, test_data)
-    state.pseudo = report.labels.copy()
-    state.agreement_estimate = report.mean_agreement
-    test_X, _ = test_data.test_rows()
-    gaussians = [class_params(base_model, cid) for cid in state.unseen_ids]
-    pools = _class_pools(state.pseudo, state.unseen_ids)
+    state, test_X, gaussians, pools = _setup(base_model, test_data, config)
     log: list[tuple] = []
     roles = _trained_roles(state.variant, "generator") + _trained_roles(state.variant, "critic")
-    step = _rmsprop_stepper(state.nets, roles, config.learning_rate)
+    hyper = OptimizerHyper(learning_rate=config.learning_rate, beta2=RMSPROP_BETA2)
+    step = role_stepper("rmsprop", state.nets, dict.fromkeys(roles, hyper))
 
     for it in range(config.n_steps):
         state.iteration = it
@@ -592,16 +568,11 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
     """No-adversary baseline: trains C_T on class-conditional draws plus
     pseudo-labeled test rows.  Other networks stay at initialization."""
     config = replace(config, variant="std_da")
-    state = init_ada_state(base_model, config)
-    report = pseudo_labels(base_model, test_data)
-    state.pseudo = report.labels.copy()
-    state.agreement_estimate = report.mean_agreement
-    test_X, _ = test_data.test_rows()
-    gaussians = [class_params(base_model, cid) for cid in state.unseen_ids]
-    pools = _class_pools(state.pseudo, state.unseen_ids)
+    state, test_X, gaussians, pools = _setup(base_model, test_data, config)
     log: list[tuple] = []
     half = max(1, config.batch_size // 2)
-    step = _rmsprop_stepper(state.nets, ("c_t",), config.learning_rate)
+    step = role_stepper("rmsprop", state.nets, {"c_t": OptimizerHyper(
+        learning_rate=config.learning_rate, beta2=RMSPROP_BETA2)})
     for it in range(config.n_steps):
         state.iteration = it
         stream = named_stream(config.seed, "batch", "std", it)

@@ -24,9 +24,9 @@ from .errors import (
     NumericalDivergence,
 )
 from .nn.checkpoint import load_container, save_container
-from .nn.mlp import (GradientTape, MlpCache, MlpNetwork, MlpSpec, dropout_seed, forward_eval,
-                     mlp_backward, mlp_forward, stable_sigmoid)
-from .nn.optim import OptimizerHyper, adam_step, init_optimizer
+from .nn.mlp import (MlpCache, MlpNetwork, MlpSpec, dropout_seed, forward_eval, mlp_backward,
+                     mlp_forward, stable_sigmoid)
+from .nn.optim import OptimizerHyper, role_stepper
 from .rng import named_seed, named_stream
 
 PRECISION_FLOOR = 0.5
@@ -360,17 +360,14 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
     X_tr, y_tr = X_all[train_idx], y_all[train_idx]
     X_he, y_he = X_all[held_idx], y_all[held_idx]
 
-    heads = {"mean_net": (model.mean_net, config.mean_weight_decay),
-             "prec_net": (model.prec_net, config.prec_weight_decay)}
-    states = {}
-    for role, (net, decay) in heads.items():
-        hyper = OptimizerHyper(learning_rate=config.learning_rate, weight_decay=decay)
-        states[role] = init_optimizer("adam", net.params.size, hyper=hyper,
-                                      param_layout=net.spec.param_layout())
+    heads = {"mean_net": model.mean_net, "prec_net": model.prec_net}
+    step_heads = role_stepper("adam", heads, {
+        "mean_net": OptimizerHyper(learning_rate=config.learning_rate,
+                                   weight_decay=config.mean_weight_decay),
+        "prec_net": OptimizerHyper(learning_rate=config.learning_rate,
+                                   weight_decay=config.prec_weight_decay)})
+    for net in heads.values():
         net.set_mode("train")
-    # one gradient window buffer for both heads: each step builds its
-    # head's gradient there from the tape, window by window
-    window = np.empty(max(net.spec.max_window for net, _ in heads.values()))
     best = -np.inf
     best_snapshot = None
     stall = 0
@@ -388,9 +385,7 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
             if not np.isfinite(loss):
                 raise NumericalDivergence("non-finite pretraining loss",
                                           iteration=step, breakdown={"loss": loss})
-            for role, (net, _) in heads.items():
-                adam_step(net.params, GradientTape(net, tapes.pop(role), window), states[role])
-                net.set_params(net.params)
+            step_heads(tapes)
             epoch_ll += -loss
             n_batches += 1
             step += 1

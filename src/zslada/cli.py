@@ -59,14 +59,36 @@ def _write_snapshot(out_dir: Path, resolved: dict) -> None:
         json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
-def _load_bundle(cfg: dict) -> DatasetBundle:
-    if cfg.get("data"):
-        return load_dataset(cfg["data"])
+def _load_bundle(args, cfg: dict) -> DatasetBundle:
+    """The dataset: ``--data`` over the config's ``data``, else its world."""
+    data = args.data or cfg.get("data")
+    if data:
+        return load_dataset(data)
     if cfg.get("world"):
         spec = SyntheticWorldSpec.from_dict(cfg["world"])
         world = make_synthetic_world(spec)
         return world.bundle
     raise ConfigError("need a dataset: pass --data DIR or a 'world' spec in --config")
+
+
+def _load_base(args, cfg: dict, bundle: DatasetBundle, command: str):
+    """The required ``--base`` checkpoint: its path and the model."""
+    path = args.base or cfg.get("base")
+    if not path:
+        raise ConfigError(f"{command} needs --base PATH to a pretrained checkpoint")
+    return path, load_base_model(path, bundle.attributes)
+
+
+def _load_ada(args, cfg: dict):
+    """The optional ``--ada`` checkpoint: its path and state, or two Nones."""
+    path = args.ada or cfg.get("ada_state")
+    return path, (load_ada_state(path)[0] if path else None)
+
+
+def _eval_settings(cfg: dict, n_samples: int = 10000) -> tuple[int, int]:
+    """``(n_samples, seed)`` of the config's ``eval`` block."""
+    eval_cfg = cfg.get("eval", {})
+    return int(eval_cfg.get("n_samples", n_samples)), int(eval_cfg.get("seed", 0))
 
 
 def _world_spec(cfg: dict, seed: int | None) -> SyntheticWorldSpec:
@@ -121,7 +143,7 @@ def cmd_pretrain(args) -> int:
     profile = args.profile or cfg.get("profile") or "synth-small"
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     out = _out_dir(args, cfg, "pretrain")
-    bundle = _load_bundle({**cfg, **({"data": args.data} if args.data else {})})
+    bundle = _load_bundle(args, cfg)
     train_cfg = _merge(pretrain_config(profile, seed=seed), cfg.get("pretrain"))
 
     ckpt = out / "base_model.ckpt"
@@ -158,11 +180,8 @@ def cmd_adapt(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     profile = args.profile or cfg.get("profile") or "synth-small"
     out = _out_dir(args, cfg, "adapt")
-    bundle = _load_bundle({**cfg, **({"data": args.data} if args.data else {})})
-    base_path = args.base or cfg.get("base")
-    if not base_path:
-        raise ConfigError("adapt needs --base PATH to a pretrained checkpoint")
-    model = load_base_model(base_path, bundle.attributes)
+    bundle = _load_bundle(args, cfg)
+    base_path, model = _load_base(args, cfg, bundle, "adapt")
 
     ada_cfg = _merge(ada_profile(profile), cfg.get("ada"))
     if args.variant:
@@ -180,9 +199,7 @@ def cmd_adapt(args) -> int:
             vals = ",".join(repr(float(v)) for v in row[1:6])
             fh.write(f"{row[0]},{vals},{row[6]}\n")
 
-    eval_cfg = cfg.get("eval", {})
-    n_samples = int(eval_cfg.get("n_samples", 10000))
-    eval_seed = int(eval_cfg.get("seed", 0))
+    n_samples, eval_seed = _eval_settings(cfg)
     m1 = m2 = None
     if state.variant != "cyclegan_wo":
         m1 = m1_accuracy(state, bundle.dataset).mean_per_class_acc
@@ -214,18 +231,10 @@ def cmd_eval(args) -> int:
     metric = args.metric or cfg.get("metric") or "all"
     if metric not in METRIC_CHOICES:
         raise ConfigError(f"unknown metric {metric!r}, expected one of {METRIC_CHOICES}")
-    bundle = _load_bundle({**cfg, **({"data": args.data} if args.data else {})})
-    base_path = args.base or cfg.get("base")
-    if not base_path:
-        raise ConfigError("eval needs --base PATH")
-    model = load_base_model(base_path, bundle.attributes)
-    state = None
-    ada_path = args.ada or cfg.get("ada_state")
-    if ada_path:
-        state, _ = load_ada_state(ada_path)
-    eval_cfg = cfg.get("eval", {})
-    n_samples = int(eval_cfg.get("n_samples", 10000))
-    eval_seed = int(eval_cfg.get("seed", 0))
+    bundle = _load_bundle(args, cfg)
+    base_path, model = _load_base(args, cfg, bundle, "eval")
+    ada_path, state = _load_ada(args, cfg)
+    n_samples, eval_seed = _eval_settings(cfg)
 
     wanted = ("inductive", "m1", "m2") if metric == "all" else (metric,)
     out.mkdir(parents=True, exist_ok=True)
@@ -266,19 +275,10 @@ def cmd_eval(args) -> int:
 def cmd_export(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     out = _out_dir(args, cfg, "export")
-    bundle = _load_bundle({**cfg, **({"data": args.data} if args.data else {})})
-    base_path = args.base or cfg.get("base")
-    if not base_path:
-        raise ConfigError("export needs --base PATH")
-    model = load_base_model(base_path, bundle.attributes)
-    state = None
-    ada_path = args.ada or cfg.get("ada_state")
-    if ada_path:
-        state, _ = load_ada_state(ada_path)
-
-    eval_cfg = cfg.get("eval", {})
-    n = int(eval_cfg.get("n_samples", 200))
-    seed = int(eval_cfg.get("seed", 0))
+    bundle = _load_bundle(args, cfg)
+    base_path, model = _load_base(args, cfg, bundle, "export")
+    ada_path, state = _load_ada(args, cfg)
+    n, seed = _eval_settings(cfg, n_samples=200)
     unseen = model.attribute_table.unseen_ids
     X, labels = bundle.dataset.test_rows()
     if labels is None:

@@ -389,28 +389,3 @@ def export_embeddings(matrices: Mapping[str, np.ndarray],
                 fields = [_fmt(v) for v in mat[i]] + [str(int(tag_labels[i])), tag]
                 fh.write(",".join(fields) + "\n")
     return path
-
-
-def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Inverse of :func:`export_embeddings`: (features, labels, origins)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError("MISSING_FILE", f"required file missing: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-2:] != ["label", "origin"]:
-            raise DataError("BAD_HEADER",
-                            f"{path}: expected trailing columns label,origin")
-        d = len(header) - 2
-        feats, labs, origins = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise DataError("RAGGED_ROWS", f"{path}:{lineno} wrong field count")
-            feats.append([float(v) for v in row[:d]])
-            labs.append(int(row[d]))
-            origins.append(row[d + 1])
-    return (np.asarray(feats, dtype=np.float64).reshape(len(feats), d),
-            np.asarray(labs, dtype=np.int64), origins)

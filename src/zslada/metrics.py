@@ -8,15 +8,16 @@ them over threads, which gains nothing once BLAS threads fill the cores.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .ada import AdaState, classify, map_prototypes
+from .ada import AdaState, adapt, classify, map_prototypes
 from .base_model import BaseZslModel, class_params_matrix, gaussian_scores, predict
 from .data import FeatureDataset
 from .errors import ConfigError, DataError
@@ -175,12 +176,8 @@ def ablation_run(base_model: BaseZslModel, test_data: FeatureDataset, config,
     """Runs each variant from the same base model and scores M1/M2.
 
     Cells a variant cannot produce (std_da has no generator, cyclegan_wo
-    has no classifier) are None and print as NA.
+    has no classifier) are None.
     """
-    from dataclasses import replace
-
-    from .ada import adapt
-
     base_hash = base_model_hash(base_model)
     rows = []
     for variant in variants:
@@ -199,8 +196,6 @@ def ablation_run(base_model: BaseZslModel, test_data: FeatureDataset, config,
 
 
 def base_model_hash(model: BaseZslModel) -> str:
-    import hashlib
-
     h = hashlib.sha256()
     for arr in (model.mean_net.params, model.mean_net.stats,
                 model.prec_net.params, model.prec_net.stats):
@@ -225,48 +220,4 @@ def write_report_csv(report: EvalReport, path: str | Path) -> Path:
         total_correct = sum(int(round(report.per_class_acc[c] * report.n_per_class[c]))
                             for c in report.per_class_acc)
         fh.write(f"MEAN,{total_n},{total_correct},{report.mean_per_class_acc!r}\n")
-    return path
-
-
-def read_report_csv(path: str | Path, metric_kind: str = "inductive") -> EvalReport:
-    path = Path(path)
-    if not path.exists():
-        raise DataError("MISSING_FILE", f"required file missing: {path}")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != "class_id,n,correct,acc":
-        raise DataError("BAD_HEADER", f"{path}: unexpected report header")
-    per_class = {}
-    n_per_class = {}
-    excluded = []
-    mean = None
-    for line in lines[1:]:
-        if not line:
-            continue
-        cid, n, correct, acc = line.split(",")
-        if cid == "MEAN":
-            mean = float(acc)
-            continue
-        if acc == "NA":
-            excluded.append(int(cid))
-            continue
-        per_class[int(cid)] = float(acc)
-        n_per_class[int(cid)] = int(n)
-    if mean is None:
-        raise DataError("BAD_VALUE", f"{path}: missing MEAN row")
-    return EvalReport(per_class_acc=per_class, mean_per_class_acc=mean,
-                      n_per_class=n_per_class, metric_kind=metric_kind,
-                      excluded=tuple(excluded))
-
-
-def format_cell(value: float | None) -> str:
-    return "NA" if value is None else repr(float(value))
-
-
-def write_ablation_csv(table: AblationTable, path: str | Path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write("variant,M1,M2\n")
-        for row in table.rows:
-            fh.write(f"{row.variant},{format_cell(row.m1)},{format_cell(row.m2)}\n")
-        fh.write(f"# base_model {table.base_model_hash}\n")
     return path

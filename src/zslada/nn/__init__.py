@@ -20,12 +20,7 @@ from zslada.nn.optim import (
     rmsprop_step,
 )
 from zslada.nn.gradcheck import GradCheckReport, grad_check, numeric_gradient
-from zslada.nn.checkpoint import (
-    save_container,
-    load_container,
-    save_mlp,
-    load_mlp,
-)
+from zslada.nn.checkpoint import save_container, load_container
 
 __all__ = [
     "GradientTape",
@@ -48,6 +43,4 @@ __all__ = [
     "numeric_gradient",
     "save_container",
     "load_container",
-    "save_mlp",
-    "load_mlp",
 ]

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError
-from .mlp import MlpNetwork, MlpSpec
 
 FORMAT_VERSION = 1
 _F8 = np.dtype("<f8")
@@ -61,25 +60,3 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     if trailing:
         raise DataError("BAD_CHECKPOINT", f"{trailing} trailing bytes in {path}")
     return header.get("meta", {}), arrays
-
-
-def save_mlp(path: str | Path, net: MlpNetwork, extra_meta: dict | None = None) -> None:
-    meta = {
-        "kind": "mlp",
-        "spec": net.spec.to_dict(),
-        "seed": net.seed,
-        "mode": net.mode,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    save_container(path, meta, {"params": net.params, "stats": net.stats})
-
-
-def load_mlp(path: str | Path) -> MlpNetwork:
-    meta, arrays = load_container(path)
-    if meta.get("kind") != "mlp":
-        raise DataError("BAD_CHECKPOINT",
-                        f"expected an mlp checkpoint, found kind {meta.get('kind')!r}")
-    spec = MlpSpec.from_dict(meta["spec"])
-    return MlpNetwork(spec=spec, params=arrays["params"], stats=arrays["stats"],
-                      seed=meta.get("seed"), mode=meta.get("mode", "train"))

@@ -1,7 +1,10 @@
 """First-order optimizers over flat parameter vectors.
 
-Both update rules share one state container and one contract, so a
-training loop can swap optimizers without touching its bookkeeping: a
+Every training loop steps its networks through :func:`role_stepper`
+and nothing else: it owns each trained role's state, the shared
+gradient window buffer and the tape of every step.
+
+Both update rules share one state container and one contract: a
 step updates the caller's ``params`` and the state's moments in place,
 advances ``step_count`` and returns ``None``.  The whole gradient is
 known to be finite before anything is written, so a step that raises
@@ -49,14 +52,17 @@ same for any block or window size.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
 from ..errors import ConfigError, NonFiniteGradient
-from .mlp import GradientTape
+from .mlp import GradientTape, MlpCache, MlpNetwork
 
 _KINDS = ("adam", "rmsprop")
+# rmsprop's squared-gradient smoothing unless a hyper block says otherwise
+RMSPROP_BETA2 = 0.99
 
 BLOCK = 32_768
 # A tape whose bound stays below this cannot produce a non-finite entry.
@@ -68,8 +74,8 @@ class OptimizerHyper:
     """Hyperparameters shared by both update rules.
 
     ``beta1``/``beta2`` are the Adam moment decays; rmsprop reads only
-    ``beta2`` (its squared-gradient smoothing, default overridden to 0.99
-    by :func:`init_optimizer`) and ignores ``beta1``.
+    ``beta2`` (its squared-gradient smoothing, ``RMSPROP_BETA2`` in
+    :func:`init_optimizer`'s default block) and ignores ``beta1``.
     """
 
     learning_rate: float
@@ -110,14 +116,12 @@ def init_optimizer(
     kind: str,
     n_params: int,
     hyper: OptimizerHyper | None = None,
-    learning_rate: float | None = None,
     param_layout: list[tuple[str, int, int]] | None = None,
 ) -> OptimizerState:
     """Fresh zeroed state.
 
     With no explicit hyper, adam defaults to (lr 1e-3, 0.9, 0.999) and
-    rmsprop to (lr 1e-5, smoothing 0.99).  ``learning_rate`` overrides
-    just the rate on top of whichever hyper block applies.
+    rmsprop to (lr 1e-5, smoothing ``RMSPROP_BETA2``).
     """
     if kind not in _KINDS:
         raise ConfigError(f"unknown optimizer kind {kind!r}, expected one of {_KINDS}")
@@ -127,9 +131,7 @@ def init_optimizer(
         if kind == "adam":
             hyper = OptimizerHyper(learning_rate=1e-3)
         else:
-            hyper = OptimizerHyper(learning_rate=1e-5, beta2=0.99)
-    if learning_rate is not None:
-        hyper = replace(hyper, learning_rate=learning_rate)
+            hyper = OptimizerHyper(learning_rate=1e-5, beta2=RMSPROP_BETA2)
     return OptimizerState(
         kind=kind,
         step_count=0,
@@ -279,3 +281,38 @@ def rmsprop_step(params: np.ndarray, grads: np.ndarray | GradientTape,
         if clip is not None:
             np.clip(p, -clip, clip, out=p)
     state.step_count += 1
+
+
+def role_stepper(kind: str, nets: Mapping[str, MlpNetwork],
+                 hypers: Mapping[str, OptimizerHyper]):
+    """``step(tapes, clip=None)`` for one training loop of ``kind`` steps.
+
+    ``hypers`` names the trained roles of ``nets`` and their
+    hyperparameters; each role gets a fresh state that lives as long as
+    ``step``.  ``tapes`` maps roles to their backpropagated caches.  A call
+    steps the roles in the insertion order of ``tapes``, each straight from
+    its tape through one window buffer shared by every role, bumps the
+    net's version so the stepped caches are refused as stale, and pops the
+    role, so ``tapes`` ends up empty and no cache outlives its step.
+    ``clip`` is rmsprop's weight clip.
+    """
+    states = {role: init_optimizer(kind, nets[role].params.size, hyper=hyper,
+                                   param_layout=nets[role].spec.param_layout())
+              for role, hyper in hypers.items()}
+    window = np.empty(max(nets[role].spec.max_window for role in hypers))
+
+    def step(tapes: dict[str, list[MlpCache]], clip: float | None = None) -> None:
+        if clip is not None and kind != "rmsprop":
+            raise ConfigError(f"{kind} steps take no weight clip")
+        for role in list(tapes):
+            net = nets[role]
+            # the steps are module globals looked up per call, so a wrapper
+            # installed around them sees every step
+            if kind == "adam":
+                adam_step(net.params, GradientTape(net, tapes.pop(role), window), states[role])
+            else:
+                rmsprop_step(net.params, GradientTape(net, tapes.pop(role), window),
+                             states[role], clip=clip)
+            net.set_params(net.params)
+
+    return step

@@ -115,15 +115,6 @@ class SyntheticTruth:
         scaled = x @ self.nonlinear_weights / np.sqrt(x.shape[-1])
         return x + self.shift_magnitude * np.tanh(scaled)
 
-    def shifted_mean(self, class_index: int) -> np.ndarray:
-        """Exact post-shift cluster mean (affine case only)."""
-        mu = self.class_means[class_index]
-        if self.shift_kind in ("none",) or self.shift_magnitude == 0.0:
-            return mu
-        if self.shift_kind == "affine":
-            return self.shift_matrix @ mu + self.shift_offset
-        raise ConfigError("nonlinear shift has no closed-form shifted mean")
-
     def to_dict(self) -> dict:
         payload = {
             "class_means": self.class_means.tolist(),
@@ -136,23 +127,6 @@ class SyntheticTruth:
             arr = getattr(self, name)
             payload[name] = None if arr is None else arr.tolist()
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SyntheticTruth":
-        def arr(key):
-            v = payload.get(key)
-            return None if v is None else np.asarray(v, dtype=np.float64)
-
-        return cls(
-            class_means=np.asarray(payload["class_means"], dtype=np.float64),
-            class_precisions=np.asarray(payload["class_precisions"], dtype=np.float64),
-            scale=float(payload["scale"]),
-            shift_kind=payload["shift_kind"],
-            shift_magnitude=float(payload["shift_magnitude"]),
-            shift_offset=arr("shift_offset"),
-            shift_matrix=arr("shift_matrix"),
-            nonlinear_weights=arr("nonlinear_weights"),
-        )
 
 
 @dataclass
@@ -286,12 +260,3 @@ def save_synthetic_world(dir_path: str | Path, world: SyntheticWorld,
         json.dump(record, fh)
         fh.write("\n")
     return dir_path
-
-
-def load_truth(dir_path: str | Path) -> tuple[SyntheticWorldSpec, SyntheticTruth]:
-    path = Path(dir_path) / "truth.json"
-    if not path.exists():
-        raise DataError("MISSING_FILE", f"required file missing: {path}")
-    record = json.loads(path.read_text())
-    return (SyntheticWorldSpec.from_dict(record["spec"]),
-            SyntheticTruth.from_dict(record["truth"]))

@@ -429,8 +429,8 @@ def test_init_ada_state_shapes_and_determinism():
     state = init_ada_state(model, config)
 
     assert state.g_t.spec.layer_widths == (8, 16, 5)
-    assert state.g_s.spec.layer_widths == (8, 16, 5)
-    assert state.d_t.spec.layer_widths == (5, 8, 1)
+    assert state.nets["g_s"].spec.layer_widths == (8, 16, 5)
+    assert state.nets["d_t"].spec.layer_widths == (5, 8, 1)
     assert state.c_t.spec.layer_widths == (5, 3)
     assert state.c_t.spec.activations[-1] == "log_softmax"
     assert state.phase == "warmup"
@@ -518,8 +518,8 @@ def test_adapt_leaves_base_model_untouched(small_adapted):
 
 def test_adapt_respects_critic_clip(small_adapted):
     _, _, _, config, state, _ = small_adapted
-    assert np.max(np.abs(state.d_t.params)) <= config.clip_c
-    assert np.max(np.abs(state.d_s.params)) <= config.clip_c
+    assert np.max(np.abs(state.nets["d_t"].params)) <= config.clip_c
+    assert np.max(np.abs(state.nets["d_s"].params)) <= config.clip_c
     # generators and classifiers are not clipped
     assert np.max(np.abs(state.g_t.params)) > config.clip_c
 
@@ -581,6 +581,22 @@ def test_adapt_keeps_pseudo_labels_fixed_by_default(small_adapted):
     report = pseudo_labels(model, world.dataset)
     assert np.array_equal(state.pseudo, report.labels)
     assert state.agreement_estimate == report.mean_agreement
+
+
+@pytest.mark.parametrize("loop", ["adapt", "train_std_da"])
+def test_adaptation_refuses_a_split_without_test_rows(small_adapted, monkeypatch, loop):
+    world, model, _, _, _, _ = small_adapted
+    split = dataclasses.replace(world.dataset.split, test_row_indices=[])
+    no_test = dataclasses.replace(world.dataset, split=split)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("adaptation started on a split without test rows")
+
+    for name in ("init_ada_state", "pseudo_labels", "class_params"):
+        monkeypatch.setattr(zslada.ada, name, refused)
+    with pytest.raises(DataError) as err:
+        getattr(zslada.ada, loop)(model, no_test, AdaConfig(**ADAPT_CONFIG))
+    assert err.value.code == "EMPTY_SPLIT"
 
 
 def test_std_da_trains_only_the_target_classifier(small_adapted):

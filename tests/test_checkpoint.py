@@ -4,15 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from zslada.ada import load_ada_state
+from zslada.base_model import load_base_model
 from zslada.errors import DataError
-from zslada.nn.checkpoint import (
-    FORMAT_VERSION,
-    load_container,
-    load_mlp,
-    save_container,
-    save_mlp,
-)
-from zslada.nn.mlp import MlpSpec, init_network, mlp_forward
+from zslada.nn.checkpoint import FORMAT_VERSION, load_container, save_container
+
+from .helpers import toy_table
 
 
 def test_container_round_trip_is_bitwise(tmp_path):
@@ -86,29 +83,16 @@ def test_trailing_bytes(tmp_path):
     assert "trailing" in str(err.value)
 
 
-def test_mlp_round_trip_preserves_behavior(tmp_path):
-    spec = MlpSpec.dense((3, 5, 2), activation="leaky_relu:0.2", batchnorm=True)
-    net = init_network(spec, seed=41)
-    net.set_mode("eval")
-    path = tmp_path / "net.ckpt"
-    save_mlp(path, net, extra_meta={"role": "g_t"})
-    loaded = load_mlp(path)
-
-    assert loaded.spec == spec
-    assert loaded.mode == "eval"
-    assert loaded.seed == 41
-    assert np.array_equal(loaded.params, net.params)
-    assert np.array_equal(loaded.stats, net.stats)
-
-    X = np.random.default_rng(2).standard_normal((6, 3))
-    out_a, _ = mlp_forward(net, X, update_stats=False)
-    out_b, _ = mlp_forward(loaded, X, update_stats=False)
-    assert np.array_equal(out_a, out_b)
-
-
-def test_mlp_loader_rejects_other_kinds(tmp_path):
+def test_loaders_reject_other_kinds(tmp_path):
     path = tmp_path / "c.ckpt"
-    save_container(path, {"kind": "ada_state"}, {"w": np.zeros(1)})
-    with pytest.raises(DataError) as err:
-        load_mlp(path)
-    assert err.value.code == "BAD_CHECKPOINT"
+    loaders = {"base_model": lambda: load_base_model(path, toy_table()),
+               "ada_state": lambda: load_ada_state(path)}
+    for kind in ("mlp", "ada_state", "base_model"):
+        save_container(path, {"kind": kind}, {"w": np.zeros(1)})
+        for wanted, load in loaders.items():
+            if wanted == kind:
+                continue
+            with pytest.raises(DataError) as err:
+                load()
+            assert err.value.code == "BAD_CHECKPOINT"
+            assert repr(kind) in str(err.value)

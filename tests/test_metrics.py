@@ -19,8 +19,6 @@ from zslada.metrics import (
     m2_accuracy,
     parallel_rows,
     per_class_top1,
-    read_report_csv,
-    write_ablation_csv,
     write_report_csv,
 )
 from zslada.nn.mlp import MlpSpec
@@ -365,32 +363,9 @@ def test_report_csv_round_trip(tmp_path):
                         n_per_class={0: 4, 1: 3, 5: 8},
                         metric_kind="m1", excluded=(3,))
     path = write_report_csv(report, tmp_path / "report.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "class_id,n,correct,acc"
-    assert "3,0,0,NA" in lines
-    assert f"1,3,2,{2.0 / 3.0!r}" in lines
-    assert lines[-1].startswith("MEAN,15,8,")
-
-    loaded = read_report_csv(path, metric_kind="m1")
-    assert loaded == report
-
-
-def test_report_csv_errors(tmp_path):
-    with pytest.raises(DataError) as err:
-        read_report_csv(tmp_path / "absent.csv")
-    assert err.value.code == "MISSING_FILE"
-
-    bad = tmp_path / "bad.csv"
-    bad.write_text("class,n,correct,acc\n0,1,1,1.0\n")
-    with pytest.raises(DataError) as err:
-        read_report_csv(bad)
-    assert err.value.code == "BAD_HEADER"
-
-    no_mean = tmp_path / "nomean.csv"
-    no_mean.write_text("class_id,n,correct,acc\n0,1,1,1.0\n")
-    with pytest.raises(DataError) as err:
-        read_report_csv(no_mean)
-    assert err.value.code == "BAD_VALUE"
+    assert path.read_text().splitlines() == [
+        "class_id,n,correct,acc", "0,4,4,1.0", f"1,3,2,{2.0 / 3.0!r}", "3,0,0,NA",
+        "5,8,2,0.25", f"MEAN,15,8,{report.mean_per_class_acc!r}"]
 
 
 # ---------------------------------------------------------------- ablation
@@ -423,18 +398,6 @@ def test_ablation_na_pattern(small_ablation):
     assert table.base_model_hash == base_model_hash(model)
     with pytest.raises(ConfigError):
         table.row("dann")
-
-
-def test_ablation_csv_cells(tmp_path, small_ablation):
-    _, _, table = small_ablation
-    path = write_ablation_csv(table, tmp_path / "ablation.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "variant,M1,M2"
-    std = next(l for l in lines if l.startswith("std_da,"))
-    assert std.endswith(",NA")
-    wo = next(l for l in lines if l.startswith("cyclegan_wo,"))
-    assert wo.split(",")[1] == "NA"
-    assert lines[-1] == f"# base_model {table.base_model_hash}"
 
 
 def test_base_model_hash_tracks_model_content():

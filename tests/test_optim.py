@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import zslada.nn.mlp as mlp
-from zslada.errors import ConfigError, NonFiniteGradient
+import zslada.nn.optim as optim
+from zslada.errors import ConfigError, NonFiniteGradient, StaleCache
 from zslada.nn.mlp import GradientTape, MlpSpec, init_network, mlp_backward, mlp_forward, param_grads
 from zslada.nn.optim import (
     BLOCK,
@@ -16,6 +17,7 @@ from zslada.nn.optim import (
     adam_step,
     init_optimizer,
     rmsprop_step,
+    role_stepper,
 )
 
 from .helpers import reference_adam_step, reference_param_grads, reference_rmsprop_step
@@ -40,7 +42,7 @@ def test_adam_zero_gradient_is_identity():
 
 
 def test_adam_first_step_is_minus_lr_times_sign():
-    state = init_optimizer("adam", 1, learning_rate=0.1)
+    state = init_optimizer("adam", 1, hyper=OptimizerHyper(learning_rate=0.1))
     new = np.array([3.0])
     adam_step(new, np.array([1.0]), state)
     # m_hat = g, v_hat = g^2, so the step is -lr * g/(|g| + eps)
@@ -83,7 +85,7 @@ def test_rmsprop_state_holds_no_first_moment():
 
 def test_rmsprop_step_size_saturates_at_learning_rate():
     lr = 1e-3
-    state = init_optimizer("rmsprop", 1, learning_rate=lr)
+    state = init_optimizer("rmsprop", 1, hyper=OptimizerHyper(learning_rate=lr, beta2=0.99))
     params = np.array([0.0])
     g = np.array([2.5])
     for _ in range(500):
@@ -99,7 +101,7 @@ def test_same_inputs_give_bitwise_identical_trajectories():
 
     def run(rng):
         params = np.zeros(4)
-        state = init_optimizer("rmsprop", 4, learning_rate=1e-3)
+        state = init_optimizer("rmsprop", 4, hyper=OptimizerHyper(learning_rate=1e-3, beta2=0.99))
         for _ in range(50):
             rmsprop_step(params, rng.standard_normal(4), state)
         return params
@@ -310,3 +312,65 @@ def test_tape_window_buffer_must_hold_the_largest_window():
     state = init_optimizer("rmsprop", net.params.size)
     with pytest.raises(ConfigError):
         rmsprop_step(np.zeros(net.params.size + 1), GradientTape(net, caches), state)
+
+
+# ---------------------------------------------------------------- role_stepper
+
+
+def _backprop(net, rng, n_caches: int) -> list:
+    caches = []
+    for rows in range(2, 2 + n_caches):
+        X = rng.standard_normal((rows, net.spec.in_dim))
+        _, cache = mlp_forward(net, X, update_stats=True)
+        mlp_backward(net, cache, rng.standard_normal((rows, net.spec.out_dim)), input_grad=False)
+        caches.append(cache)
+    return caches
+
+
+@given(st.sampled_from(sorted(STEPS)), st.sampled_from([None, 0.05]),
+       st.permutations(["a", "b", "c"]), st.integers(1, 3), st.integers(0, 1000))
+def test_role_stepper_is_the_per_role_step_on_each_tape(kind, clip, order, n_taped, seed):
+    # three roles of different shapes, windows and hyperparameters; the
+    # first n_taped roles of `order` are stepped, in that order
+    with mock.patch.object(mlp, "WINDOW", 40):
+        nets = {"a": init_network(MlpSpec.dense((3, 9, 2), batchnorm=True), seed=seed),
+                "b": init_network(MlpSpec.dense((5, 4)), seed=seed + 1),
+                "c": init_network(MlpSpec.dense((2, 6, 6, 3)), seed=seed + 2)}
+    hypers = {role: OptimizerHyper(learning_rate=lr, beta2=0.99, weight_decay=wd)
+              for role, lr, wd in (("a", 1e-2, 0.0), ("b", 3e-3, 1e-3), ("c", 1e-3, 0.0))}
+    step = role_stepper(kind, nets, hypers)
+    if kind == "adam":
+        with pytest.raises(ConfigError):
+            step({}, clip=0.05)
+        clip = None
+    kwargs = _step_kwargs(kind, clip)
+    ref_states = {role: init_optimizer(kind, net.params.size, hyper=hypers[role])
+                  for role, net in nets.items()}
+    rng = np.random.default_rng(seed)
+    taped = order[:n_taped]
+    for _ in range(2):
+        untaped = {role: (net.params.tobytes(), net.version)
+                   for role, net in nets.items() if role not in taped}
+        tapes, expected = {}, {}
+        for role in taped:
+            net = nets[role]
+            tapes[role] = caches = _backprop(net, rng, 1 + len(tapes))
+            expected[role] = net.params.copy()
+            STEPS[kind](expected[role], GradientTape(net, caches), ref_states[role], **kwargs)
+        held = dict(tapes)
+        seen = []
+
+        def watched(params, *args, **kw):
+            seen.append(next(role for role, net in nets.items() if net.params is params))
+            return STEPS[kind](params, *args, **kw)
+
+        with mock.patch.object(optim, f"{kind}_step", watched):
+            step(tapes, clip=clip)
+        assert tapes == {}
+        assert seen == taped
+        for role in taped:
+            assert nets[role].params.tobytes() == expected[role].tobytes()
+            with pytest.raises(StaleCache):
+                GradientTape(nets[role], held[role])
+        for role, before in untaped.items():
+            assert (nets[role].params.tobytes(), nets[role].version) == before

@@ -1,14 +1,11 @@
 """Synthetic world generator: ground truth, separation, shift behavior."""
+import json
+
 import numpy as np
 import pytest
 
-from zslada.errors import ConfigError, DataError
-from zslada.synthetic import (
-    SyntheticWorldSpec,
-    load_truth,
-    make_synthetic_world,
-    save_synthetic_world,
-)
+from zslada.errors import ConfigError
+from zslada.synthetic import SyntheticWorldSpec, make_synthetic_world, save_synthetic_world
 
 from .helpers import bench_spec
 
@@ -88,8 +85,7 @@ def test_affine_shift_displaces_unseen_clusters_by_magnitude():
     n = spec.samples_per_class
     for c in range(spec.S, spec.n_classes):
         emp = X[y == c].mean(axis=0)
-        expected = truth.shifted_mean(c)
-        assert np.allclose(expected, truth.class_means[c] + truth.shift_offset)
+        expected = truth.class_means[c] + truth.shift_offset
         sd = 1.0 / np.sqrt(truth.class_precisions[c] * n)
         assert np.all(np.abs(emp - expected) < 4.5 * sd)
         displacement = np.linalg.norm(emp - truth.class_means[c])
@@ -163,12 +159,8 @@ def test_world_save_and_truth_round_trip(tmp_path):
     world = make_synthetic_world(bench_spec(seed=10, shift_magnitude=4.0,
                                             samples_per_class=20))
     save_synthetic_world(tmp_path, world)
-    spec2, truth2 = load_truth(tmp_path)
-    assert spec2 == world.spec
-    assert np.array_equal(truth2.class_means, world.truth.class_means)
-    assert np.array_equal(truth2.class_precisions, world.truth.class_precisions)
-    assert np.array_equal(truth2.shift_offset, world.truth.shift_offset)
-
-    with pytest.raises(DataError) as err:
-        load_truth(tmp_path / "elsewhere")
-    assert err.value.code == "MISSING_FILE"
+    record = json.loads((tmp_path / "truth.json").read_text())
+    assert SyntheticWorldSpec.from_dict(record["spec"]) == world.spec
+    truth = record["truth"]
+    for name in ("class_means", "class_precisions", "shift_offset"):
+        assert np.array_equal(np.asarray(truth[name]), getattr(world.truth, name)), name
