@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .base_model import (BaseZslModel, GaussianClassParams, class_params, draw_class,
-                         pseudo_labels, sample_class)
+                         draw_gaussian, pseudo_labels, sample_stream)
 from .data import FeatureDataset
 from .errors import ConfigError, DataError, NumericalDivergence
 from .nn.checkpoint import load_container, save_container
@@ -51,6 +51,10 @@ ROLES = ("g_t", "g_s", "d_t", "d_s", "c_t", "c_s")
 # variants whose generator step also trains the classifiers
 _CLF_VARIANTS = ("full", "vanilla_ada")
 LOG_COLUMNS = ("iter", "L_adv_T", "L_adv_S", "L_cyc", "L_clf_T", "L_clf_S", "phase")
+# Most class-conditional draws G_T transforms in one batch when prototypes or
+# crossover checks stream their draws (_transformed_draws), so their memory
+# does not grow with the number of draws.
+DRAW_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -458,17 +462,39 @@ def classify(net: MlpNetwork, X: np.ndarray, unseen_ids: Sequence[int]) -> np.nd
     return ids[np.argmax(log_probs, axis=1)]
 
 
+def _transformed_draws(state: AdaState, gaussian: GaussianClassParams, j: int, n: int,
+                       seed: int):
+    """G_T of ``n`` draws from unseen class index ``j``'s Gaussian, augmented
+    with its one-hot, yielded in chunks of ``DRAW_CHUNK`` rows and then the
+    rest.  The draws continue one ``"sample"`` stream, so they are
+    ``draw_class(gaussian, n, seed)``, and every chunk of two or more rows
+    gets the bits G_T gives those rows in one batch (see ``map_prototypes``)."""
+    chunks = [DRAW_CHUNK] * (n // DRAW_CHUNK)
+    rest = n % DRAW_CHUNK
+    if rest == 1 and chunks:
+        chunks[-1] += 1  # never a one-row chunk
+    elif rest:
+        chunks.append(rest)
+    stream = sample_stream(seed, gaussian.class_id)
+    d = gaussian.dim
+    block = np.zeros((max(chunks), d + state.n_unseen))
+    block[:, d + j] = 1.0
+    for rows in chunks:
+        block[:rows, :d] = draw_gaussian(gaussian, rows, stream)
+        yield forward_eval(state.g_t, block[:rows])
+
+
 def _crossover_accuracy(state: AdaState, gaussians: list[GaussianClassParams],
                         config: AdaConfig, iteration: int) -> float:
     """C_T accuracy on freshly generated, G_T-transformed labeled draws."""
+    n = config.crossover_samples
     correct = []
     for j, cid in enumerate(state.unseen_ids):
-        draws = draw_class(gaussians[j], config.crossover_samples,
-                           seed=named_seed(config.seed, "xover", iteration))
-        labels = np.full(config.crossover_samples, j, dtype=np.int64)
-        moved = forward_eval(state.g_t, augment_batch(draws, labels, state.n_unseen))
-        picks = classify(state.c_t, moved, state.unseen_ids)
-        correct.append(float(np.mean(picks == cid)))
+        hits = 0
+        for moved in _transformed_draws(state, gaussians[j], j, n,
+                                        named_seed(config.seed, "xover", iteration)):
+            hits += int(np.count_nonzero(classify(state.c_t, moved, state.unseen_ids) == cid))
+        correct.append(hits / n)
     return float(np.mean(correct))
 
 
@@ -604,16 +630,37 @@ def map_prototypes(state: AdaState, base_model: BaseZslModel, n_samples: int,
     """Per-class mean of G_T over label-augmented class-conditional draws.
 
     Covariances are deliberately left at the base model's values; only
-    the class means move."""
+    the class means move.
+
+    The draws stream through G_T in chunks of at most ``DRAW_CHUNK`` rows
+    (``DRAW_CHUNK + 1`` when a single row is left over), so memory does
+    not grow with ``n_samples`` and the result has the bits of
+    transforming all draws at once and taking ``.mean(axis=0)``:
+
+    - the chunks read one ``"sample"`` stream in turn, which numpy fills
+      exactly as one draw of all ``n_samples`` rows;
+    - no chunk has one row when ``n_samples > 1``: a one-row product takes
+      BLAS's matrix-vector path, whose bits differ, so a one-row rest
+      joins the chunk before it;
+    - numpy sums the rows of a C-contiguous matrix down axis 0 in order,
+      so the running sum rides as the leading row of the next chunk's
+      sum, and is divided by ``n_samples`` once at the end.  Adding
+      per-chunk sums would group the additions differently.  (With a
+      one-column output numpy sums pairwise instead, and the last bits
+      can differ.)
+    """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
+    proto_seed = named_seed(seed, "proto")
     out: dict[int, np.ndarray] = {}
     for j, cid in enumerate(state.unseen_ids):
-        draws = sample_class(base_model, cid, n_samples,
-                             seed=named_seed(seed, "proto"))
-        labels = np.full(n_samples, j, dtype=np.int64)
-        moved = forward_eval(state.g_t, augment_batch(draws, labels, state.n_unseen))
-        out[cid] = moved.mean(axis=0)
+        total = None
+        for moved in _transformed_draws(state, class_params(base_model, cid), j,
+                                        n_samples, proto_seed):
+            if total is not None:
+                moved = np.concatenate([total[None], moved])
+            total = np.add.reduce(moved, axis=0)
+        out[cid] = total / n_samples
     return out
 
 

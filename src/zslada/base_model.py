@@ -184,10 +184,16 @@ def draw_gaussian(params: GaussianClassParams, n: int,
     return params.mean + noise / np.sqrt(params.precision_diag)
 
 
+def sample_stream(seed: int, class_id: int) -> np.random.Generator:
+    """The ``"sample"`` stream every class-conditional draw of ``class_id``
+    under ``seed`` reads."""
+    return named_stream(seed, "sample", int(class_id))
+
+
 def draw_class(params: GaussianClassParams, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws from one class's Gaussian on its ``"sample"`` stream,
     deterministic in seed; for callers that hold the class's parameters."""
-    return draw_gaussian(params, n, named_stream(seed, "sample", int(params.class_id)))
+    return draw_gaussian(params, n, sample_stream(seed, params.class_id))
 
 
 def sample_class(model: BaseZslModel, class_id: int, n: int,

@@ -59,15 +59,17 @@ def _write_snapshot(out_dir: Path, resolved: dict) -> None:
         json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
-def _load_bundle(args, cfg: dict) -> DatasetBundle:
-    """The dataset: ``--data`` over the config's ``data``, else its world."""
+def _load_bundle(args, cfg: dict) -> tuple[str | None, DatasetBundle]:
+    """The dataset: ``--data`` over the config's ``data``, else its world.
+    Returns the directory it loaded (``None`` for a world) with it, so the
+    snapshot records the data the run used."""
     data = args.data or cfg.get("data")
     if data:
-        return load_dataset(data)
+        return data, load_dataset(data)
     if cfg.get("world"):
         spec = SyntheticWorldSpec.from_dict(cfg["world"])
         world = make_synthetic_world(spec)
-        return world.bundle
+        return None, world.bundle
     raise ConfigError("need a dataset: pass --data DIR or a 'world' spec in --config")
 
 
@@ -143,7 +145,7 @@ def cmd_pretrain(args) -> int:
     profile = args.profile or cfg.get("profile") or "synth-small"
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     out = _out_dir(args, cfg, "pretrain")
-    bundle = _load_bundle(args, cfg)
+    data, bundle = _load_bundle(args, cfg)
     train_cfg = _merge(pretrain_config(profile, seed=seed), cfg.get("pretrain"))
 
     ckpt = out / "base_model.ckpt"
@@ -163,7 +165,7 @@ def cmd_pretrain(args) -> int:
     report = inductive_accuracy(model, bundle.dataset)
     write_report_csv(report, out / "report_inductive.csv")
     _write_snapshot(out, {"command": "pretrain", "profile": profile,
-                          "seed": seed, "data": cfg.get("data") or args.data,
+                          "seed": seed, "data": data,
                           "world": cfg.get("world"),
                           "pretrain": dataclasses.asdict(train_cfg),
                           "out": str(out)})
@@ -180,7 +182,7 @@ def cmd_adapt(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     profile = args.profile or cfg.get("profile") or "synth-small"
     out = _out_dir(args, cfg, "adapt")
-    bundle = _load_bundle(args, cfg)
+    data, bundle = _load_bundle(args, cfg)
     base_path, model = _load_base(args, cfg, bundle, "adapt")
 
     ada_cfg = _merge(ada_profile(profile), cfg.get("ada"))
@@ -213,7 +215,7 @@ def cmd_adapt(args) -> int:
         fh.write(f"M1,{'NA' if m1 is None else repr(m1)}\n")
         fh.write(f"M2,{'NA' if m2 is None else repr(m2)}\n")
     _write_snapshot(out, {"command": "adapt", "profile": profile,
-                          "data": cfg.get("data") or args.data,
+                          "data": data,
                           "world": cfg.get("world"), "base": str(base_path),
                           "ada": ada_cfg.to_dict(), "out": str(out),
                           "eval": {"n_samples": n_samples, "seed": eval_seed}})
@@ -231,7 +233,7 @@ def cmd_eval(args) -> int:
     metric = args.metric or cfg.get("metric") or "all"
     if metric not in METRIC_CHOICES:
         raise ConfigError(f"unknown metric {metric!r}, expected one of {METRIC_CHOICES}")
-    bundle = _load_bundle(args, cfg)
+    data, bundle = _load_bundle(args, cfg)
     base_path, model = _load_base(args, cfg, bundle, "eval")
     ada_path, state = _load_ada(args, cfg)
     n_samples, eval_seed = _eval_settings(cfg)
@@ -264,7 +266,7 @@ def cmd_eval(args) -> int:
         written.append(path.name)
         print(f"{name} mean per-class: {report.mean_per_class_acc:.4f}")
     _write_snapshot(out, {"command": "eval", "metric": metric,
-                          "data": cfg.get("data") or args.data,
+                          "data": data,
                           "world": cfg.get("world"), "base": str(base_path),
                           "ada_state": str(ada_path) if ada_path else None,
                           "eval": {"n_samples": n_samples, "seed": eval_seed},
@@ -275,7 +277,7 @@ def cmd_eval(args) -> int:
 def cmd_export(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     out = _out_dir(args, cfg, "export")
-    bundle = _load_bundle(args, cfg)
+    data, bundle = _load_bundle(args, cfg)
     base_path, model = _load_base(args, cfg, bundle, "export")
     ada_path, state = _load_ada(args, cfg)
     n, seed = _eval_settings(cfg, n_samples=200)
@@ -304,7 +306,7 @@ def cmd_export(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "embeddings.csv"
     export_embeddings(matrices, label_map, path)
-    _write_snapshot(out, {"command": "export", "data": cfg.get("data") or args.data,
+    _write_snapshot(out, {"command": "export", "data": data,
                           "world": cfg.get("world"), "base": str(base_path),
                           "ada_state": str(ada_path) if ada_path else None,
                           "eval": {"n_samples": n, "seed": seed}, "out": str(out)})

@@ -10,10 +10,12 @@ import tracemalloc
 
 import numpy as np
 
-from zslada.ada import LabeledBatch
-from zslada.base_model import BaseZslModel, PretrainConfig, pretrain, pseudo_labels
+from zslada.ada import AdaState, LabeledBatch, augment_batch
+from zslada.base_model import (BaseZslModel, PretrainConfig, pretrain, pseudo_labels,
+                               sample_class)
 from zslada.data import ClassAttributeTable
-from zslada.nn.mlp import MlpCache, MlpNetwork, MlpSpec, init_network, param_grads
+from zslada.nn.mlp import (MlpCache, MlpNetwork, MlpSpec, forward_eval, init_network,
+                           param_grads)
 from zslada.nn.optim import OptimizerState
 from zslada.rng import named_seed
 from zslada.synthetic import SyntheticWorld, SyntheticWorldSpec, make_synthetic_world
@@ -101,6 +103,19 @@ def reference_rmsprop_step(params: np.ndarray, grads: np.ndarray,
     return params - hp.learning_rate * update, OptimizerState(
         kind="rmsprop", step_count=state.step_count + 1,
         first_moment=state.first_moment, second_moment=v, hyper=hp)
+
+
+def reference_map_prototypes(state: AdaState, base_model: BaseZslModel, n_samples: int,
+                             seed: int) -> dict[int, np.ndarray]:
+    """Per-class prototypes in one shot: all ``n_samples`` draws of a
+    class, augmented and transformed in one batch, then averaged."""
+    out = {}
+    for j, cid in enumerate(state.unseen_ids):
+        draws = sample_class(base_model, cid, n_samples, seed=named_seed(seed, "proto"))
+        labels = np.full(n_samples, j, dtype=np.int64)
+        moved = forward_eval(state.g_t, augment_batch(draws, labels, state.n_unseen))
+        out[cid] = moved.mean(axis=0)
+    return out
 
 
 def toy_table(S: int = 2, U: int = 2, attr_dim: int = 3,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import zslada.ada
 from zslada.ada import (
+    DRAW_CHUNK,
     AdaConfig,
     LabeledBatch,
     _abort_if_nonfinite,
@@ -38,6 +39,7 @@ from .helpers import (
     linear_critic,
     linear_model,
     peak_traced_bytes,
+    reference_map_prototypes,
     reference_param_grads,
     table_model,
     toy_table,
@@ -553,11 +555,7 @@ def test_adapt_computes_each_unseen_gaussian_once(small_adapted, monkeypatch, va
         calls.append(class_id)
         return class_params(base, class_id)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("adapt re-ran the base model for a draw")
-
     monkeypatch.setattr(zslada.ada, "class_params", counted)
-    monkeypatch.setattr(zslada.ada, "sample_class", refused)
     config = AdaConfig(**{**ADAPT_CONFIG, "n_steps": 6, "variant": variant,
                           "relabel_interval": 2, "recovery_trigger": "accuracy_crossover",
                           "recovery_fraction": 1.0, "crossover_interval": 2})
@@ -660,6 +658,77 @@ def test_map_prototypes_seeded_and_single_draw():
 
     with pytest.raises(ConfigError):
         map_prototypes(state, base, 0, seed=7)
+
+
+def _streamed_proto_setup(d: int = 16, seed: int = 4):
+    """A batchnorm + dropout G_T whose running stats are not the identity,
+    on a linear base model with three unseen classes."""
+    world = make_synthetic_world(bench_spec(seed=3, S=2, U=3, d=d, attr_dim=4,
+                                            samples_per_class=8))
+    model = linear_model(world.attributes, d=d, seed=5)
+    config = AdaConfig(gen_hidden=(48, 32), disc_hidden=(8,), use_batchnorm=True,
+                       gen_dropout=0.1, seed=seed)
+    state = init_ada_state(model, config)
+    stats = state.g_t.stats
+    stats[:] = np.random.default_rng(seed).uniform(0.5, 1.5, stats.size)
+    return model, state
+
+
+@pytest.mark.parametrize("n", [1, 2, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1,
+                               2 * DRAW_CHUNK + 1])
+def test_map_prototypes_streams_chunks_to_the_one_shot_bits(monkeypatch, n):
+    model, state = _streamed_proto_setup()
+    rows = []
+
+    def recorded(net, X):
+        if net.params is state.g_t.params:
+            rows.append(X.shape[0])
+        return forward_eval(net, X)
+
+    monkeypatch.setattr(zslada.ada, "forward_eval", recorded)
+    for seed in (0, 1):
+        rows.clear()
+        streamed = map_prototypes(state, model, n, seed=seed)
+        expected = reference_map_prototypes(state, model, n, seed=seed)
+        assert list(streamed) == list(expected) == state.unseen_ids
+        for cid in expected:
+            assert streamed[cid].tobytes() == expected[cid].tobytes(), (n, seed, cid)
+        per_class = len(rows) // len(state.unseen_ids)
+        assert rows == rows[:per_class] * len(state.unseen_ids)
+        assert sum(rows[:per_class]) == n
+        assert max(rows) <= DRAW_CHUNK + 1
+        assert n == 1 or min(rows) >= 2, rows
+
+
+def test_chunked_standard_normal_continues_the_one_shot_draw():
+    # the streamed prototypes rest on this: numpy fills successive chunks
+    # from one Generator exactly as it fills all rows at once
+    whole = np.random.default_rng(11).standard_normal((2 * DRAW_CHUNK + 1, 7))
+    stream = np.random.default_rng(11)
+    parts = [stream.standard_normal((rows, 7)) for rows in (1, 3, DRAW_CHUNK, DRAW_CHUNK - 3)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def test_map_prototypes_computes_each_unseen_gaussian_once(monkeypatch):
+    model, state = _streamed_proto_setup()
+    calls = []
+
+    def counted(base, class_id):
+        calls.append(class_id)
+        return class_params(base, class_id)
+
+    monkeypatch.setattr(zslada.ada, "class_params", counted)
+    map_prototypes(state, model, 2 * DRAW_CHUNK + 1, seed=0)
+    assert calls == state.unseen_ids
+
+
+def test_map_prototypes_memory_does_not_grow_with_n_samples():
+    # each class streams its draws in chunks, so eight times the draws
+    # keep the peak of one chunk; one batch of all draws grows about 8x
+    model, state = _streamed_proto_setup(d=64)
+    one = peak_traced_bytes(lambda: map_prototypes(state, model, DRAW_CHUNK, seed=0))
+    eight = peak_traced_bytes(lambda: map_prototypes(state, model, 8 * DRAW_CHUNK, seed=0))
+    assert eight <= 1.25 * one, (eight, one)
 
 
 # ---------------------------------------------------------------- checkpoints

@@ -1,5 +1,6 @@
 """End-to-end command-line runs on a small synthetic world."""
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,22 @@ def test_pretrain_rerun_loads_checkpoint(pipeline, capsys):
     assert "loaded existing checkpoint" in out
     assert "mean per-class" in out
     assert (pre / "report_inductive.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_pretrain_snapshot_names_the_dataset_it_loaded(pipeline, tmp_path, flag):
+    # --data wins over the config's "data"; the config's other directory
+    # need not exist, because with the flag given it is never loaded
+    world = str(pipeline["world"])
+    cfg_data = str(tmp_path / "elsewhere") if flag else world
+    cfg = _write_json(tmp_path / "pre.json", {"data": cfg_data})
+    out = tmp_path / "pre"
+    out.mkdir()
+    shutil.copyfile(pipeline["pre"] / "base_model.ckpt", out / "base_model.ckpt")
+    args = ["pretrain", "--config", cfg, "--out", str(out), "--seed", "0"]
+    assert main(args + (["--data", world] if flag else [])) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["data"] == world
 
 
 def test_adapt_outputs(pipeline):
