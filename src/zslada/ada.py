@@ -51,19 +51,18 @@ ROLES = ("g_t", "g_s", "d_t", "d_s", "c_t", "c_s")
 # variants whose generator step also trains the classifiers
 _CLF_VARIANTS = ("full", "vanilla_ada")
 LOG_COLUMNS = ("iter", "L_adv_T", "L_adv_S", "L_cyc", "L_clf_T", "L_clf_S", "phase")
-# Most class-conditional draws G_T transforms in one batch when prototypes or
-# crossover checks stream their draws (_transformed_draws), so their memory
-# does not grow with the number of draws.
+# Most class-conditional draws G_T transforms in one batch when prototypes,
+# crossover checks or exports stream their draws (transformed_draws), so
+# their memory does not grow with the number of draws.
 DRAW_CHUNK = 1024
 
 
 @dataclass(frozen=True)
 class LabeledBatch:
-    """Features plus unseen-class indices, tagged by where they came from."""
+    """Features plus unseen-class indices."""
 
     features: np.ndarray
     labels: np.ndarray
-    origin: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features",
@@ -73,8 +72,6 @@ class LabeledBatch:
             raise ConfigError("batch features must be a matrix")
         if self.labels.shape != (self.features.shape[0],):
             raise ConfigError("batch needs one label per row")
-        if self.origin not in ("source", "target"):
-            raise ConfigError(f"origin must be source or target, got {self.origin!r}")
 
     @property
     def n(self) -> int:
@@ -451,8 +448,8 @@ def _draw_batches(gaussians: list[GaussianClassParams], test_X: np.ndarray,
     picks = rows[stream.integers(rows.size, size=config.batch_size)]
     labels = np.full(config.batch_size, j, dtype=np.int64)
     y = draw_class(gaussians[j], config.batch_size, seed=named_seed(config.seed, "src", *path))
-    return (LabeledBatch(features=y, labels=labels, origin="source"),
-            LabeledBatch(features=test_X[picks], labels=labels, origin="target"))
+    return (LabeledBatch(features=y, labels=labels),
+            LabeledBatch(features=test_X[picks], labels=labels))
 
 
 def classify(net: MlpNetwork, X: np.ndarray, unseen_ids: Sequence[int]) -> np.ndarray:
@@ -462,13 +459,22 @@ def classify(net: MlpNetwork, X: np.ndarray, unseen_ids: Sequence[int]) -> np.nd
     return ids[np.argmax(log_probs, axis=1)]
 
 
-def _transformed_draws(state: AdaState, gaussian: GaussianClassParams, j: int, n: int,
-                       seed: int):
-    """G_T of ``n`` draws from unseen class index ``j``'s Gaussian, augmented
-    with its one-hot, yielded in chunks of ``DRAW_CHUNK`` rows and then the
-    rest.  The draws continue one ``"sample"`` stream, so they are
-    ``draw_class(gaussian, n, seed)``, and every chunk of two or more rows
-    gets the bits G_T gives those rows in one batch (see ``map_prototypes``)."""
+def transformed_draws(state: AdaState, gaussian: GaussianClassParams, j: int, n: int,
+                      seed: int):
+    """``n`` draws from unseen class index ``j``'s Gaussian and G_T of them
+    with the class's one-hot appended, yielded as ``(draws, moved)`` chunks
+    of ``DRAW_CHUNK`` rows and then the rest, so memory does not grow with
+    ``n``.  ``draws`` is a view of a buffer the next chunk overwrites.
+    The chunks have the bits of one batch of all ``n`` draws:
+
+    - they read one ``"sample"`` stream in turn, which numpy fills exactly
+      as it fills ``draw_class(gaussian, n, seed)``;
+    - no chunk has one row when ``n > 1``: a one-row product takes BLAS's
+      matrix-vector path, whose bits differ, so a one-row rest joins the
+      chunk before it.
+    """
+    if n < 1:
+        raise ConfigError(f"need n >= 1 draws, got {n}")
     chunks = [DRAW_CHUNK] * (n // DRAW_CHUNK)
     rest = n % DRAW_CHUNK
     if rest == 1 and chunks:
@@ -481,19 +487,18 @@ def _transformed_draws(state: AdaState, gaussian: GaussianClassParams, j: int, n
     block[:, d + j] = 1.0
     for rows in chunks:
         block[:rows, :d] = draw_gaussian(gaussian, rows, stream)
-        yield forward_eval(state.g_t, block[:rows])
+        yield block[:rows, :d], forward_eval(state.g_t, block[:rows])
 
 
 def _crossover_accuracy(state: AdaState, gaussians: list[GaussianClassParams],
                         config: AdaConfig, iteration: int) -> float:
     """C_T accuracy on freshly generated, G_T-transformed labeled draws."""
     n = config.crossover_samples
+    seed = named_seed(config.seed, "xover", iteration)
     correct = []
     for j, cid in enumerate(state.unseen_ids):
-        hits = 0
-        for moved in _transformed_draws(state, gaussians[j], j, n,
-                                        named_seed(config.seed, "xover", iteration)):
-            hits += int(np.count_nonzero(classify(state.c_t, moved, state.unseen_ids) == cid))
+        hits = sum(int(np.count_nonzero(classify(state.c_t, moved, state.unseen_ids) == cid))
+                   for _, moved in transformed_draws(state, gaussians[j], j, n, seed))
         correct.append(hits / n)
     return float(np.mean(correct))
 
@@ -630,33 +635,20 @@ def map_prototypes(state: AdaState, base_model: BaseZslModel, n_samples: int,
     """Per-class mean of G_T over label-augmented class-conditional draws.
 
     Covariances are deliberately left at the base model's values; only
-    the class means move.
-
-    The draws stream through G_T in chunks of at most ``DRAW_CHUNK`` rows
-    (``DRAW_CHUNK + 1`` when a single row is left over), so memory does
-    not grow with ``n_samples`` and the result has the bits of
-    transforming all draws at once and taking ``.mean(axis=0)``:
-
-    - the chunks read one ``"sample"`` stream in turn, which numpy fills
-      exactly as one draw of all ``n_samples`` rows;
-    - no chunk has one row when ``n_samples > 1``: a one-row product takes
-      BLAS's matrix-vector path, whose bits differ, so a one-row rest
-      joins the chunk before it;
-    - numpy sums the rows of a C-contiguous matrix down axis 0 in order,
-      so the running sum rides as the leading row of the next chunk's
-      sum, and is divided by ``n_samples`` once at the end.  Adding
-      per-chunk sums would group the additions differently.  (With a
-      one-column output numpy sums pairwise instead, and the last bits
-      can differ.)
+    the class means move.  The draws stream through ``transformed_draws``
+    and the mean keeps the bits of ``.mean(axis=0)`` over one batch: numpy
+    sums the rows of a C-contiguous matrix down axis 0 in order, so the
+    running sum rides as the leading row of the next chunk's sum, and is
+    divided by ``n_samples`` once at the end.  Adding per-chunk sums would
+    group the additions differently.  (With a one-column output numpy sums
+    pairwise instead, and the last bits can differ.)
     """
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
     proto_seed = named_seed(seed, "proto")
     out: dict[int, np.ndarray] = {}
     for j, cid in enumerate(state.unseen_ids):
         total = None
-        for moved in _transformed_draws(state, class_params(base_model, cid), j,
-                                        n_samples, proto_seed):
+        for _, moved in transformed_draws(state, class_params(base_model, cid), j,
+                                          n_samples, proto_seed):
             if total is not None:
                 moved = np.concatenate([total[None], moved])
             total = np.add.reduce(moved, axis=0)

@@ -15,14 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .ada import VARIANTS, adapt, augment_batch, load_ada_state, save_ada_state
-from .base_model import (load_base_model, pretrain, pseudo_labels,
-                         sample_class, save_base_model)
+from .ada import VARIANTS, adapt, load_ada_state, save_ada_state, transformed_draws
+from .base_model import (class_params, draw_class, load_base_model, pretrain, pseudo_labels,
+                         save_base_model)
 from .data import DatasetBundle, export_embeddings, load_dataset
 from .errors import ConfigError, DataError, NonFiniteGradient, NumericalDivergence, ZsladaError
 from .metrics import (eval_workers, inductive_accuracy, m1_accuracy, m2_accuracy,
                       write_report_csv)
-from .nn.mlp import forward_eval
 from .profiles import PROFILE_NAMES, ada_profile, build_base_model, pretrain_config
 from .synthetic import SyntheticWorldSpec, make_synthetic_world, save_synthetic_world
 
@@ -81,10 +80,16 @@ def _load_base(args, cfg: dict, bundle: DatasetBundle, command: str):
     return path, load_base_model(path, bundle.attributes)
 
 
-def _load_ada(args, cfg: dict):
-    """The optional ``--ada`` checkpoint: its path and state, or two Nones."""
+def _load_ada(args, cfg: dict, bundle: DatasetBundle):
+    """The optional ``--ada`` checkpoint: its path and state, or two Nones.
+    Refuses a state adapted on other unseen classes than the dataset's."""
     path = args.ada or cfg.get("ada_state")
-    return path, (load_ada_state(path)[0] if path else None)
+    state = load_ada_state(path)[0] if path else None
+    unseen = sorted(bundle.attributes.unseen_ids)
+    if state is not None and state.unseen_ids != unseen:
+        raise DataError("BAD_CHECKPOINT", f"{path} was adapted on unseen classes "
+                        f"{state.unseen_ids}, the dataset's are {unseen}")
+    return path, state
 
 
 def _eval_settings(cfg: dict, n_samples: int = 10000) -> tuple[int, int]:
@@ -235,7 +240,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"unknown metric {metric!r}, expected one of {METRIC_CHOICES}")
     data, bundle = _load_bundle(args, cfg)
     base_path, model = _load_base(args, cfg, bundle, "eval")
-    ada_path, state = _load_ada(args, cfg)
+    ada_path, state = _load_ada(args, cfg, bundle)
     n_samples, eval_seed = _eval_settings(cfg)
 
     wanted = ("inductive", "m1", "m2") if metric == "all" else (metric,)
@@ -279,30 +284,35 @@ def cmd_export(args) -> int:
     out = _out_dir(args, cfg, "export")
     data, bundle = _load_bundle(args, cfg)
     base_path, model = _load_base(args, cfg, bundle, "export")
-    ada_path, state = _load_ada(args, cfg)
+    ada_path, state = _load_ada(args, cfg, bundle)
     n, seed = _eval_settings(cfg, n_samples=200)
-    unseen = model.attribute_table.unseen_ids
+    if n < 1:
+        raise ConfigError(f"need n >= 1 draws, got {n}")
     X, labels = bundle.dataset.test_rows()
     if labels is None:
         labels = pseudo_labels(model, bundle.dataset).labels
-    matrices = {"real": X}
-    label_map = {"real": labels}
-    gen_blocks, gen_labels = [], []
-    for c in unseen:
-        draw = sample_class(model, c, n, seed=seed)
-        gen_blocks.append(draw)
-        gen_labels.extend([c] * n)
-    generated = np.vstack(gen_blocks)
-    gen_labels = np.asarray(gen_labels, dtype=np.int64)
-    matrices["generated"] = generated
-    label_map["generated"] = gen_labels
+    unseen = model.attribute_table.unseen_ids
+    gen_labels = np.repeat(np.asarray(unseen, dtype=np.int64), n)
+    generated = np.empty((gen_labels.size, model.dim))
+    matrices = {"real": X, "generated": generated}
+    label_map = {"real": labels, "generated": gen_labels}
     if state is not None:
-        index_of = {c: j for j, c in enumerate(state.unseen_ids)}
-        idx = np.asarray([index_of[c] for c in gen_labels], dtype=np.int64)
-        transformed = forward_eval(state.g_t,
-                                   augment_batch(generated, idx, len(state.unseen_ids)))
-        matrices["transformed"] = transformed
+        matrices["transformed"] = transformed = np.empty_like(generated)
         label_map["transformed"] = gen_labels
+    # each unseen class in table order; its draws and their G_T rows stream
+    # into the preallocated matrices chunk by chunk
+    for k, cid in enumerate(unseen):
+        gaussian = class_params(model, cid)
+        if state is None:
+            generated[k * n:(k + 1) * n] = draw_class(gaussian, n, seed)
+            continue
+        start = k * n
+        for draws, moved in transformed_draws(state, gaussian, state.unseen_ids.index(cid),
+                                              n, seed):
+            stop = start + draws.shape[0]
+            generated[start:stop] = draws
+            transformed[start:stop] = moved
+            start = stop
     out.mkdir(parents=True, exist_ok=True)
     path = out / "embeddings.csv"
     export_embeddings(matrices, label_map, path)

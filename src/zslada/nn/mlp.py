@@ -47,14 +47,11 @@ def parse_activation(name: str) -> tuple[str, float]:
 
 
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    """Sigmoid without overflow at either tail."""
+    """Sigmoid without overflow at either tail: one ``exp`` of ``-|z|``,
+    which never exceeds 1."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)

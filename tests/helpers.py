@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 
-from zslada.ada import AdaState, LabeledBatch, augment_batch
+from zslada.ada import AdaConfig, AdaState, LabeledBatch, augment_batch, init_ada_state
 from zslada.base_model import (BaseZslModel, PretrainConfig, pretrain, pseudo_labels,
                                sample_class)
 from zslada.data import ClassAttributeTable
@@ -103,6 +103,34 @@ def reference_rmsprop_step(params: np.ndarray, grads: np.ndarray,
     return params - hp.learning_rate * update, OptimizerState(
         kind="rmsprop", step_count=state.step_count + 1,
         first_moment=state.first_moment, second_moment=v, hyper=hp)
+
+
+def reference_stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Sigmoid by masked writes: ``1 / (1 + exp(-z))`` where ``z >= 0`` and
+    ``exp(z) / (1 + exp(z))`` elsewhere."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_export_draws(model: BaseZslModel, state: AdaState | None, n: int,
+                           seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Export's (labels, draws, G_T rows) in one batch: every unseen class's
+    draws stacked in table order, then all of them augmented with their
+    one-hots and transformed at once."""
+    unseen = model.attribute_table.unseen_ids
+    generated = np.vstack([sample_class(model, c, n, seed=seed) for c in unseen])
+    labels = np.asarray([c for c in unseen for _ in range(n)], dtype=np.int64)
+    if state is None:
+        return labels, generated, None
+    index_of = {c: j for j, c in enumerate(state.unseen_ids)}
+    idx = np.asarray([index_of[c] for c in labels], dtype=np.int64)
+    return labels, generated, forward_eval(state.g_t,
+                                           augment_batch(generated, idx, state.n_unseen))
 
 
 def reference_map_prototypes(state: AdaState, base_model: BaseZslModel, n_samples: int,
@@ -219,13 +247,11 @@ def uniform_classifier(d: int, u: int) -> MlpNetwork:
     return exact_net(spec, np.zeros(d * u + u))
 
 
-def batch(features, labels, origin: str = "source") -> LabeledBatch:
+def batch(features, labels) -> LabeledBatch:
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if np.isscalar(labels):
         labels = np.full(features.shape[0], labels, dtype=np.int64)
-    return LabeledBatch(features=features,
-                        labels=np.asarray(labels, dtype=np.int64),
-                        origin=origin)
+    return LabeledBatch(features=features, labels=np.asarray(labels, dtype=np.int64))
 
 
 # The four-seen/four-unseen 16-d benchmark every slow test shares.  The
@@ -255,6 +281,27 @@ def linear_model(table: ClassAttributeTable, d: int, seed: int = 11,
         attribute_table=table,
         include_logdet=include_logdet,
     )
+
+
+def streaming_setup(d: int = 16, seed: int = 4, reverse_table: bool = False):
+    """A linear base model with three unseen classes, and a state whose
+    batchnorm + dropout G_T has running stats that are not the identity.
+    ``reverse_table`` lists the classes in descending id order, so the
+    table's unseen order differs from the state's sorted one."""
+    world = make_synthetic_world(bench_spec(seed=3, S=2, U=3, d=d, attr_dim=4,
+                                            samples_per_class=8))
+    table = world.attributes
+    if reverse_table:
+        table = ClassAttributeTable(attributes=table.attributes[::-1],
+                                    class_ids=table.class_ids[::-1],
+                                    seen_mask=table.seen_mask[::-1])
+    model = linear_model(table, d=d, seed=5)
+    config = AdaConfig(gen_hidden=(48, 32), disc_hidden=(8,), use_batchnorm=True,
+                       gen_dropout=0.1, seed=seed)
+    state = init_ada_state(model, config)
+    stats = state.g_t.stats
+    stats[:] = np.random.default_rng(seed).uniform(0.5, 1.5, stats.size)
+    return model, state
 
 
 def train_linear_model(world: SyntheticWorld, seed: int = 11, **overrides):

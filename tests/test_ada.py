@@ -41,6 +41,7 @@ from .helpers import (
     peak_traced_bytes,
     reference_map_prototypes,
     reference_param_grads,
+    streaming_setup,
     table_model,
     toy_table,
     train_linear_model,
@@ -98,11 +99,9 @@ def test_augment_batch_matches_per_row():
 
 def test_labeled_batch_validation():
     with pytest.raises(ConfigError):
-        LabeledBatch(features=np.zeros(3), labels=np.zeros(3), origin="source")
+        LabeledBatch(features=np.zeros(3), labels=np.zeros(3))
     with pytest.raises(ConfigError):
-        LabeledBatch(features=np.zeros((3, 2)), labels=np.zeros(2), origin="source")
-    with pytest.raises(ConfigError):
-        LabeledBatch(features=np.zeros((3, 2)), labels=np.zeros(3), origin="fake")
+        LabeledBatch(features=np.zeros((3, 2)), labels=np.zeros(2))
     assert batch(np.zeros((3, 2)), 0).n == 3
 
 
@@ -150,7 +149,7 @@ def _cycle(src, tgt, d, u, cycle_form=None, **nets):
 def test_generator_loss_identity_and_zero_critic():
     rng = np.random.default_rng(0)
     src = batch(rng.standard_normal((3, 3)), np.array([0, 1, 0]))
-    tgt = batch(rng.standard_normal((3, 3)), np.array([0, 1, 0]), origin="target")
+    tgt = batch(rng.standard_normal((3, 3)), np.array([0, 1, 0]))
     config = AdaConfig(identity_weight=5.0, **TOY_CONFIG)
     assert _gen_terms(src, tgt, 3, 2, config=config)["L_G_T"] == 0.0
 
@@ -158,7 +157,7 @@ def test_generator_loss_identity_and_zero_critic():
 def test_generator_loss_constant_critic():
     rng = np.random.default_rng(1)
     src = batch(rng.standard_normal((4, 2)), np.zeros(4, dtype=int))
-    tgt = batch(rng.standard_normal((4, 2)), np.zeros(4, dtype=int), origin="target")
+    tgt = batch(rng.standard_normal((4, 2)), np.zeros(4, dtype=int))
     config = AdaConfig(identity_weight=0.0, **TOY_CONFIG)
     bd = _gen_terms(src, tgt, 2, 1, config=config, d_t=constant_critic(2, 2.5))
     assert bd["L_G_T"] == -2.5
@@ -168,7 +167,7 @@ def test_generator_loss_offset_toy():
     # G_T adds (1, 0); identity penalty on x = (0, 0) is exactly 1
     g_t = identity_generator(2, 1, offset=np.array([1.0, 0.0]))
     src = batch(np.array([[0.3, -0.4]]), np.array([0]))
-    tgt = batch(np.array([[0.0, 0.0]]), np.array([0]), origin="target")
+    tgt = batch(np.array([[0.0, 0.0]]), np.array([0]))
     config = AdaConfig(identity_weight=5.0, **TOY_CONFIG)
     assert _gen_terms(src, tgt, 2, 1, config=config, g_t=g_t)["L_G_T"] == 5.0
 
@@ -176,13 +175,13 @@ def test_generator_loss_offset_toy():
 def test_critic_loss_constant_critic_is_zero():
     rng = np.random.default_rng(2)
     src = batch(rng.standard_normal((5, 2)), np.zeros(5, dtype=int))
-    tgt = batch(rng.standard_normal((5, 2)), np.zeros(5, dtype=int), origin="target")
+    tgt = batch(rng.standard_normal((5, 2)), np.zeros(5, dtype=int))
     assert _critic_terms(src, tgt, 2, 1, d_t=constant_critic(2, 0.7))["L_D_T"] == 0.0
 
 
 def test_critic_loss_fakes_minus_reals():
     src = batch(np.array([[1.0]]), np.array([0]))
-    tgt = batch(np.array([[3.0]]), np.array([0]), origin="target")
+    tgt = batch(np.array([[3.0]]), np.array([0]))
     assert _critic_terms(src, tgt, 1, 1, d_t=linear_critic(1, [1.0]))["L_D_T"] == -2.0
 
 
@@ -191,7 +190,7 @@ def test_cycle_loss_identity_generators():
     X = rng.standard_normal((4, 3))
     labels = np.array([0, 1, 1, 0])
     src = batch(X, labels)
-    tgt = batch(X.copy(), labels, origin="target")
+    tgt = batch(X.copy(), labels)
     assert _cycle(src, tgt, 3, 2) == 0.0
     assert _cycle(src, tgt, 3, 2, cycle_form="within_domain") == 0.0
 
@@ -202,7 +201,7 @@ def test_cycle_loss_scalar_toy_depends_on_pairing_form():
     # compares with the paired row from the other domain and gives 2.
     nets = dict(g_t=linear_generator(1, 1, +1.0), g_s=linear_generator(1, 1, -1.0))
     src = batch(np.array([[0.0]]), np.array([0]))
-    tgt = batch(np.array([[1.0]]), np.array([0]), origin="target")
+    tgt = batch(np.array([[1.0]]), np.array([0]))
     assert _cycle(src, tgt, 1, 1, cycle_form="within_domain", **nets) == 0.0
     assert _cycle(src, tgt, 1, 1, **nets) == 2.0
     assert _cycle(src, tgt, 1, 1, cycle_form="cross_domain", **nets) == 2.0
@@ -215,7 +214,7 @@ def test_cycle_loss_isolates_second_leg():
     g_t = exact_net(relu_spec, np.array([1.0, 0.0, 0.0, 1.0, 0.0]))
     g_s = linear_generator(1, 1, 0.0)
     src = batch(np.array([[2.0]]), np.array([0]))
-    tgt = batch(np.array([[-2.0]]), np.array([0]), origin="target")
+    tgt = batch(np.array([[-2.0]]), np.array([0]))
     value = _cycle(src, tgt, 1, 1, cycle_form="within_domain", g_t=g_t, g_s=g_s)
     # second leg alone: |relu(G_S(-2)) - (-2)| = |0 - (-2)|
     assert value == 2.0
@@ -223,7 +222,7 @@ def test_cycle_loss_isolates_second_leg():
 
 def test_classifier_loss_perfect_and_uniform():
     src = batch(np.zeros((5, 3)), np.full(5, 1))
-    tgt = batch(np.zeros((5, 3)), np.full(5, 1), origin="target")
+    tgt = batch(np.zeros((5, 3)), np.full(5, 1))
 
     perfect = biased_classifier(3, 4, favored=1)
     assert _gen_terms(src, tgt, 3, 4, "warmup", c_t=perfect)["L_clf_T"] == 0.0
@@ -238,7 +237,7 @@ def test_classifier_loss_perfect_and_uniform():
 def test_classifier_loss_warmup_ignores_generator():
     rng = np.random.default_rng(4)
     src = batch(rng.standard_normal((4, 2)), np.array([0, 1, 0, 1]))
-    tgt = batch(rng.standard_normal((4, 2)), np.array([1, 0, 1, 0]), origin="target")
+    tgt = batch(rng.standard_normal((4, 2)), np.array([1, 0, 1, 0]))
     c_t = uniform_classifier(2, 2)
     plain = identity_generator(2, 2)
     shifted = identity_generator(2, 2, offset=np.array([10.0, -3.0]))
@@ -258,7 +257,7 @@ def test_classifier_loss_warmup_ignores_generator():
 
 def test_classifier_loss_rejects_out_of_range_labels():
     src = batch(np.zeros((2, 2)), np.array([0, 0]))
-    bad = batch(np.zeros((2, 2)), np.array([0, 5]), origin="target")
+    bad = batch(np.zeros((2, 2)), np.array([0, 5]))
     with pytest.raises(ConfigError):
         _gen_terms(src, bad, 2, 2, c_t=uniform_classifier(2, 2))
 
@@ -272,7 +271,7 @@ def test_total_loss_all_terms_zero():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((4, 2))
     labels = np.zeros(4, dtype=int)
-    src, tgt = batch(X, labels), batch(X.copy(), labels, origin="target")
+    src, tgt = batch(X, labels), batch(X.copy(), labels)
     value, breakdown, _ = generator_objective(state, config, src, tgt)
     critic_value, critic_breakdown, _ = critic_objective(state, config, src, tgt)
     assert value + breakdown["L_D_T"] + breakdown["L_D_S"] == 0.0
@@ -290,7 +289,7 @@ def test_total_loss_cycle_term_only():
     Y = X + np.array([0.5, 0.0])
     labels = np.zeros(4, dtype=int)
     value, breakdown, _ = generator_objective(state, config, batch(Y, labels),
-                                              batch(X, labels, origin="target"))
+                                              batch(X, labels))
     assert breakdown["L_cyc"] == 1.0
     assert value + breakdown["L_D_T"] + breakdown["L_D_S"] == 10.0
     assert breakdown["L_G_T"] == breakdown["L_G_S"] == 0.0
@@ -307,7 +306,7 @@ def test_total_loss_breakdown_sums_and_matches_objectives(seed):
     rng = np.random.default_rng(seed + 50)
     labels = np.array([0, 1, 0, 1])
     src = batch(rng.standard_normal((4, 3)), labels)
-    tgt = batch(rng.standard_normal((4, 3)), labels, origin="target")
+    tgt = batch(rng.standard_normal((4, 3)), labels)
 
     value, gen_bd, _ = generator_objective(state, config, src, tgt)
     critic_value, crit_bd, _ = critic_objective(state, config, src, tgt)
@@ -327,7 +326,7 @@ def test_variant_term_structure():
     labels = np.array([0, 1])
     # zero features keep the offset generator's identity penalty exactly 1
     src = batch(np.zeros((2, d)), labels)
-    tgt = batch(np.zeros((2, d)), labels, origin="target")
+    tgt = batch(np.zeros((2, d)), labels)
 
     def state_for(variant):
         config = AdaConfig(variant=variant, **base_cfg)
@@ -365,7 +364,7 @@ def test_generator_objective_requires_aligned_sizes():
     config = AdaConfig(gen_hidden=(4,), disc_hidden=(4,), use_batchnorm=False)
     state = init_ada_state(model, config)
     src = batch(np.zeros((2, 3)), np.zeros(2, dtype=int))
-    tgt = batch(np.zeros((3, 3)), np.zeros(3, dtype=int), origin="target")
+    tgt = batch(np.zeros((3, 3)), np.zeros(3, dtype=int))
     with pytest.raises(ConfigError):
         generator_objective(state, config, src, tgt)
 
@@ -377,7 +376,7 @@ def _objective_case(d, u, n, config, phase="recovery"):
     rng = np.random.default_rng(d + u)
     labels = np.arange(n) % u
     src = batch(rng.standard_normal((n, d)), labels)
-    tgt = batch(rng.standard_normal((n, d)), labels, origin="target")
+    tgt = batch(rng.standard_normal((n, d)), labels)
     return state, src, tgt
 
 
@@ -660,24 +659,10 @@ def test_map_prototypes_seeded_and_single_draw():
         map_prototypes(state, base, 0, seed=7)
 
 
-def _streamed_proto_setup(d: int = 16, seed: int = 4):
-    """A batchnorm + dropout G_T whose running stats are not the identity,
-    on a linear base model with three unseen classes."""
-    world = make_synthetic_world(bench_spec(seed=3, S=2, U=3, d=d, attr_dim=4,
-                                            samples_per_class=8))
-    model = linear_model(world.attributes, d=d, seed=5)
-    config = AdaConfig(gen_hidden=(48, 32), disc_hidden=(8,), use_batchnorm=True,
-                       gen_dropout=0.1, seed=seed)
-    state = init_ada_state(model, config)
-    stats = state.g_t.stats
-    stats[:] = np.random.default_rng(seed).uniform(0.5, 1.5, stats.size)
-    return model, state
-
-
 @pytest.mark.parametrize("n", [1, 2, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1,
                                2 * DRAW_CHUNK + 1])
 def test_map_prototypes_streams_chunks_to_the_one_shot_bits(monkeypatch, n):
-    model, state = _streamed_proto_setup()
+    model, state = streaming_setup()
     rows = []
 
     def recorded(net, X):
@@ -710,7 +695,7 @@ def test_chunked_standard_normal_continues_the_one_shot_draw():
 
 
 def test_map_prototypes_computes_each_unseen_gaussian_once(monkeypatch):
-    model, state = _streamed_proto_setup()
+    model, state = streaming_setup()
     calls = []
 
     def counted(base, class_id):
@@ -725,7 +710,7 @@ def test_map_prototypes_computes_each_unseen_gaussian_once(monkeypatch):
 def test_map_prototypes_memory_does_not_grow_with_n_samples():
     # each class streams its draws in chunks, so eight times the draws
     # keep the peak of one chunk; one batch of all draws grows about 8x
-    model, state = _streamed_proto_setup(d=64)
+    model, state = streaming_setup(d=64)
     one = peak_traced_bytes(lambda: map_prototypes(state, model, DRAW_CHUNK, seed=0))
     eight = peak_traced_bytes(lambda: map_prototypes(state, model, 8 * DRAW_CHUNK, seed=0))
     assert eight <= 1.25 * one, (eight, one)

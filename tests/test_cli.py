@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zslada.cli
+from zslada.ada import DRAW_CHUNK, AdaConfig, load_ada_state, save_ada_state
+from zslada.base_model import load_base_model, save_base_model
 from zslada.cli import main
+from zslada.data import FeatureDataset, SplitSpec, export_embeddings, load_dataset, save_dataset
+from zslada.profiles import build_base_model
+
+from .helpers import peak_traced_bytes, reference_export_draws, streaming_setup
 
 WORLD_SPEC = {"S": 4, "U": 3, "d": 8, "attr_dim": 3,
               "samples_per_class": 150, "seed": 100}
@@ -181,6 +188,113 @@ def test_export_writes_embeddings(pipeline, tmp_path):
     assert origins == {"real", "generated", "transformed"}
     # 450 test rows + 3 unseen classes x 50 generated x 2 (raw, transformed)
     assert len(lines) == 1 + 450 + 2 * 3 * 50
+    assert (out / "embeddings.csv").read_bytes() == _reference_csv(pipeline, tmp_path, 50, 0)
+
+
+def _reference_csv(pipeline, tmp_path: Path, n: int, seed: int, with_ada: bool = True) -> bytes:
+    """The embeddings file the one-batch reference writes for the fixture."""
+    bundle = load_dataset(pipeline["world"])
+    model = load_base_model(pipeline["pre"] / "base_model.ckpt", bundle.attributes)
+    state = load_ada_state(pipeline["ada"] / "ada_state.ckpt")[0] if with_ada else None
+    labels, generated, transformed = reference_export_draws(model, state, n, seed)
+    X, truth = bundle.dataset.test_rows()
+    matrices = {"real": X, "generated": generated}
+    label_map = {"real": truth, "generated": labels}
+    if state is not None:
+        matrices["transformed"] = transformed
+        label_map["transformed"] = labels
+    return export_embeddings(matrices, label_map, tmp_path / "reference.csv").read_bytes()
+
+
+def test_export_without_ada_matches_the_reference(pipeline, tmp_path):
+    cfg = _write_json(tmp_path / "export.json", {"eval": {"n_samples": 3, "seed": 5}})
+    out = tmp_path / "export"
+    assert main(["export", "--config", cfg, "--data", str(pipeline["world"]),
+                 "--base", str(pipeline["pre"] / "base_model.ckpt"), "--out", str(out)]) == 0
+    written = (out / "embeddings.csv").read_bytes()
+    assert written == _reference_csv(pipeline, tmp_path, 3, 5, with_ada=False)
+    assert b",transformed" not in written
+
+
+@pytest.mark.parametrize("with_ada", [True, False])
+def test_export_refuses_zero_draws(pipeline, tmp_path, capsys, with_ada):
+    cfg = _write_json(tmp_path / "export.json", {"eval": {"n_samples": 0, "seed": 0}})
+    ada = ["--ada", str(pipeline["ada"] / "ada_state.ckpt")] if with_ada else []
+    assert main(["export", "--config", cfg, "--data", str(pipeline["world"]),
+                 "--base", str(pipeline["pre"] / "base_model.ckpt"),
+                 "--out", str(tmp_path / "out")] + ada) == 2
+    assert "need n >= 1 draws, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _export_run(tmp_path: Path, monkeypatch, model, state, n: int, seed: int):
+    """``zslada export`` on ``model`` and ``state`` (no ``--ada`` when it is
+    None), both saved under ``tmp_path``.  Returns a callable that runs it
+    and returns the ``(matrices, labels)`` it hands to ``export_embeddings``,
+    stubbed here to write nothing."""
+    table = model.attribute_table
+    split = SplitSpec(seen_class_ids=table.seen_ids, unseen_class_ids=table.unseen_ids,
+                      train_row_indices=[], test_row_indices=[0])
+    dataset = FeatureDataset(features=np.zeros((1, model.dim)),
+                             labels=table.unseen_ids[:1], split=split)
+    save_dataset(tmp_path / "world", dataset, table)
+    save_base_model(tmp_path / "base.ckpt", model)
+    args = ["export", "--config", _write_json(tmp_path / "export.json",
+                                              {"eval": {"n_samples": n, "seed": seed}}),
+            "--data", str(tmp_path / "world"), "--base", str(tmp_path / "base.ckpt"),
+            "--out", str(tmp_path / "out")]
+    if state is not None:
+        save_ada_state(tmp_path / "ada.ckpt", state, AdaConfig())
+        args += ["--ada", str(tmp_path / "ada.ckpt")]
+    handed = []
+    monkeypatch.setattr(zslada.cli, "export_embeddings",
+                        lambda matrices, labels, path: handed.append((matrices, labels)))
+
+    def run():
+        handed.clear()
+        assert main(args) == 0
+        return handed[0]
+
+    return run
+
+
+@pytest.mark.parametrize("reverse_table", [False, True])
+@pytest.mark.parametrize("n", [2, 3, DRAW_CHUNK + 1])
+def test_export_streams_to_the_one_batch_bits(tmp_path, monkeypatch, n, reverse_table):
+    model, state = streaming_setup(reverse_table=reverse_table)
+    table_order = state.unseen_ids[::-1] if reverse_table else state.unseen_ids
+    assert model.attribute_table.unseen_ids == table_order
+    for seed in (0, 1):
+        for adapted in (state, None):
+            where = tmp_path / f"{seed}-{adapted is None}"
+            matrices, labels = _export_run(where, monkeypatch, model, adapted, n, seed)()
+            want_labels, generated, transformed = reference_export_draws(model, adapted, n,
+                                                                         seed)
+            assert labels["generated"].tobytes() == want_labels.tobytes()
+            assert matrices["generated"].tobytes() == generated.tobytes(), (n, seed)
+            if adapted is None:
+                assert "transformed" not in matrices
+            else:
+                assert matrices["transformed"].tobytes() == transformed.tobytes(), (n, seed)
+
+
+def test_export_memory_does_not_grow_with_n(tmp_path, monkeypatch):
+    # each class streams its draws through G_T in chunks, so beyond its
+    # outputs, eight times the draws keep the peak of one chunk; the
+    # one-batch reference grows about 8x
+    model, state = streaming_setup(d=64)
+
+    def overhead(n: int) -> int:
+        run = _export_run(tmp_path / str(n), monkeypatch, model, state, n, 0)
+        handed = []
+        peak = peak_traced_bytes(lambda: handed.append(run()))
+        matrices, labels = handed[0]
+        output = sum(matrices[k].nbytes for k in ("generated", "transformed"))
+        output += labels["generated"].nbytes
+        return peak - output
+
+    one, eight = overhead(DRAW_CHUNK), overhead(8 * DRAW_CHUNK)
+    assert eight <= 1.25 * one, (eight, one)
 
 
 # ---------------------------------------------------------------- errors
@@ -250,6 +364,33 @@ def test_eval_rejects_swapped_checkpoints(pipeline, tmp_path, capsys):
                  "--ada", str(pipeline["pre"] / "base_model.ckpt"),
                  "--out", str(tmp_path / "out")]) == 2
     assert "base-model checkpoint" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def other_world(pipeline):
+    """A world with more seen and fewer unseen classes than the fixture's
+    (unseen ids 5-6 against 4-6), and an untrained base model for it."""
+    root = pipeline["root"] / "other"
+    spec_cfg = _write_json(pipeline["root"] / "other_spec.json",
+                           {**WORLD_SPEC, "S": 5, "U": 2, "samples_per_class": 20})
+    assert main(["synth", "--config", spec_cfg, "--out", str(root / "world")]) == 0
+    bundle = load_dataset(root / "world")
+    save_base_model(root / "base_model.ckpt",
+                    build_base_model(bundle.attributes, bundle.dataset.dim,
+                                     profile="synth-small", seed=0))
+    return root
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_ada_adapted_on_other_unseen_classes_is_refused(pipeline, other_world, tmp_path,
+                                                        capsys, command):
+    assert main([command, "--data", str(other_world / "world"),
+                 "--base", str(other_world / "base_model.ckpt"),
+                 "--ada", str(pipeline["ada"] / "ada_state.ckpt"),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "[4, 5, 6]" in err and "[5, 6]" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_metric_needs_matching_checkpoint(pipeline, tmp_path, capsys):

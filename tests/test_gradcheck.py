@@ -105,8 +105,8 @@ def _toy_ada(seed=5, phase="recovery", **overrides):
     state.phase = phase
     rng = np.random.default_rng(seed + 100)
     labels = np.array([0, 1, 0, 1])
-    source = batch(rng.standard_normal((4, 3)), labels, origin="source")
-    target = batch(rng.standard_normal((4, 3)), labels, origin="target")
+    source = batch(rng.standard_normal((4, 3)), labels)
+    target = batch(rng.standard_normal((4, 3)), labels)
     return state, config, source, target
 
 
@@ -198,7 +198,7 @@ def test_std_da_has_no_adversarial_objectives():
     labels = np.array([0, 1])
     rng = np.random.default_rng(0)
     src = batch(rng.standard_normal((2, 3)), labels)
-    tgt = batch(rng.standard_normal((2, 3)), labels, origin="target")
+    tgt = batch(rng.standard_normal((2, 3)), labels)
     with pytest.raises(ConfigError):
         generator_objective(state, config, src, tgt)
     with pytest.raises(ConfigError):

@@ -23,7 +23,8 @@ from zslada.nn.mlp import (
 from zslada.profiles import ada_profile, base_profile
 from zslada.rng import named_seed, named_stream
 
-from .helpers import exact_net, max_rel_err, numeric_grad, reference_param_grads
+from .helpers import (exact_net, max_rel_err, numeric_grad, reference_param_grads,
+                      reference_stable_sigmoid)
 
 # kink guard: central differences at h=1e-5 are meaningless when a relu /
 # leaky pre-activation sits closer to zero than this
@@ -184,6 +185,18 @@ def test_stable_sigmoid_extreme_inputs():
     s = stable_sigmoid(z)
     assert np.all(np.isfinite(s))
     assert s[0] == 0.0 and s[-1] == 1.0 and s[2] == 0.5
+
+
+def test_stable_sigmoid_has_the_bits_of_the_masked_form():
+    rng = np.random.default_rng(0)
+    random = [scale * rng.standard_normal(1000) for scale in (1e-3, 1.0, 30.0, 800.0)]
+    edges = np.array([0.0, np.inf, 709.8, 745.2, 1e-320])
+    z = np.concatenate(random + [edges, -edges, [np.nan]])
+    s = stable_sigmoid(z)
+    ref = reference_stable_sigmoid(z)
+    assert np.isnan(s[-1]) and np.isnan(ref[-1])
+    assert s[:-1].tobytes() == ref[:-1].tobytes()
+    assert s.shape == z.shape
 
 
 def test_dimension_mismatch_names_the_layer():
