@@ -3,12 +3,10 @@ and cycle-consistent adversarial feature adaptation."""
 
 from zslada.base_model import (
     BaseZslModel,
-    GaussianClassParams,
     PretrainConfig,
     PseudoLabelReport,
-    class_params,
+    class_params_matrix,
     draw_gaussian,
-    gaussian_loglik,
     load_base_model,
     loglik_matrix,
     predict,

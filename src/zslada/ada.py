@@ -33,8 +33,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .base_model import (BaseZslModel, GaussianClassParams, class_params, draw_class,
-                         draw_gaussian, pseudo_labels, sample_stream)
+from .base_model import (BaseZslModel, GaussianTable, class_params_matrix, draw_gaussian,
+                         pseudo_labels, sample_stream)
 from .data import FeatureDataset
 from .errors import ConfigError, DataError, NumericalDivergence
 from .nn.checkpoint import load_container, save_container
@@ -435,19 +435,20 @@ def _class_pools(pseudo: np.ndarray, unseen_ids: Sequence[int]) -> list[np.ndarr
     return [np.flatnonzero(pseudo == cid) for cid in unseen_ids]
 
 
-def _draw_batches(gaussians: list[GaussianClassParams], test_X: np.ndarray,
+def _draw_batches(state: AdaState, table: GaussianTable, test_X: np.ndarray,
                   pools: list[np.ndarray], config: AdaConfig, *path,
                   ) -> tuple[LabeledBatch, LabeledBatch]:
     """One class-aligned (source, target) pair, deterministic in path.
-    ``gaussians`` and ``pools`` hold each unseen class's (mu, p) and
-    pseudo-labelled rows, in class order."""
+    ``table`` and ``pools`` hold each unseen class's (mu, p) rows and
+    pseudo-labelled test rows, in ``state.unseen_ids`` order."""
     nonempty = [j for j, rows in enumerate(pools) if rows.size]
     stream = named_stream(config.seed, "batch", *path)
     j = nonempty[int(stream.integers(len(nonempty)))]
     rows = pools[j]
     picks = rows[stream.integers(rows.size, size=config.batch_size)]
     labels = np.full(config.batch_size, j, dtype=np.int64)
-    y = draw_class(gaussians[j], config.batch_size, seed=named_seed(config.seed, "src", *path))
+    y = draw_gaussian(table[0][j], table[1][j], config.batch_size,
+                      sample_stream(named_seed(config.seed, "src", *path), state.unseen_ids[j]))
     return (LabeledBatch(features=y, labels=labels),
             LabeledBatch(features=test_X[picks], labels=labels))
 
@@ -459,16 +460,17 @@ def classify(net: MlpNetwork, X: np.ndarray, unseen_ids: Sequence[int]) -> np.nd
     return ids[np.argmax(log_probs, axis=1)]
 
 
-def transformed_draws(state: AdaState, gaussian: GaussianClassParams, j: int, n: int,
+def transformed_draws(state: AdaState, table: GaussianTable, j: int, n: int,
                       seed: int):
-    """``n`` draws from unseen class index ``j``'s Gaussian and G_T of them
+    """``n`` draws from unseen class index ``j``'s row of ``table`` (the base
+    model's Gaussians of ``state.unseen_ids``, in that order) and G_T of them
     with the class's one-hot appended, yielded as ``(draws, moved)`` chunks
     of ``DRAW_CHUNK`` rows and then the rest, so memory does not grow with
     ``n``.  ``draws`` is a view of a buffer the next chunk overwrites.
     The chunks have the bits of one batch of all ``n`` draws:
 
     - they read one ``"sample"`` stream in turn, which numpy fills exactly
-      as it fills ``draw_class(gaussian, n, seed)``;
+      as it fills one ``standard_normal`` batch of ``n`` rows;
     - no chunk has one row when ``n > 1``: a one-row product takes BLAS's
       matrix-vector path, whose bits differ, so a one-row rest joins the
       chunk before it.
@@ -481,16 +483,17 @@ def transformed_draws(state: AdaState, gaussian: GaussianClassParams, j: int, n:
         chunks[-1] += 1  # never a one-row chunk
     elif rest:
         chunks.append(rest)
-    stream = sample_stream(seed, gaussian.class_id)
-    d = gaussian.dim
+    mean, precision = table[0][j], table[1][j]
+    stream = sample_stream(seed, state.unseen_ids[j])
+    d = mean.shape[0]
     block = np.zeros((max(chunks), d + state.n_unseen))
     block[:, d + j] = 1.0
     for rows in chunks:
-        block[:rows, :d] = draw_gaussian(gaussian, rows, stream)
+        block[:rows, :d] = draw_gaussian(mean, precision, rows, stream)
         yield block[:rows, :d], forward_eval(state.g_t, block[:rows])
 
 
-def _crossover_accuracy(state: AdaState, gaussians: list[GaussianClassParams],
+def _crossover_accuracy(state: AdaState, table: GaussianTable,
                         config: AdaConfig, iteration: int) -> float:
     """C_T accuracy on freshly generated, G_T-transformed labeled draws."""
     n = config.crossover_samples
@@ -498,12 +501,12 @@ def _crossover_accuracy(state: AdaState, gaussians: list[GaussianClassParams],
     correct = []
     for j, cid in enumerate(state.unseen_ids):
         hits = sum(int(np.count_nonzero(classify(state.c_t, moved, state.unseen_ids) == cid))
-                   for _, moved in transformed_draws(state, gaussians[j], j, n, seed))
+                   for _, moved in transformed_draws(state, table, j, n, seed))
         correct.append(hits / n)
     return float(np.mean(correct))
 
 
-def _maybe_switch_phase(state: AdaState, gaussians: list[GaussianClassParams],
+def _maybe_switch_phase(state: AdaState, table: GaussianTable,
                         config: AdaConfig) -> None:
     if state.phase == "recovery" or state.variant == "cyclegan_wo":
         return
@@ -514,26 +517,27 @@ def _maybe_switch_phase(state: AdaState, gaussians: list[GaussianClassParams],
     if (config.recovery_trigger == "accuracy_crossover"
             and state.agreement_estimate is not None
             and it > 0 and it % config.crossover_interval == 0):
-        acc = _crossover_accuracy(state, gaussians, config, it)
+        acc = _crossover_accuracy(state, table, config, it)
         if acc >= state.agreement_estimate:
             state.phase = "recovery"
 
 
 def _setup(base_model: BaseZslModel, test_data: FeatureDataset, config: AdaConfig,
-           ) -> tuple[AdaState, np.ndarray, list[GaussianClassParams], list[np.ndarray]]:
+           ) -> tuple[AdaState, np.ndarray, GaussianTable, list[np.ndarray]]:
     """What every adaptation loop starts from: a fresh state holding the
-    base model's pseudo-labels, the test rows, each unseen class's
-    Gaussian and its pool of pseudo-labelled rows.  Refuses a split with
-    no test rows before any of it is built."""
+    base model's pseudo-labels, the test rows, the unseen classes' one
+    Gaussian table, which the pseudo-labels are scored against and every
+    draw reads, and each class's pool of pseudo-labelled rows.  Refuses a
+    split with no test rows before any of it is built."""
     test_X, _ = test_data.test_rows()
     if test_X.shape[0] == 0:
         raise DataError("EMPTY_SPLIT", "adaptation needs test rows, the split has none")
     state = init_ada_state(base_model, config)
-    report = pseudo_labels(base_model, test_data)
+    table = class_params_matrix(base_model, state.unseen_ids)
+    report = pseudo_labels(base_model, test_data, table)
     state.pseudo = report.labels.copy()
     state.agreement_estimate = report.mean_agreement
-    gaussians = [class_params(base_model, cid) for cid in state.unseen_ids]
-    return state, test_X, gaussians, _class_pools(state.pseudo, state.unseen_ids)
+    return state, test_X, table, _class_pools(state.pseudo, state.unseen_ids)
 
 
 def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
@@ -548,7 +552,7 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
     """
     if config.variant == "std_da":
         return train_std_da(base_model, test_data, config)
-    state, test_X, gaussians, pools = _setup(base_model, test_data, config)
+    state, test_X, table, pools = _setup(base_model, test_data, config)
     log: list[tuple] = []
     roles = _trained_roles(state.variant, "generator") + _trained_roles(state.variant, "critic")
     hyper = OptimizerHyper(learning_rate=config.learning_rate, beta2=RMSPROP_BETA2)
@@ -556,8 +560,8 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
 
     for it in range(config.n_steps):
         state.iteration = it
-        _maybe_switch_phase(state, gaussians, config)
-        src, tgt = _draw_batches(gaussians, test_X, pools, config, "gen", it)
+        _maybe_switch_phase(state, table, config)
+        src, tgt = _draw_batches(state, table, test_X, pools, config, "gen", it)
         value, bd, tapes = generator_objective(
             state, config, src, tgt, commit_stats=True,
             rng_seed=named_seed(config.seed, "drop", it, "gen"))
@@ -565,7 +569,8 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
         step(tapes)
 
         for inner in range(config.n_critic):
-            src2, tgt2 = _draw_batches(gaussians, test_X, pools, config, "critic", it, inner)
+            src2, tgt2 = _draw_batches(state, table, test_X, pools, config, "critic", it,
+                                       inner)
             cval, cbd, tapes = critic_objective(
                 state, config, src2, tgt2, commit_stats=True,
                 rng_seed=named_seed(config.seed, "drop", it, "critic", inner))
@@ -599,7 +604,7 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
     """No-adversary baseline: trains C_T on class-conditional draws plus
     pseudo-labeled test rows.  Other networks stay at initialization."""
     config = replace(config, variant="std_da")
-    state, test_X, gaussians, pools = _setup(base_model, test_data, config)
+    state, test_X, table, pools = _setup(base_model, test_data, config)
     log: list[tuple] = []
     half = max(1, config.batch_size // 2)
     step = role_stepper("rmsprop", state.nets, {"c_t": OptimizerHyper(
@@ -608,7 +613,8 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
         state.iteration = it
         stream = named_stream(config.seed, "batch", "std", it)
         j = int(stream.integers(state.n_unseen))
-        synth = draw_class(gaussians[j], half, seed=named_seed(config.seed, "src", "std", it))
+        synth = draw_gaussian(table[0][j], table[1][j], half, sample_stream(
+            named_seed(config.seed, "src", "std", it), state.unseen_ids[j]))
         rows = pools[j]
         if rows.size:
             picks = rows[stream.integers(rows.size, size=half)]
@@ -630,9 +636,10 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
     return state, log
 
 
-def map_prototypes(state: AdaState, base_model: BaseZslModel, n_samples: int,
+def map_prototypes(state: AdaState, table: GaussianTable, n_samples: int,
                    seed: int) -> dict[int, np.ndarray]:
-    """Per-class mean of G_T over label-augmented class-conditional draws.
+    """Per-class mean of G_T over label-augmented class-conditional draws,
+    each class drawn from its row of ``table`` as in ``transformed_draws``.
 
     Covariances are deliberately left at the base model's values; only
     the class means move.  The draws stream through ``transformed_draws``
@@ -647,8 +654,7 @@ def map_prototypes(state: AdaState, base_model: BaseZslModel, n_samples: int,
     out: dict[int, np.ndarray] = {}
     for j, cid in enumerate(state.unseen_ids):
         total = None
-        for _, moved in transformed_draws(state, class_params(base_model, cid), j,
-                                          n_samples, proto_seed):
+        for _, moved in transformed_draws(state, table, j, n_samples, proto_seed):
             if total is not None:
                 moved = np.concatenate([total[None], moved])
             total = np.add.reduce(moved, axis=0)

@@ -31,26 +31,8 @@ from .rng import named_seed, named_stream
 
 PRECISION_FLOOR = 0.5
 PRECISION_SPAN = 1.0
-
-
-@dataclass(frozen=True)
-class GaussianClassParams:
-    class_id: int
-    mean: np.ndarray
-    precision_diag: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "precision_diag",
-                           np.asarray(self.precision_diag, dtype=np.float64))
-        if self.mean.shape != self.precision_diag.shape or self.mean.ndim != 1:
-            raise ConfigError("mean and precision_diag must be 1-D and equal length")
-        if not np.all(self.precision_diag > 0):
-            raise ConfigError(f"class {self.class_id}: nonpositive precision entry")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
+# (means, precisions) of some classes, one row each, from class_params_matrix
+GaussianTable = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -83,42 +65,26 @@ def raw_to_precision(raw: np.ndarray) -> np.ndarray:
 
 
 def class_params_matrix(model: BaseZslModel,
-                        class_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode (means, precisions), one row per requested class."""
+                        class_ids: Sequence[int]) -> GaussianTable:
+    """Eval-mode (means, precisions), one row per requested class: the only
+    code that turns class attributes into Gaussians.  Raises
+    ``NumericalDivergence`` naming the first class whose row is not finite."""
     rows = [model.attribute_table.row_of(c) for c in class_ids]
     attrs = model.attribute_table.attributes[rows]
     means = forward_eval(model.mean_net, attrs)
     precisions = raw_to_precision(forward_eval(model.prec_net, attrs))
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(precisions).all(axis=1)
+    if not finite.all():
+        bad = int(class_ids[int(np.argmin(finite))])
+        raise NumericalDivergence(f"class {bad}: non-finite Gaussian mean or precision")
     return means, precisions
-
-
-def class_params(model: BaseZslModel, class_id: int) -> GaussianClassParams:
-    means, precisions = class_params_matrix(model, [class_id])
-    return GaussianClassParams(class_id=int(class_id), mean=means[0],
-                               precision_diag=precisions[0])
-
-
-def gaussian_loglik(x: np.ndarray, params: GaussianClassParams,
-                    include_logdet: bool = True) -> float:
-    """Unnormalized log-likelihood of one sample under one class.
-
-    ``sum(log p) - sum(p * (x - mu)^2)`` with the log-det term dropped
-    when ``include_logdet`` is false.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != params.mean.shape:
-        raise DimensionMismatch(0, params.mean.shape[0], x.size)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite feature vector")
-    quad = float(np.sum(params.precision_diag * (x - params.mean) ** 2))
-    if include_logdet:
-        return float(np.sum(np.log(params.precision_diag))) - quad
-    return -quad
 
 
 def gaussian_scores(X: np.ndarray, means: np.ndarray, precisions: np.ndarray,
                     include_logdet: bool = True) -> np.ndarray:
-    """[n_rows x n_classes] ``gaussian_loglik`` table, as two matrix products.
+    """[n_rows x n_classes] unnormalized log-likelihood table: row i, class
+    j holds ``sum(log p_j) - sum(p_j * (x_i - mu_j)^2)``, without the
+    log-det term when ``include_logdet`` is false.
 
     ``sum(p (x - mu)^2) = (x*x)·p - x·(2 p mu) + sum(p mu^2)``, so the
     largest temporary is n_rows x d.  Classes with bit-identical (mu, p)
@@ -175,13 +141,16 @@ def predict(model: BaseZslModel, x: np.ndarray,
     return int(picks[0]) if single else picks
 
 
-def draw_gaussian(params: GaussianClassParams, n: int,
+def draw_gaussian(mean: np.ndarray, precision: np.ndarray, n: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """n draws from N(mean, diag(1/precision)) using the supplied stream."""
+    """n draws from N(mean, diag(1/precision)) using the supplied stream.
+    Scaled and shifted in place: the bits of ``mean + noise / sqrt(p)``."""
     if n < 1:
         raise ConfigError(f"need n >= 1 draws, got {n}")
-    noise = rng.standard_normal((n, params.dim))
-    return params.mean + noise / np.sqrt(params.precision_diag)
+    noise = rng.standard_normal((n, mean.shape[0]))
+    noise /= np.sqrt(precision)
+    noise += mean
+    return noise
 
 
 def sample_stream(seed: int, class_id: int) -> np.random.Generator:
@@ -190,16 +159,12 @@ def sample_stream(seed: int, class_id: int) -> np.random.Generator:
     return named_stream(seed, "sample", int(class_id))
 
 
-def draw_class(params: GaussianClassParams, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws from one class's Gaussian on its ``"sample"`` stream,
-    deterministic in seed; for callers that hold the class's parameters."""
-    return draw_gaussian(params, n, sample_stream(seed, params.class_id))
-
-
 def sample_class(model: BaseZslModel, class_id: int, n: int,
                  seed: int) -> np.ndarray:
-    """n i.i.d. draws from the class-conditional, deterministic in seed."""
-    return draw_class(class_params(model, class_id), n, seed)
+    """n i.i.d. draws from one class-conditional, deterministic in seed;
+    loops draw from the rows of one ``class_params_matrix`` table instead."""
+    means, precisions = class_params_matrix(model, [class_id])
+    return draw_gaussian(means[0], precisions[0], n, sample_stream(seed, class_id))
 
 
 @dataclass(frozen=True)
@@ -210,15 +175,22 @@ class PseudoLabelReport:
     mean_agreement: float | None
 
 
-def pseudo_labels(model: BaseZslModel, test_data: FeatureDataset) -> PseudoLabelReport:
+def pseudo_labels(model: BaseZslModel, test_data: FeatureDataset,
+                  table: GaussianTable | None = None) -> PseudoLabelReport:
     """Unseen-restricted predictions for every test row.
 
-    Ground-truth labels, when present, feed agreement diagnostics only;
-    the labels returned here are always the model's own predictions.
+    ``table`` is the unseen classes' ``class_params_matrix`` rows in id
+    order, built here when not given.  Ground-truth labels, when present,
+    feed agreement diagnostics only; the labels returned here are always
+    the model's own predictions.
     """
     X, truth = test_data.test_rows()
-    labels = predict(model, X, label_space="unseen")
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    if X.shape[1] != model.dim:
+        raise DimensionMismatch(0, model.dim, X.shape[1])
+    ids = _resolve_label_space(model, "unseen")
+    means, precisions = class_params_matrix(model, ids) if table is None else table
+    scores = gaussian_scores(X, means, precisions, model.include_logdet)
+    labels = np.asarray(ids, dtype=np.int64)[np.argmax(scores, axis=1)]
     agreement = None
     mean_agreement = None
     n_per_class: dict[int, int] = {}
@@ -289,13 +261,7 @@ def pretrain_objective(model: BaseZslModel, X: np.ndarray, y: np.ndarray,
 
     n = X.shape[0]
     k = classes.shape[0]
-    counts = np.bincount(idx, minlength=k).astype(np.float64)
-    mu = mean_out[idx]
-    diff = X - mu
-    quad = np.einsum("nd,nd->n", diff * diff, p[idx])
-    loss = float(quad.mean())
-    if model.include_logdet:
-        loss -= float((counts @ np.log(p).sum(axis=1)) / n)
+    loss, diff, counts = _own_class_nll(X, idx, mean_out, p, model.include_logdet)
 
     # d loss / d mean_out[j] = -(2 p_j / n) * sum_{i in j} (x_i - mu_j)
     accum = np.zeros((k, X.shape[1]))
@@ -315,11 +281,27 @@ def pretrain_objective(model: BaseZslModel, X: np.ndarray, y: np.ndarray,
     return loss, {"mean_net": [mean_cache], "prec_net": [prec_cache]}
 
 
+def _own_class_nll(X: np.ndarray, idx: np.ndarray, means: np.ndarray,
+                   precisions: np.ndarray, include_logdet: bool,
+                   ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Negative mean log-likelihood of each row of ``X`` under its own
+    class, row ``idx[i]`` of (means, precisions); with the residuals
+    ``X - means[idx]`` and each class's row count, which the pretraining
+    gradient reuses.  No row is scored against another class."""
+    counts = np.bincount(idx, minlength=means.shape[0]).astype(np.float64)
+    diff = X - means[idx]
+    nll = float(np.einsum("nd,nd->n", diff * diff, precisions[idx]).mean())
+    if include_logdet:
+        nll -= float((counts @ np.log(precisions).sum(axis=1)) / X.shape[0])
+    return nll, diff, counts
+
+
 def dataset_mean_loglik(model: BaseZslModel, X: np.ndarray, y: np.ndarray) -> float:
     """Eval-mode mean log-likelihood of each row under its own class."""
-    classes, picks = np.unique(np.asarray(y, dtype=np.int64), return_inverse=True)
-    ll = loglik_matrix(model, X, classes)
-    return float(ll[np.arange(len(y)), picks].mean())
+    classes, idx = np.unique(np.asarray(y, dtype=np.int64), return_inverse=True)
+    means, precisions = class_params_matrix(model, classes)
+    return -_own_class_nll(np.asarray(X, dtype=np.float64), idx, means, precisions,
+                           model.include_logdet)[0]
 
 
 def _holdout_split(y: np.ndarray, fraction: float, seed: int,

@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .ada import VARIANTS, adapt, load_ada_state, save_ada_state, transformed_draws
-from .base_model import (class_params, draw_class, load_base_model, pretrain, pseudo_labels,
-                         save_base_model)
+from .base_model import (class_params_matrix, draw_gaussian, load_base_model, pretrain,
+                         pseudo_labels, sample_stream, save_base_model)
 from .data import DatasetBundle, export_embeddings, load_dataset
 from .errors import ConfigError, DataError, NonFiniteGradient, NumericalDivergence, ZsladaError
-from .metrics import (eval_workers, inductive_accuracy, m1_accuracy, m2_accuracy,
-                      write_report_csv)
+from .metrics import (eval_workers, inductive_accuracy, lacks_metric, m1_accuracy,
+                      m2_accuracy, write_report_csv)
 from .profiles import PROFILE_NAMES, ada_profile, build_base_model, pretrain_config
 from .synthetic import SyntheticWorldSpec, make_synthetic_world, save_synthetic_world
 
@@ -93,9 +93,13 @@ def _load_ada(args, cfg: dict, bundle: DatasetBundle):
 
 
 def _eval_settings(cfg: dict, n_samples: int = 10000) -> tuple[int, int]:
-    """``(n_samples, seed)`` of the config's ``eval`` block."""
+    """``(n_samples, seed)`` of the config's ``eval`` block; refuses fewer
+    than one draw per class."""
     eval_cfg = cfg.get("eval", {})
-    return int(eval_cfg.get("n_samples", n_samples)), int(eval_cfg.get("seed", 0))
+    n = int(eval_cfg.get("n_samples", n_samples))
+    if n < 1:
+        raise ConfigError(f"need n >= 1 draws, got {n}")
+    return n, int(eval_cfg.get("seed", 0))
 
 
 def _world_spec(cfg: dict, seed: int | None) -> SyntheticWorldSpec:
@@ -196,6 +200,7 @@ def cmd_adapt(args) -> int:
     if args.seed is not None:
         # default stays the config/profile seed (100) when the flag is unset
         ada_cfg = dataclasses.replace(ada_cfg, seed=args.seed)
+    n_samples, eval_seed = _eval_settings(cfg)
 
     state, log = adapt(model, bundle.dataset, ada_cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -206,11 +211,10 @@ def cmd_adapt(args) -> int:
             vals = ",".join(repr(float(v)) for v in row[1:6])
             fh.write(f"{row[0]},{vals},{row[6]}\n")
 
-    n_samples, eval_seed = _eval_settings(cfg)
     m1 = m2 = None
-    if state.variant != "cyclegan_wo":
+    if not lacks_metric(state.variant, "m1"):
         m1 = m1_accuracy(state, bundle.dataset).mean_per_class_acc
-    if state.variant != "std_da":
+    if not lacks_metric(state.variant, "m2"):
         m2 = m2_accuracy(state, model, bundle.dataset,
                          n_samples=n_samples, seed=eval_seed).mean_per_class_acc
     agreement = state.agreement_estimate
@@ -255,17 +259,14 @@ def cmd_eval(args) -> int:
                     print(f"{name}: NA (no adapted checkpoint given)")
                     continue
                 raise ConfigError(f"--metric {name} needs --ada PATH")
-            try:
-                if name == "m1":
-                    report = m1_accuracy(state, bundle.dataset)
-                else:
-                    report = m2_accuracy(state, model, bundle.dataset,
-                                         n_samples=n_samples, seed=eval_seed)
-            except ConfigError:
-                if metric == "all":
-                    print(f"{name}: NA (variant {state.variant})")
-                    continue
-                raise
+            if metric == "all" and lacks_metric(state.variant, name):
+                print(f"{name}: NA (variant {state.variant})")
+                continue
+            if name == "m1":
+                report = m1_accuracy(state, bundle.dataset)
+            else:
+                report = m2_accuracy(state, model, bundle.dataset,
+                                     n_samples=n_samples, seed=eval_seed)
         path = out / f"report_{name}.csv"
         write_report_csv(report, path)
         written.append(path.name)
@@ -286,12 +287,13 @@ def cmd_export(args) -> int:
     base_path, model = _load_base(args, cfg, bundle, "export")
     ada_path, state = _load_ada(args, cfg, bundle)
     n, seed = _eval_settings(cfg, n_samples=200)
-    if n < 1:
-        raise ConfigError(f"need n >= 1 draws, got {n}")
     X, labels = bundle.dataset.test_rows()
-    if labels is None:
-        labels = pseudo_labels(model, bundle.dataset).labels
     unseen = model.attribute_table.unseen_ids
+    # one Gaussian table in id order, the state's unseen order when given
+    ids = sorted(unseen)
+    table = class_params_matrix(model, ids)
+    if labels is None:
+        labels = pseudo_labels(model, bundle.dataset, table).labels
     gen_labels = np.repeat(np.asarray(unseen, dtype=np.int64), n)
     generated = np.empty((gen_labels.size, model.dim))
     matrices = {"real": X, "generated": generated}
@@ -302,13 +304,13 @@ def cmd_export(args) -> int:
     # each unseen class in table order; its draws and their G_T rows stream
     # into the preallocated matrices chunk by chunk
     for k, cid in enumerate(unseen):
-        gaussian = class_params(model, cid)
+        j = ids.index(cid)
         if state is None:
-            generated[k * n:(k + 1) * n] = draw_class(gaussian, n, seed)
+            generated[k * n:(k + 1) * n] = draw_gaussian(table[0][j], table[1][j], n,
+                                                         sample_stream(seed, cid))
             continue
         start = k * n
-        for draws, moved in transformed_draws(state, gaussian, state.unseen_ids.index(cid),
-                                              n, seed):
+        for draws, moved in transformed_draws(state, table, j, n, seed):
             stop = start + draws.shape[0]
             generated[start:stop] = draws
             transformed[start:stop] = moved

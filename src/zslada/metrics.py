@@ -23,6 +23,7 @@ from .data import FeatureDataset
 from .errors import ConfigError, DataError
 
 METRIC_KINDS = ("inductive", "m1", "m2")
+_LACKS = {"cyclegan_wo": "m1", "std_da": "m2"}
 
 
 @dataclass(frozen=True)
@@ -116,10 +117,16 @@ def inductive_accuracy(model: BaseZslModel, test_data: FeatureDataset) -> EvalRe
                           metric_kind="inductive")
 
 
+def lacks_metric(variant: str, metric: str) -> bool:
+    """The one rule for which metric a variant cannot produce: cyclegan_wo
+    trains no classifier, so has no M1; std_da no generator, so no M2."""
+    return _LACKS.get(variant) == metric
+
+
 def m1_accuracy(state: AdaState, test_data: FeatureDataset) -> EvalReport:
     """Per-class accuracy of the target-domain classifier C_T."""
-    if state.variant == "cyclegan_wo":
-        raise ConfigError("cyclegan_wo trains no classifier; M1 is not applicable")
+    if lacks_metric(state.variant, "m1"):
+        raise ConfigError(f"{state.variant} trains no classifier; M1 is not applicable")
     if state.iteration == 0:
         raise ConfigError("classifier has not been trained yet")
     X, truth = _require_truth(test_data)
@@ -132,15 +139,18 @@ def m2_accuracy(state: AdaState, base_model: BaseZslModel,
                 test_data: FeatureDataset, n_samples: int = 10_000,
                 seed: int = 0) -> EvalReport:
     """Nearest transformed prototype under the base model's Gaussian
-    metric.  Prototypes come from map_prototypes; precisions (and the
-    log-det convention) stay exactly as the base model learned them."""
-    if state.variant == "std_da":
-        raise ConfigError("std_da trains no generator; M2 is not applicable")
+    metric.  One Gaussian table of the unseen classes feeds both the
+    prototypes (map_prototypes draws from its rows) and the scorer, whose
+    precisions (and log-det convention) stay exactly as the base model
+    learned them."""
+    if lacks_metric(state.variant, "m2"):
+        raise ConfigError(f"{state.variant} trains no generator; M2 is not applicable")
     X, truth = _require_truth(test_data)
-    protos = map_prototypes(state, base_model, n_samples, seed)
-    ids = sorted(protos)
+    ids = state.unseen_ids
+    table = class_params_matrix(base_model, ids)
+    protos = map_prototypes(state, table, n_samples, seed)
     mu = np.vstack([protos[c] for c in ids])
-    _, precisions = class_params_matrix(base_model, ids)
+    precisions = table[1]
 
     def score(rows: np.ndarray) -> np.ndarray:
         ll = gaussian_scores(rows, mu, precisions, base_model.include_logdet)
@@ -175,18 +185,16 @@ def ablation_run(base_model: BaseZslModel, test_data: FeatureDataset, config,
                  n_samples: int = 10_000, seed: int = 0) -> AblationTable:
     """Runs each variant from the same base model and scores M1/M2.
 
-    Cells a variant cannot produce (std_da has no generator, cyclegan_wo
-    has no classifier) are None.
+    Cells a variant cannot produce (``lacks_metric``) are None.
     """
     base_hash = base_model_hash(base_model)
     rows = []
     for variant in variants:
         state, _ = adapt(base_model, test_data, replace(config, variant=variant))
-        m1 = None
-        m2 = None
-        if variant != "cyclegan_wo":
+        m1 = m2 = None
+        if not lacks_metric(variant, "m1"):
             m1 = m1_accuracy(state, test_data).mean_per_class_acc
-        if variant != "std_da":
+        if not lacks_metric(variant, "m2"):
             m2 = m2_accuracy(state, base_model, test_data,
                              n_samples=n_samples, seed=seed).mean_per_class_acc
         rows.append(AblationRow(variant=variant, m1=m1, m2=m2))

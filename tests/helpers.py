@@ -11,8 +11,8 @@ import tracemalloc
 import numpy as np
 
 from zslada.ada import AdaConfig, AdaState, LabeledBatch, augment_batch, init_ada_state
-from zslada.base_model import (BaseZslModel, PretrainConfig, pretrain, pseudo_labels,
-                               sample_class)
+from zslada.base_model import (BaseZslModel, PretrainConfig, class_params_matrix, pretrain,
+                               pseudo_labels, sample_stream)
 from zslada.data import ClassAttributeTable
 from zslada.nn.mlp import (MlpCache, MlpNetwork, MlpSpec, forward_eval, init_network,
                            param_grads)
@@ -117,13 +117,33 @@ def reference_stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def reference_gaussian_loglik(x: np.ndarray, mean: np.ndarray, precision: np.ndarray,
+                              include_logdet: bool = True) -> float:
+    """Unnormalized log-likelihood of one sample under one diagonal
+    Gaussian, ``sum(log p) - sum(p * (x - mu)^2)``, by the plain formula."""
+    quad = float(np.sum(precision * (x - mean) ** 2))
+    return float(np.sum(np.log(precision))) - quad if include_logdet else -quad
+
+
+def reference_draw_gaussian(mean: np.ndarray, precision: np.ndarray, n: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """n draws as one out-of-place expression: ``mean + noise / sqrt(p)``."""
+    return mean + rng.standard_normal((n, mean.shape[0])) / np.sqrt(precision)
+
+
 def reference_export_draws(model: BaseZslModel, state: AdaState | None, n: int,
                            seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Export's (labels, draws, G_T rows) in one batch: every unseen class's
-    draws stacked in table order, then all of them augmented with their
+    draws from the rows of one Gaussian table in id order, stacked in the
+    attribute table's order, then all of them augmented with their
     one-hots and transformed at once."""
     unseen = model.attribute_table.unseen_ids
-    generated = np.vstack([sample_class(model, c, n, seed=seed) for c in unseen])
+    ids = sorted(unseen)
+    means, precisions = class_params_matrix(model, ids)
+    generated = np.vstack([
+        reference_draw_gaussian(means[ids.index(c)], precisions[ids.index(c)], n,
+                                sample_stream(seed, c))
+        for c in unseen])
     labels = np.asarray([c for c in unseen for _ in range(n)], dtype=np.int64)
     if state is None:
         return labels, generated, None
@@ -136,14 +156,31 @@ def reference_export_draws(model: BaseZslModel, state: AdaState | None, n: int,
 def reference_map_prototypes(state: AdaState, base_model: BaseZslModel, n_samples: int,
                              seed: int) -> dict[int, np.ndarray]:
     """Per-class prototypes in one shot: all ``n_samples`` draws of a
-    class, augmented and transformed in one batch, then averaged."""
+    class from its row of the unseen classes' Gaussian table, augmented
+    and transformed in one batch, then averaged."""
+    means, precisions = class_params_matrix(base_model, state.unseen_ids)
     out = {}
     for j, cid in enumerate(state.unseen_ids):
-        draws = sample_class(base_model, cid, n_samples, seed=named_seed(seed, "proto"))
+        draws = reference_draw_gaussian(means[j], precisions[j], n_samples,
+                                        sample_stream(named_seed(seed, "proto"), cid))
         labels = np.full(n_samples, j, dtype=np.int64)
         moved = forward_eval(state.g_t, augment_batch(draws, labels, state.n_unseen))
         out[cid] = moved.mean(axis=0)
     return out
+
+
+def count_class_params_matrix(monkeypatch, *modules) -> list[list[int]]:
+    """Records the class ids of every ``class_params_matrix`` call made
+    under its name in ``modules`` (a module's own import of it included)."""
+    calls = []
+
+    def counted(model, class_ids):
+        calls.append(list(class_ids))
+        return class_params_matrix(model, class_ids)
+
+    for module in modules:
+        monkeypatch.setattr(module, "class_params_matrix", counted)
+    return calls
 
 
 def toy_table(S: int = 2, U: int = 2, attr_dim: int = 3,

@@ -23,9 +23,11 @@ from zslada.ada import (
     map_prototypes,
     save_ada_state,
 )
-from zslada.base_model import class_params
+import zslada.base_model
+from zslada.base_model import class_params_matrix, pseudo_labels, sample_stream
 from zslada.errors import ConfigError, DataError, NumericalDivergence
-from zslada.nn.mlp import MlpSpec, forward_eval, param_grads
+from zslada.metrics import m2_accuracy
+from zslada.nn.mlp import MlpNetwork, MlpSpec, forward_eval, param_grads
 from zslada.rng import named_seed
 from zslada.synthetic import make_synthetic_world
 
@@ -34,11 +36,13 @@ from .helpers import (
     bench_spec,
     biased_classifier,
     constant_critic,
+    count_class_params_matrix,
     exact_net,
     identity_generator,
     linear_critic,
     linear_model,
     peak_traced_bytes,
+    reference_draw_gaussian,
     reference_map_prototypes,
     reference_param_grads,
     streaming_setup,
@@ -546,20 +550,60 @@ def test_adapt_memory_is_parameters_moments_and_tapes():
 
 @pytest.mark.parametrize("variant", ["full", "std_da"])
 def test_adapt_computes_each_unseen_gaussian_once(small_adapted, monkeypatch, variant):
-    # batch draws and crossover checks read one cached (mu, p) per class
+    # pseudo-labels, batch draws and crossover checks read one table
     world, model, _, _, _, _ = small_adapted
-    calls = []
-
-    def counted(base, class_id):
-        calls.append(class_id)
-        return class_params(base, class_id)
-
-    monkeypatch.setattr(zslada.ada, "class_params", counted)
+    calls = count_class_params_matrix(monkeypatch, zslada.ada, zslada.base_model)
     config = AdaConfig(**{**ADAPT_CONFIG, "n_steps": 6, "variant": variant,
                           "relabel_interval": 2, "recovery_trigger": "accuracy_crossover",
                           "recovery_fraction": 1.0, "crossover_interval": 2})
     state, log = adapt(model, world.dataset, config)
-    assert calls == state.unseen_ids and len(log) == 6
+    assert calls == [state.unseen_ids] and len(log) == 6
+
+
+@pytest.mark.parametrize("variant", ["full", "std_da"])
+def test_adapt_draws_from_the_rows_pseudo_labels_score_with(small_adapted, monkeypatch,
+                                                            variant):
+    world, model, _, _, _, _ = small_adapted
+    scored, drawn = [], []
+    score, draw = zslada.base_model.gaussian_scores, zslada.base_model.draw_gaussian
+
+    def scores(X, means, precisions, include_logdet=True):
+        scored.append((means.copy(), precisions.copy()))
+        return score(X, means, precisions, include_logdet)
+
+    def draws(mean, precision, n, rng):
+        drawn.append((mean.tobytes(), precision.tobytes()))
+        return draw(mean, precision, n, rng)
+
+    monkeypatch.setattr(zslada.base_model, "gaussian_scores", scores)
+    monkeypatch.setattr(zslada.ada, "draw_gaussian", draws)
+    config = AdaConfig(**{**ADAPT_CONFIG, "n_steps": 6, "variant": variant,
+                          "recovery_trigger": "accuracy_crossover",
+                          "recovery_fraction": 1.0, "crossover_interval": 2})
+    adapt(model, world.dataset, config)
+    assert len(scored) == 1
+    rows = {(mu.tobytes(), p.tobytes()) for mu, p in zip(*scored[0])}
+    assert len(rows) == len(scored[0][0])
+    assert set(drawn) == rows  # every class drawn, from the scored bits only
+
+
+@pytest.mark.parametrize("head", ["mean_net", "prec_net"])
+def test_a_nan_head_weight_stops_pseudo_labels_adapt_and_m2(small_adapted, head):
+    # a NaN weight reaches every class: each step names the first unseen one
+    world, model, _, _, state, _ = small_adapted
+    net = getattr(model, head)
+    params = net.params.copy()
+    params[0] = np.nan
+    broken = dataclasses.replace(model, **{head: MlpNetwork(net.spec, params, net.stats,
+                                                            mode="eval")})
+    first = f"class {state.unseen_ids[0]}: non-finite Gaussian"
+    with pytest.raises(NumericalDivergence, match=first):
+        pseudo_labels(broken, world.dataset)
+    for variant in ("full", "std_da"):
+        with pytest.raises(NumericalDivergence, match=first):
+            adapt(broken, world.dataset, AdaConfig(**{**ADAPT_CONFIG, "variant": variant}))
+    with pytest.raises(NumericalDivergence, match=first):
+        m2_accuracy(state, broken, world.dataset, n_samples=4)
 
 
 def test_adapt_is_deterministic_in_seed(small_adapted):
@@ -573,8 +617,6 @@ def test_adapt_is_deterministic_in_seed(small_adapted):
 
 def test_adapt_keeps_pseudo_labels_fixed_by_default(small_adapted):
     world, model, _, _, state, _ = small_adapted
-    from zslada.base_model import pseudo_labels
-
     report = pseudo_labels(model, world.dataset)
     assert np.array_equal(state.pseudo, report.labels)
     assert state.agreement_estimate == report.mean_agreement
@@ -589,7 +631,7 @@ def test_adaptation_refuses_a_split_without_test_rows(small_adapted, monkeypatch
     def refused(*args, **kwargs):
         raise AssertionError("adaptation started on a split without test rows")
 
-    for name in ("init_ada_state", "pseudo_labels", "class_params"):
+    for name in ("init_ada_state", "pseudo_labels", "class_params_matrix"):
         monkeypatch.setattr(zslada.ada, name, refused)
     with pytest.raises(DataError) as err:
         getattr(zslada.ada, loop)(model, no_test, AdaConfig(**ADAPT_CONFIG))
@@ -630,33 +672,31 @@ def _proto_setup():
 def test_map_prototypes_identity_recovers_means():
     base, state = _proto_setup()
     n = 10000
-    protos = map_prototypes(state, base, n, seed=3)
+    means, _ = table = class_params_matrix(base, state.unseen_ids)
+    protos = map_prototypes(state, table, n, seed=3)
     assert set(protos) == {1, 2}
-    from zslada.base_model import class_params
-
-    for cid in (1, 2):
-        mu = class_params(base, cid).mean
-        assert np.max(np.abs(protos[cid] - mu)) < 4.0 / math.sqrt(n)
+    for j, cid in enumerate(state.unseen_ids):
+        assert np.max(np.abs(protos[cid] - means[j])) < 4.0 / math.sqrt(n)
 
 
 def test_map_prototypes_seeded_and_single_draw():
     base, state = _proto_setup()
-    a = map_prototypes(state, base, 64, seed=9)
-    b = map_prototypes(state, base, 64, seed=9)
+    means, precisions = table = class_params_matrix(base, state.unseen_ids)
+    a = map_prototypes(state, table, 64, seed=9)
+    b = map_prototypes(state, table, 64, seed=9)
     for cid in a:
         assert np.array_equal(a[cid], b[cid])
-    c = map_prototypes(state, base, 64, seed=10)
+    c = map_prototypes(state, table, 64, seed=10)
     assert any(not np.array_equal(a[cid], c[cid]) for cid in a)
 
-    from zslada.base_model import sample_class
-
-    single = map_prototypes(state, base, 1, seed=7)
-    for cid in single:
-        draw = sample_class(base, cid, 1, seed=named_seed(7, "proto"))[0]
+    single = map_prototypes(state, table, 1, seed=7)
+    for j, cid in enumerate(state.unseen_ids):
+        draw = reference_draw_gaussian(means[j], precisions[j], 1,
+                                       sample_stream(named_seed(7, "proto"), cid))[0]
         assert np.array_equal(single[cid], draw)
 
     with pytest.raises(ConfigError):
-        map_prototypes(state, base, 0, seed=7)
+        map_prototypes(state, table, 0, seed=7)
 
 
 @pytest.mark.parametrize("n", [1, 2, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1,
@@ -671,9 +711,10 @@ def test_map_prototypes_streams_chunks_to_the_one_shot_bits(monkeypatch, n):
         return forward_eval(net, X)
 
     monkeypatch.setattr(zslada.ada, "forward_eval", recorded)
+    table = class_params_matrix(model, state.unseen_ids)
     for seed in (0, 1):
         rows.clear()
-        streamed = map_prototypes(state, model, n, seed=seed)
+        streamed = map_prototypes(state, table, n, seed=seed)
         expected = reference_map_prototypes(state, model, n, seed=seed)
         assert list(streamed) == list(expected) == state.unseen_ids
         for cid in expected:
@@ -694,25 +735,28 @@ def test_chunked_standard_normal_continues_the_one_shot_draw():
     assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
-def test_map_prototypes_computes_each_unseen_gaussian_once(monkeypatch):
+def test_map_prototypes_reads_the_given_table_and_runs_no_head(monkeypatch):
     model, state = streaming_setup()
-    calls = []
+    table = class_params_matrix(model, state.unseen_ids)
+    calls = count_class_params_matrix(monkeypatch, zslada.ada, zslada.base_model)
+    nets = []
 
-    def counted(base, class_id):
-        calls.append(class_id)
-        return class_params(base, class_id)
+    def recorded(net, X):
+        nets.append(net)
+        return forward_eval(net, X)
 
-    monkeypatch.setattr(zslada.ada, "class_params", counted)
-    map_prototypes(state, model, 2 * DRAW_CHUNK + 1, seed=0)
-    assert calls == state.unseen_ids
+    monkeypatch.setattr(zslada.ada, "forward_eval", recorded)
+    map_prototypes(state, table, 2 * DRAW_CHUNK + 1, seed=0)
+    assert calls == [] and nets and all(net is state.g_t for net in nets)
 
 
 def test_map_prototypes_memory_does_not_grow_with_n_samples():
     # each class streams its draws in chunks, so eight times the draws
     # keep the peak of one chunk; one batch of all draws grows about 8x
     model, state = streaming_setup(d=64)
-    one = peak_traced_bytes(lambda: map_prototypes(state, model, DRAW_CHUNK, seed=0))
-    eight = peak_traced_bytes(lambda: map_prototypes(state, model, 8 * DRAW_CHUNK, seed=0))
+    table = class_params_matrix(model, state.unseen_ids)
+    one = peak_traced_bytes(lambda: map_prototypes(state, table, DRAW_CHUNK, seed=0))
+    eight = peak_traced_bytes(lambda: map_prototypes(state, table, 8 * DRAW_CHUNK, seed=0))
     assert eight <= 1.25 * one, (eight, one)
 
 

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zslada.base_model
 from zslada.base_model import (
     BaseZslModel,
-    GaussianClassParams,
     PretrainConfig,
-    class_params,
     class_params_matrix,
     dataset_mean_loglik,
     draw_gaussian,
-    gaussian_loglik,
+    gaussian_scores,
     load_base_model,
     loglik_matrix,
     predict,
@@ -25,7 +24,8 @@ from zslada.base_model import (
     save_base_model,
 )
 from zslada.data import FeatureDataset, SplitSpec
-from zslada.errors import ConfigError, DataError, DimensionMismatch, UnknownClass
+from zslada.errors import (ConfigError, DataError, DimensionMismatch, NumericalDivergence,
+                           UnknownClass)
 from zslada.rng import named_stream
 from zslada.synthetic import make_synthetic_world
 
@@ -33,6 +33,8 @@ from .helpers import (
     bench_spec,
     linear_model,
     peak_traced_bytes,
+    reference_draw_gaussian,
+    reference_gaussian_loglik,
     table_model,
     toy_table,
     zero_param_model,
@@ -42,10 +44,9 @@ from .helpers import (
 def test_zero_weight_model_gives_unit_gaussians():
     table = toy_table(S=2, U=2, attr_dim=3)
     model = zero_param_model(table, d=4)
-    for c in table.class_ids:
-        p = class_params(model, c)
-        assert np.array_equal(p.mean, np.zeros(4))
-        assert np.array_equal(p.precision_diag, np.ones(4))
+    means, precisions = class_params_matrix(model, table.class_ids)
+    assert np.array_equal(means, np.zeros((len(table.class_ids), 4)))
+    assert np.array_equal(precisions, np.ones((len(table.class_ids), 4)))
 
 
 def test_precision_bounds():
@@ -64,31 +65,41 @@ def test_class_params_deterministic_in_seed():
     table = toy_table(S=2, U=2, attr_dim=3)
     a = linear_model(table, d=3, seed=7)
     b = linear_model(table, d=3, seed=7)
-    for c in table.class_ids:
-        assert np.array_equal(class_params(a, c).mean, class_params(b, c).mean)
-        assert np.array_equal(class_params(a, c).precision_diag,
-                              class_params(b, c).precision_diag)
+    for tables in zip(class_params_matrix(a, table.class_ids),
+                      class_params_matrix(b, table.class_ids)):
+        assert tables[0].tobytes() == tables[1].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_class_params_matrix_names_the_first_nonfinite_class():
+    # one huge mean weight overflows only class 2, whose attribute is large
+    table = toy_table(S=2, U=2, attr_dim=3)
+    table.attributes[:, 1] = [0.1, 0.2, 4.0, 0.3]
+    model = linear_model(table, d=4, seed=7)
+    model.mean_net.params[1 * 4 + 2] = 1e308  # W[1, 2]
+    assert np.isfinite(class_params_matrix(model, [0, 1, 3])[0]).all()
+    with pytest.raises(NumericalDivergence, match="class 2:"):
+        class_params_matrix(model, [0, 3, 2, 1])
+    # a NaN precision weight reaches every class: the first one asked for
+    model = linear_model(table, d=4, seed=7)
+    model.prec_net.params[0] = np.nan
+    with pytest.raises(NumericalDivergence, match="class 3:"):
+        class_params_matrix(model, [3, 0])
 
 
 def test_gaussian_loglik_exact_values():
-    p = GaussianClassParams(0, np.zeros(1), np.ones(1))
-    assert gaussian_loglik(np.zeros(1), p) == 0.0
+    def score(x, mean, precision, include_logdet=True):
+        return gaussian_scores(np.atleast_2d(x), np.atleast_2d(mean),
+                               np.atleast_2d(precision), include_logdet)[0, 0]
 
-    p = GaussianClassParams(0, np.array([1.0]), np.array([2.0]))
-    assert abs(gaussian_loglik(np.array([2.0]), p) - (math.log(2.0) - 2.0)) < 1e-12
-    assert abs(gaussian_loglik(np.array([2.0]), p, include_logdet=False)
-               - (-2.0)) < 1e-12
+    assert score(np.zeros(1), np.zeros(1), np.ones(1)) == 0.0
+    assert abs(score([2.0], [1.0], [2.0]) - (math.log(2.0) - 2.0)) < 1e-12
+    assert abs(score([2.0], [1.0], [2.0], include_logdet=False) - (-2.0)) < 1e-12
+    assert score(np.ones(2), np.zeros(2), np.ones(2)) == -2.0
 
-    p = GaussianClassParams(0, np.zeros(2), np.ones(2))
-    assert gaussian_loglik(np.ones(2), p) == -2.0
-
+    model = table_model(means=[[0.0, 0.0]], precisions=[[1.0, 1.0]])
     with pytest.raises(DimensionMismatch):
-        gaussian_loglik(np.zeros(3), p)
-    with pytest.raises(ValueError):
-        gaussian_loglik(np.array([np.nan, 0.0]), p)
-
-    with pytest.raises(ConfigError):
-        GaussianClassParams(0, np.zeros(2), np.array([1.0, 0.0]))
+        loglik_matrix(model, np.zeros(3), [0])
 
 
 def test_predict_picks_nearest_under_equal_precisions():
@@ -130,10 +141,12 @@ def test_predict_matches_bruteforce_argmax(seed):
     model = linear_model(table, d=3, seed=seed % 23)
     X = rng.standard_normal((5, 3)) * 3.0
     picks = predict(model, X)
+    ids = sorted(table.class_ids)
     for i, x in enumerate(X):
-        scores = [gaussian_loglik(x, class_params(model, c))
-                  for c in sorted(table.class_ids)]
-        assert picks[i] == sorted(table.class_ids)[int(np.argmax(scores))]
+        scores = [reference_gaussian_loglik(x, *(rows[0] for rows in
+                                                 class_params_matrix(model, [c])))
+                  for c in ids]
+        assert picks[i] == ids[int(np.argmax(scores))]
 
 
 @pytest.mark.parametrize("include_logdet", [True, False])
@@ -149,8 +162,9 @@ def test_loglik_matrix_matches_per_class_loop_at_scale(include_logdet):
     X = means[truth] + rng.standard_normal((n, d)) / np.sqrt(precisions[truth])
 
     ll = loglik_matrix(model, X, range(C))
-    params = [class_params(model, c) for c in range(C)]
-    ref = np.array([[gaussian_loglik(x, p, include_logdet) for p in params] for x in X])
+    mus, ps = class_params_matrix(model, range(C))
+    ref = np.array([[reference_gaussian_loglik(x, mu, p, include_logdet)
+                     for mu, p in zip(mus, ps)] for x in X])
     assert np.max(np.abs(ll - ref)) <= 1e-9 * np.max(np.abs(ref))
     assert np.array_equal(np.argmax(ll, axis=1), np.argmax(ref, axis=1))
     assert np.array_equal(ll[:, 0], ll[:, -1])
@@ -183,9 +197,8 @@ def test_predict_label_space_handling():
 
 
 def test_draw_gaussian_statistics():
-    params = GaussianClassParams(0, np.array([5.0, -3.0]), np.array([2.0, 0.5]))
     n = 4000
-    draws = draw_gaussian(params, n, named_stream(3, "t"))
+    draws = draw_gaussian(np.array([5.0, -3.0]), np.array([2.0, 0.5]), n, named_stream(3, "t"))
     assert draws.shape == (n, 2)
     # variances are 1/p = (0.5, 2.0); allow 4.5 sigma of the estimators
     sd = np.sqrt(np.array([0.5, 2.0]) / n)
@@ -205,11 +218,22 @@ def test_sample_class_is_deterministic_in_seed():
 
 
 def test_draw_gaussian_validates_count():
-    model = table_model(means=[[0.0]], precisions=[[1.0]])
+    mean, precision = np.zeros(1), np.ones(1)
     with pytest.raises(ConfigError):
-        draw_gaussian(class_params(model, 0), 0, named_stream(0, "x"))
-    one = draw_gaussian(class_params(model, 0), 1, named_stream(0, "x"))
+        draw_gaussian(mean, precision, 0, named_stream(0, "x"))
+    one = draw_gaussian(mean, precision, 1, named_stream(0, "x"))
     assert one.shape == (1, 1)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 3), (200, 64), (1025, 17)])
+def test_draw_gaussian_in_place_has_the_bits_of_the_plain_expression(n, d):
+    rng = np.random.default_rng([n, d])
+    mean = rng.standard_normal(d) * 10.0
+    precision = rng.uniform(0.5, 1.5, d)
+    for seed in range(3):
+        drawn = draw_gaussian(mean, precision, n, named_stream(seed, "t"))
+        expected = reference_draw_gaussian(mean, precision, n, named_stream(seed, "t"))
+        assert drawn.tobytes() == expected.tobytes()
 
 
 def test_pseudo_labels_agree_without_shift(world19, model19):
@@ -239,6 +263,9 @@ def test_pseudo_labels_single_unseen_class():
     report = pseudo_labels(model, data)
     assert report.mean_agreement == 1.0
     assert report.n_per_class == {1: 2}
+    wide = FeatureDataset(features=np.zeros((4, 2)), labels=data.labels, split=split)
+    with pytest.raises(DimensionMismatch):
+        pseudo_labels(model, wide)
 
 
 def _labeled_dataset(X, y, seen_ids):
@@ -320,6 +347,29 @@ def test_pretrain_improves_heldout_loglik_on_generated_data():
         after = dataset_mean_loglik(model, eval_X, eval_y)
         wins += int(after > before)
     assert wins >= 19
+
+
+@pytest.mark.parametrize("include_logdet", [True, False])
+def test_dataset_mean_loglik_scores_each_row_only_against_its_own_class(
+        monkeypatch, include_logdet):
+    n, C, d = 240, 12, 32
+    rng = np.random.default_rng(8)
+    means = rng.standard_normal((C, d)) * 3.0
+    precisions = rng.uniform(0.55, 1.45, (C, d))
+    model = table_model(means, precisions, n_seen=C, include_logdet=include_logdet)
+    y = rng.integers(C, size=n)
+    X = means[y] + rng.standard_normal((n, d)) / np.sqrt(precisions[y])
+    ids = sorted(set(int(c) for c in y))
+    ll = loglik_matrix(model, X, ids)
+    reference = float(ll[np.arange(n), np.searchsorted(ids, y)].mean())
+
+    def refused(*args, **kwargs):
+        raise AssertionError("dataset_mean_loglik built an n x C table")
+
+    monkeypatch.setattr(zslada.base_model, "loglik_matrix", refused)
+    monkeypatch.setattr(zslada.base_model, "gaussian_scores", refused)
+    got = dataset_mean_loglik(model, X, y)
+    assert abs(got - reference) <= 1e-12 * abs(reference)
 
 
 def test_trained_precisions_respect_bounds(world19, model19):

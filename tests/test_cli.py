@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zslada.base_model
 import zslada.cli
 from zslada.ada import DRAW_CHUNK, AdaConfig, load_ada_state, save_ada_state
 from zslada.base_model import load_base_model, save_base_model
@@ -13,7 +14,8 @@ from zslada.cli import main
 from zslada.data import FeatureDataset, SplitSpec, export_embeddings, load_dataset, save_dataset
 from zslada.profiles import build_base_model
 
-from .helpers import peak_traced_bytes, reference_export_draws, streaming_setup
+from .helpers import (count_class_params_matrix, peak_traced_bytes, reference_export_draws,
+                      streaming_setup)
 
 WORLD_SPEC = {"S": 4, "U": 3, "d": 8, "attr_dim": 3,
               "samples_per_class": 150, "seed": 100}
@@ -227,6 +229,22 @@ def test_export_refuses_zero_draws(pipeline, tmp_path, capsys, with_ada):
     assert not (tmp_path / "out").exists()
 
 
+def test_export_builds_one_gaussian_table(pipeline, tmp_path, monkeypatch):
+    # unlabeled test rows make export pseudo-label them as well: the
+    # pseudo-labels, the draws and their G_T rows all read one table
+    bundle = load_dataset(pipeline["world"])
+    world = tmp_path / "unlabeled"
+    save_dataset(world, FeatureDataset(features=bundle.dataset.features, labels=None,
+                                       split=bundle.dataset.split), bundle.attributes)
+    calls = count_class_params_matrix(monkeypatch, zslada.cli, zslada.base_model)
+    cfg = _write_json(tmp_path / "export.json", {"eval": {"n_samples": 3, "seed": 0}})
+    assert main(["export", "--config", cfg, "--data", str(world),
+                 "--base", str(pipeline["pre"] / "base_model.ckpt"),
+                 "--ada", str(pipeline["ada"] / "ada_state.ckpt"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls == [[4, 5, 6]]
+
+
 def _export_run(tmp_path: Path, monkeypatch, model, state, n: int, seed: int):
     """``zslada export`` on ``model`` and ``state`` (no ``--ada`` when it is
     None), both saved under ``tmp_path``.  Returns a callable that runs it
@@ -355,6 +373,33 @@ def test_adapt_rejects_a_split_without_test_rows(pipeline, tmp_path, capsys):
                  "--base", str(pipeline["pre"] / "base_model.ckpt"),
                  "--out", str(tmp_path / "out")]) == 2
     assert "test rows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["adapt", "eval"])
+def test_zero_eval_draws_are_refused_before_any_work(pipeline, tmp_path, capsys, command):
+    # a config error is never reported as a metric the variant lacks, and
+    # adapt refuses it before training
+    cfg = _write_json(tmp_path / "zero.json",
+                      {"ada": {"n_steps": 5}, "eval": {"n_samples": 0, "seed": 0}})
+    ada = ["--ada", str(pipeline["ada"] / "ada_state.ckpt")] if command == "eval" else []
+    assert main([command, "--config", cfg, "--data", str(pipeline["world"]),
+                 "--base", str(pipeline["pre"] / "base_model.ckpt"),
+                 "--out", str(tmp_path / "out")] + ada) == 2
+    captured = capsys.readouterr()
+    assert "need n >= 1 draws, got 0" in captured.err
+    assert "NA" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_export_fails_on_a_nonfinite_base_model(pipeline, tmp_path, capsys):
+    bundle = load_dataset(pipeline["world"])
+    model = load_base_model(pipeline["pre"] / "base_model.ckpt", bundle.attributes)
+    model.mean_net.params[0] = np.nan
+    save_base_model(tmp_path / "nan.ckpt", model)
+    assert main(["export", "--data", str(pipeline["world"]),
+                 "--base", str(tmp_path / "nan.ckpt"), "--out", str(tmp_path / "out")]) == 3
+    assert "class 4: non-finite Gaussian" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import zslada.base_model
 import zslada.metrics
 from zslada.ada import AdaConfig, init_ada_state
 from zslada.base_model import class_params_matrix
@@ -26,6 +27,7 @@ from zslada.synthetic import make_synthetic_world
 
 from .helpers import (
     bench_spec,
+    count_class_params_matrix,
     exact_net,
     identity_generator,
     linear_model,
@@ -238,7 +240,7 @@ def test_m2_equal_precisions_match_euclidean_brute_force():
     assert report.metric_kind == "m2"
     assert report.mean_per_class_acc == 1.0
 
-    protos = map_prototypes(state, base, 64, seed=5)
+    protos = map_prototypes(state, class_params_matrix(base, state.unseen_ids), 64, seed=5)
     ids = sorted(protos)
     mu = np.vstack([protos[c] for c in ids])
     X, truth = data.test_rows()
@@ -283,6 +285,14 @@ def test_m2_scoring_is_exact_and_memory_bounded(monkeypatch):
     ref = [ids[int(np.argmin(np.sum(p * (x - mu) ** 2, axis=1) - logdet))] for x in X]
     assert np.array_equal(seen["picks"], ref)
     assert np.any(seen["picks"] == 1) and not np.any(seen["picks"] == C)
+
+
+def test_m2_builds_one_gaussian_table(monkeypatch):
+    # the prototypes' draws and the scorer's precisions come from one call
+    base, state, data = _m2_setup()
+    calls = count_class_params_matrix(monkeypatch, zslada.metrics, zslada.base_model)
+    m2_accuracy(state, base, data, n_samples=16, seed=3)
+    assert calls == [state.unseen_ids]
 
 
 def test_m2_is_seeded():

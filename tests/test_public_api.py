@@ -16,7 +16,6 @@ PACKAGE = ROOT / "src" / "zslada"
 # Kept without a caller, each for the tests it anchors.
 ALLOWED = {
     "augment_label": "per-row reference that augment_batch is compared against",
-    "gaussian_loglik": "per-class reference that gaussian_scores is compared against",
     "param_grads": "materialised gradient, the finite-difference oracle's subject",
     "grad_check": "the finite-difference gradient oracle",
     "ablation_run": "the only code that runs the paper's ablation-ordering acceptance test",
