@@ -230,8 +230,9 @@ def _check_batches(source: LabeledBatch, target: LabeledBatch) -> None:
 
 class _Side(NamedTuple):
     """One side of the adaptation game and the dropout-seed tag of each of
-    its forward passes.  Its generator translates the other side's batch
-    into the ``own`` domain, where its critic and classifier live."""
+    its generator's forward passes.  Its generator translates the other
+    side's batch into the ``own`` domain, where its critic and classifier
+    live; critics and classifiers have no dropout and get no seed."""
 
     name: str
     g: str
@@ -240,18 +241,12 @@ class _Side(NamedTuple):
     own: str
     translate: str
     ident: str
-    d_fake: str
-    d_real: str
     cyc_back: str
-    c_real: str
-    c_gen: str
 
 
 _SIDES = (
-    _Side("T", "g_t", "d_t", "c_t", "target", "gt_src", "gt_id", "d_fake_t", "d_real_t",
-          "cyc_back_s", "ct_real", "ct_gen"),
-    _Side("S", "g_s", "d_s", "c_s", "source", "gs_tgt", "gs_id", "d_fake_s", "d_real_s",
-          "cyc_back_t", "cs_real", "cs_gen"),
+    _Side("T", "g_t", "d_t", "c_t", "target", "gt_src", "gt_id", "cyc_back_s"),
+    _Side("S", "g_s", "d_s", "c_s", "source", "gs_tgt", "gs_id", "cyc_back_t"),
 )
 
 
@@ -324,8 +319,8 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
     u = state.n_unseen
     nets = state.nets
 
-    def fw(role: str, X: np.ndarray, tag: str, commit: bool = commit_stats):
-        return mlp_forward(nets[role], X, update_stats=commit,
+    def fw(role: str, X: np.ndarray, tag: str):
+        return mlp_forward(nets[role], X, update_stats=commit_stats,
                            rng_seed=dropout_seed(nets[role], rng_seed, tag))
 
     def bw(role: str, cache: MlpCache, grad_out: np.ndarray, input_grad: bool = True):
@@ -344,13 +339,13 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
         own, other = _own_other(side, source, target)
         own_aug, other_aug = _own_other(side, aug_src, aug_tgt)
         moved[side], cache_g[side] = fw(side.g, other_aug, side.translate)
-        d_fake, cache_d_fake = fw(side.d, moved[side], side.d_fake, False)
+        d_fake, cache_d_fake = mlp_forward(nets[side.d], moved[side], update_stats=False)
         ident_out, cache_ident = fw(side.g, own_aug, side.ident)
         ident, ident_grad = _mean_l1(ident_out, own.features)
         breakdown[f"L_G_{side.name}"] = beta * ident - float(d_fake.mean())
         breakdown[f"L_D_{side.name}"] = (
             float(d_fake.mean())
-            - float(fw(side.d, own.features, side.d_real, False)[0].mean()))
+            - float(mlp_forward(nets[side.d], own.features, update_stats=False)[0].mean()))
         at_moved[side] = np.zeros((n, d))
         bw(side.g, cache_ident, beta * ident_grad, input_grad=False)
         at_moved[side] += mlp_backward(nets[side.d], cache_d_fake, np.full((n, 1), -1.0 / n))
@@ -370,18 +365,18 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
     # classifiers: real own-domain rows, plus the translated rows in recovery
     for side in sides if has_clf else ():
         own, other = _own_other(side, source, target)
-        out, cache_c = fw(side.c, own.features, side.c_real)
+        out, cache_c = mlp_forward(nets[side.c], own.features, update_stats=commit_stats)
         clf, ce_grad = _ce(out, own.labels)
         bw(side.c, cache_c, xi * ce_grad, input_grad=False)
         if state.phase == "recovery":
-            out, cache_c = fw(side.c, moved[side], side.c_gen)
+            out, cache_c = mlp_forward(nets[side.c], moved[side], update_stats=commit_stats)
             term, ce_grad = _ce(out, other.labels)
             clf += term
             at_moved[side] += bw(side.c, cache_c, xi * ce_grad)
         breakdown[f"L_clf_{side.name}"] = clf
     if has_clf and config.mismatched_pairs and u > 1:
         wrong = _mismatched_labels(target.labels, u, config.seed, state.iteration)
-        out, cache_c = fw("c_t", target.features, "ct_wrong", False)
+        out, cache_c = mlp_forward(nets["c_t"], target.features, update_stats=False)
         term, ce_grad = _ce(out, wrong)
         breakdown["L_clf_T"] -= config.mismatched_weight * term
         bw("c_t", cache_c, -config.mismatched_weight * xi * ce_grad, input_grad=False)
@@ -409,19 +404,15 @@ def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
     _check_batches(source, target)
     u = state.n_unseen
     nets = state.nets
-
-    def fw(role: str, X: np.ndarray, tag: str, commit: bool = commit_stats):
-        return mlp_forward(nets[role], X, update_stats=commit,
-                           rng_seed=dropout_seed(nets[role], rng_seed, tag))
-
     tapes = {role: [] for role in _trained_roles(state.variant, "critic")}
     breakdown = {"L_D_T": 0.0, "L_D_S": 0.0}
     for side in _sides(state.variant, "critic"):
         own, other = _own_other(side, source, target)
-        fakes = fw(side.g, augment_batch(other.features, other.labels, u), side.translate,
-                   False)[0]
-        out_f, cache_f = fw(side.d, fakes, side.d_fake)
-        out_r, cache_r = fw(side.d, own.features, side.d_real)
+        fakes = mlp_forward(nets[side.g], augment_batch(other.features, other.labels, u),
+                            update_stats=False,
+                            rng_seed=dropout_seed(nets[side.g], rng_seed, side.translate))[0]
+        out_f, cache_f = mlp_forward(nets[side.d], fakes, update_stats=commit_stats)
+        out_r, cache_r = mlp_forward(nets[side.d], own.features, update_stats=commit_stats)
         breakdown[f"L_D_{side.name}"] = float(out_f.mean()) - float(out_r.mean())
         nf, nr = fakes.shape[0], own.n
         mlp_backward(nets[side.d], cache_f, np.full((nf, 1), 1.0 / nf), input_grad=False)
@@ -454,7 +445,7 @@ def _draw_batches(state: AdaState, table: GaussianTable, test_X: np.ndarray,
 
 
 def classify(net: MlpNetwork, X: np.ndarray, unseen_ids: Sequence[int]) -> np.ndarray:
-    """Eval-mode classifier predictions mapped back to class ids."""
+    """Classifier predictions by the inference pass, mapped back to class ids."""
     log_probs = forward_eval(net, np.asarray(X, dtype=np.float64))
     ids = np.asarray(sorted(int(c) for c in unseen_ids), dtype=np.int64)
     return ids[np.argmax(log_probs, axis=1)]
@@ -622,8 +613,7 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
         else:
             X = synth
         labels = np.full(X.shape[0], j, dtype=np.int64)
-        out, cache = mlp_forward(state.c_t, X, update_stats=True,
-                                 rng_seed=dropout_seed(state.c_t, config.seed, "drop", "std", it))
+        out, cache = mlp_forward(state.c_t, X, update_stats=True)
         loss, ce_grad = _ce(out, labels)
         if not np.isfinite(loss):
             raise NumericalDivergence("non-finite classifier loss", iteration=it,
@@ -696,7 +686,7 @@ def load_ada_state(path: str | Path) -> tuple[AdaState, AdaConfig]:
         spec = MlpSpec.from_dict(meta["specs"][role])
         nets[role] = MlpNetwork(spec=spec, params=arrays[f"{role}_params"],
                                 stats=arrays[f"{role}_stats"],
-                                seed=meta["seeds"][role], mode="eval")
+                                seed=meta["seeds"][role])
     state = AdaState(nets=nets, unseen_ids=meta["unseen_ids"], variant=meta["variant"],
                      phase=meta["phase"], iteration=int(meta["iteration"]),
                      agreement_estimate=meta.get("agreement_estimate"))

@@ -66,7 +66,7 @@ def raw_to_precision(raw: np.ndarray) -> np.ndarray:
 
 def class_params_matrix(model: BaseZslModel,
                         class_ids: Sequence[int]) -> GaussianTable:
-    """Eval-mode (means, precisions), one row per requested class: the only
+    """Inference-pass (means, precisions), one row per requested class: the only
     code that turns class attributes into Gaussians.  Raises
     ``NumericalDivergence`` naming the first class whose row is not finite."""
     rows = [model.attribute_table.row_of(c) for c in class_ids]
@@ -236,10 +236,11 @@ def pretrain_objective(model: BaseZslModel, X: np.ndarray, y: np.ndarray,
                        ) -> tuple[float, dict[str, list[MlpCache]]]:
     """Negative mean log-likelihood of a labeled batch, with gradients.
 
-    Runs both nets in their current modes on the batch's unique class
-    attributes and returns ``(loss, tapes)``: ``tapes["mean_net"]`` and
-    ``tapes["prec_net"]`` each hold the one backpropagated cache that
-    ``param_grads`` turns into that head's gradient.
+    Runs both heads' training pass (batch statistics, dropout seeded from
+    ``rng_seed``) on the batch's unique class attributes and returns
+    ``(loss, tapes)``: ``tapes["mean_net"]`` and ``tapes["prec_net"]``
+    each hold the one backpropagated cache that ``param_grads`` turns
+    into that head's gradient.
     Pure in the parameters when ``update_stats`` is false and
     ``rng_seed`` is fixed, which is what gradient checking needs.
     """
@@ -297,7 +298,7 @@ def _own_class_nll(X: np.ndarray, idx: np.ndarray, means: np.ndarray,
 
 
 def dataset_mean_loglik(model: BaseZslModel, X: np.ndarray, y: np.ndarray) -> float:
-    """Eval-mode mean log-likelihood of each row under its own class."""
+    """Inference-pass mean log-likelihood of each row under its own class."""
     classes, idx = np.unique(np.asarray(y, dtype=np.int64), return_inverse=True)
     means, precisions = class_params_matrix(model, classes)
     return -_own_class_nll(np.asarray(X, dtype=np.float64), idx, means, precisions,
@@ -354,8 +355,6 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
                                    weight_decay=config.mean_weight_decay),
         "prec_net": OptimizerHyper(learning_rate=config.learning_rate,
                                    weight_decay=config.prec_weight_decay)})
-    for net in heads.values():
-        net.set_mode("train")
     best = -np.inf
     best_snapshot = None
     stall = 0
@@ -397,8 +396,6 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
         model.mean_net.stats[:] = best_snapshot[1]
         model.prec_net.set_params(best_snapshot[2])
         model.prec_net.stats[:] = best_snapshot[3]
-    model.mean_net.set_mode("eval")
-    model.prec_net.set_mode("eval")
     return model, trace
 
 
@@ -431,10 +428,10 @@ def load_base_model(path: str | Path,
                         "checkpoint was trained against a different attribute table")
     mean_net = MlpNetwork(spec=MlpSpec.from_dict(meta["mean_spec"]),
                           params=arrays["mean_params"], stats=arrays["mean_stats"],
-                          seed=meta.get("mean_seed"), mode="eval")
+                          seed=meta.get("mean_seed"))
     prec_net = MlpNetwork(spec=MlpSpec.from_dict(meta["prec_spec"]),
                           params=arrays["prec_params"], stats=arrays["prec_stats"],
-                          seed=meta.get("prec_seed"), mode="eval")
+                          seed=meta.get("prec_seed"))
     return BaseZslModel(mean_net=mean_net, prec_net=prec_net,
                         attribute_table=attribute_table,
                         include_logdet=bool(meta["include_logdet"]))

@@ -8,6 +8,13 @@ zero-copy views into that vector.
 Supported activations: ``relu``, ``leaky_relu:<slope>`` (bare ``leaky_relu``
 means slope 0.2), ``sigmoid``, ``log_softmax``, ``identity``.
 
+A network has two passes, and the function called picks one.
+:func:`mlp_forward` is the training pass: batchnorm normalises by the
+batch's statistics (and moves the running ones), dropout draws masks, and
+the returned cache is what :func:`mlp_backward` reads.  :func:`forward_eval`
+is the inference pass: batchnorm reads the running statistics, dropout is
+the identity, nothing is cached and nothing is written.
+
 Backward materialises no parameter gradient: a :class:`GradientTape`
 builds it from backpropagated caches one window at a time, a weight
 matrix in pieces of whole rows.  With OpenBLAS a piece of two or more
@@ -26,6 +33,8 @@ from zslada.errors import ConfigError, DimensionMismatch, StaleCache
 from zslada.rng import named_seed, named_stream
 
 BN_EPS = 1e-5
+# weight of the batch's statistics in each running-average update
+BN_MOMENTUM = 0.1
 
 # Most entries per gradient window (2 MiB of float64): pieces this big
 # keep the weight-gradient GEMMs efficient (32K-entry pieces made an
@@ -62,7 +71,6 @@ class MlpSpec:
     activations: tuple[str, ...]
     batchnorm: tuple[bool, ...]
     dropout: tuple[float, ...]
-    bn_momentum: float = 0.1
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.layer_widths)
@@ -104,7 +112,7 @@ class MlpSpec:
 
     @classmethod
     def dense(cls, widths, activation="relu", out_activation="identity",
-              batchnorm=False, dropout=0.0, bn_momentum=0.1) -> "MlpSpec":
+              batchnorm=False, dropout=0.0) -> "MlpSpec":
         """Uniform hidden layers with a separate output activation.
 
         Batchnorm and dropout apply to hidden layers only; the output layer
@@ -115,7 +123,7 @@ class MlpSpec:
         acts = tuple([activation] * (n - 1) + [out_activation])
         bn = tuple([bool(batchnorm)] * (n - 1) + [False])
         dp = tuple([float(dropout)] * (n - 1) + [0.0])
-        return cls(widths, acts, bn, dp, bn_momentum=bn_momentum)
+        return cls(widths, acts, bn, dp)
 
     def to_dict(self) -> dict:
         return {
@@ -123,17 +131,20 @@ class MlpSpec:
             "activations": list(self.activations),
             "batchnorm": list(self.batchnorm),
             "dropout": list(self.dropout),
-            "bn_momentum": self.bn_momentum,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
+        """Inverse of :meth:`to_dict`.  Older checkpoints also carry
+        ``bn_momentum``, which must be :data:`BN_MOMENTUM`."""
+        if float(d.get("bn_momentum", BN_MOMENTUM)) != BN_MOMENTUM:
+            raise ConfigError(f"bn_momentum {d['bn_momentum']!r} is not the "
+                              f"supported {BN_MOMENTUM}")
         return cls(
             tuple(d["layer_widths"]),
             tuple(d["activations"]),
             tuple(d["batchnorm"]),
             tuple(d["dropout"]),
-            bn_momentum=float(d.get("bn_momentum", 0.1)),
         )
 
     def n_params(self) -> int:
@@ -220,10 +231,10 @@ def _window_plan(spec: MlpSpec) -> tuple:
 
 
 class MlpNetwork:
-    """A spec plus its flat parameter vector, running stats, and mode."""
+    """A spec plus its flat parameter vector and running stats."""
 
     def __init__(self, spec: MlpSpec, params: np.ndarray, stats: np.ndarray,
-                 mode: str = "train", seed: int = 0):
+                 seed: int = 0):
         slices, n_params, n_stats = spec._layout
         if params.shape != (n_params,):
             raise ConfigError(
@@ -237,17 +248,6 @@ class MlpNetwork:
         self.seed = int(seed)
         self._slices = slices
         self._version = 0
-        self.set_mode(mode)
-
-    @property
-    def mode(self) -> str:
-        return self._mode
-
-    def set_mode(self, mode: str) -> "MlpNetwork":
-        if mode not in ("train", "eval"):
-            raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-        self._mode = mode
-        return self
 
     @property
     def version(self) -> int:
@@ -272,12 +272,8 @@ class MlpNetwork:
     def bias(self, i: int) -> np.ndarray:
         return self.params[self._slices[i].b]
 
-    def copy(self) -> "MlpNetwork":
-        return MlpNetwork(self.spec, self.params.copy(), self.stats.copy(),
-                          mode=self.mode, seed=self.seed)
 
-
-def init_network(spec: MlpSpec, seed: int, mode: str = "train") -> MlpNetwork:
+def init_network(spec: MlpSpec, seed: int) -> MlpNetwork:
     """Fresh network: Glorot-uniform weights, zero biases, identity batchnorm.
 
     The weights are drawn in place: ``rng.uniform(low, high)`` computes
@@ -298,49 +294,64 @@ def init_network(spec: MlpSpec, seed: int, mode: str = "train") -> MlpNetwork:
         if sl.gamma is not None:
             params[sl.gamma] = 1.0
             stats[sl.r_var] = 1.0
-    return MlpNetwork(spec, params, stats, mode=mode, seed=seed)
+    return MlpNetwork(spec, params, stats, seed=seed)
 
 
 @dataclass
 class MlpCache:
-    """Saved activations from one forward pass, sufficient for backward;
+    """Saved activations from one training pass, sufficient for backward;
     after backward, the tape :func:`param_grads` reads."""
 
     version: int
-    mode: str
     n_rows: int
     layers: list = field(default_factory=list)
 
 
 def dropout_seed(net: MlpNetwork, root: int | None, *path) -> int | None:
-    """``named_seed(root, *path)`` for a forward pass that draws dropout
-    masks: a train-mode net with dropout.  ``None`` otherwise (and when
-    ``root`` is ``None``), since no other forward reads a seed."""
-    if root is None or net.mode != "train" or not net.spec.has_dropout:
+    """``named_seed(root, *path)`` for a training pass that draws dropout
+    masks: a net with dropout.  ``None`` otherwise (and when ``root`` is
+    ``None``), since no other pass reads a seed."""
+    if root is None or not net.spec.has_dropout:
         return None
     return named_seed(root, *path)
 
 
 def mlp_forward(net: MlpNetwork, batch: np.ndarray, rng_seed: int | None = None,
                 update_stats: bool = True) -> tuple[np.ndarray, MlpCache]:
-    """Run the network on a batch, keeping what backward needs.
+    """The training pass: run the network on a batch, keeping what
+    backward needs.
 
-    ``rng_seed`` drives dropout masks and is only consulted in train mode
-    with a nonzero dropout probability somewhere. ``update_stats=False``
-    computes train-mode batch statistics without committing them to the
-    running averages (used when a frozen net appears inside another net's
-    loss).
+    Batchnorm normalises by the batch's statistics.  ``rng_seed`` drives
+    the dropout masks and is required when any layer has dropout.
+    ``update_stats=False`` leaves the running averages alone (used when a
+    frozen net appears inside another net's loss).
     """
+    if rng_seed is None and net.spec.has_dropout:
+        raise ConfigError("training forward with dropout needs rng_seed")
+    layers: list = []
+    out = _layers(net, batch, layers, rng_seed, update_stats)
+    return out, MlpCache(version=net.version, n_rows=out.shape[0], layers=layers)
+
+
+def forward_eval(net: MlpNetwork, batch: np.ndarray) -> np.ndarray:
+    """The inference pass: batchnorm reads the running statistics,
+    dropout is the identity, and nothing is cached or written, so it
+    leaves the net (and any cache taken from it) as it found it."""
+    return _layers(net, batch, None)
+
+
+def _layers(net: MlpNetwork, batch: np.ndarray, layers: list | None,
+            rng_seed: int | None = None, update_stats: bool = False) -> np.ndarray:
+    """The layer loop behind both passes: the training pass when
+    ``layers`` is a list, which receives one record per layer, and the
+    inference pass when it is ``None``."""
     spec = net.spec
+    train = layers is not None
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2:
         x = x.reshape(1, -1)
     if x.shape[1] != spec.in_dim:
         raise DimensionMismatch(0, spec.in_dim, x.shape[1])
-    train = net.mode == "train"
-    if train and rng_seed is None and spec.has_dropout:
-        raise ConfigError("train-mode forward with dropout needs rng_seed")
-    cache = MlpCache(version=net.version, mode=net.mode, n_rows=x.shape[0])
     h = x
     for i in range(spec.n_layers):
         sl = net._slices[i]
@@ -354,7 +365,7 @@ def mlp_forward(net: MlpNetwork, batch: np.ndarray, rng_seed: int | None = None,
                 var = z.var(axis=0)
                 inv = 1.0 / np.sqrt(var + BN_EPS)
                 if update_stats:
-                    m = spec.bn_momentum
+                    m = BN_MOMENTUM
                     net.stats[sl.r_mean] = (1 - m) * net.stats[sl.r_mean] + m * mu
                     net.stats[sl.r_var] = (1 - m) * net.stats[sl.r_var] + m * var
             else:
@@ -387,9 +398,10 @@ def mlp_forward(net: MlpNetwork, batch: np.ndarray, rng_seed: int | None = None,
             mask = (rng.random(a.shape) >= p) / (1.0 - p)
             a = a * mask
             rec["mask"] = mask
-        cache.layers.append(rec)
+        if train:
+            layers.append(rec)
         h = a
-    return h, cache
+    return h
 
 
 def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
@@ -420,7 +432,6 @@ def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
             f"upstream gradient has {g.shape[0]} rows, cache saw {cache.n_rows}")
     if g.shape[1] != spec.out_dim:
         raise DimensionMismatch(spec.n_layers - 1, spec.out_dim, g.shape[1])
-    train = cache.mode == "train"
     for i in reversed(range(spec.n_layers)):
         rec = cache.layers[i]
         tape = {"h_in": rec["h_in"]}
@@ -442,13 +453,10 @@ def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
             tape["gamma"] = (g * xhat).sum(axis=0)
             tape["beta"] = g.sum(axis=0)
             gx = g * gamma
-            if train:
-                # gradient through the batch mean/variance
-                n = cache.n_rows
-                g = (inv / n) * (n * gx - gx.sum(axis=0)
-                                 - xhat * (gx * xhat).sum(axis=0))
-            else:
-                g = gx * inv
+            # gradient through the batch mean/variance
+            n = cache.n_rows
+            g = (inv / n) * (n * gx - gx.sum(axis=0)
+                             - xhat * (gx * xhat).sum(axis=0))
         tape["delta"] = g
         tape["b"] = g.sum(axis=0)
         cache.layers[i] = tape
@@ -458,7 +466,7 @@ def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,
 
 
 def _check_cache(net: MlpNetwork, cache: MlpCache) -> None:
-    if cache.version != net.version or cache.mode != net.mode:
+    if cache.version != net.version:
         raise StaleCache("activation cache does not match the network state")
     if len(cache.layers) != net.spec.n_layers:
         raise StaleCache("activation cache has the wrong number of layers")
@@ -549,15 +557,4 @@ def param_grads(net: MlpNetwork, caches: list[MlpCache], out: np.ndarray) -> np.
     tape = GradientTape(net, caches)
     for k, (start, stop, _) in enumerate(tape.windows):
         tape.build(k, out[start:stop])
-    return out
-
-
-def forward_eval(net: MlpNetwork, batch: np.ndarray) -> np.ndarray:
-    """Pure eval-mode forward regardless of the network's current mode.
-
-    Wraps the parameter and stat vectors in a throwaway eval-mode view,
-    so concurrent readers never observe a mode flip on the shared net.
-    """
-    frozen = MlpNetwork(net.spec, net.params, net.stats, mode="eval", seed=net.seed)
-    out, _ = mlp_forward(frozen, batch)
     return out

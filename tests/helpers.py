@@ -14,8 +14,8 @@ from zslada.ada import AdaConfig, AdaState, LabeledBatch, augment_batch, init_ad
 from zslada.base_model import (BaseZslModel, PretrainConfig, class_params_matrix, pretrain,
                                pseudo_labels, sample_stream)
 from zslada.data import ClassAttributeTable
-from zslada.nn.mlp import (MlpCache, MlpNetwork, MlpSpec, forward_eval, init_network,
-                           param_grads)
+from zslada.nn.mlp import (BN_EPS, MlpCache, MlpNetwork, MlpSpec, forward_eval,
+                           init_network, param_grads)
 from zslada.nn.optim import OptimizerState
 from zslada.rng import named_seed
 from zslada.synthetic import SyntheticWorld, SyntheticWorldSpec, make_synthetic_world
@@ -194,9 +194,31 @@ def toy_table(S: int = 2, U: int = 2, attr_dim: int = 3,
     )
 
 
-def exact_net(spec: MlpSpec, params: np.ndarray, mode: str = "eval") -> MlpNetwork:
+def exact_net(spec: MlpSpec, params: np.ndarray) -> MlpNetwork:
     return MlpNetwork(spec, np.asarray(params, dtype=np.float64),
-                      np.zeros(spec.n_stats()), mode=mode)
+                      np.zeros(spec.n_stats()))
+
+
+def reference_inference(net: MlpNetwork, X: np.ndarray) -> np.ndarray:
+    """The inference pass of a relu/identity stack, one whole expression
+    per layer: ``act(gamma * ((X @ W + b - mean) * (1 / sqrt(var + eps)))
+    + beta)`` with the running statistics, and no dropout at all.  The
+    statistics are read in spec order, (mean, var) per batchnorm layer."""
+    spec = net.spec
+    span = {label: slice(start, stop) for label, start, stop in spec.param_layout()}
+    at = 0
+    h = np.asarray(X, dtype=np.float64)
+    for i, width in enumerate(spec.layer_widths[1:]):
+        W = net.params[span[f"layer{i}.W"]].reshape(-1, width)
+        z = h @ W + net.params[span[f"layer{i}.b"]]
+        if spec.batchnorm[i]:
+            mean, var = net.stats[at:at + width], net.stats[at + width:at + 2 * width]
+            at += 2 * width
+            z = (net.params[span[f"layer{i}.gamma"]] * ((z - mean) * (1.0 / np.sqrt(var + BN_EPS)))
+                 + net.params[span[f"layer{i}.beta"]])
+        assert spec.activations[i] in ("relu", "identity"), spec.activations[i]
+        h = np.maximum(z, 0.0) if spec.activations[i] == "relu" else z
+    return h
 
 
 def zero_param_model(table: ClassAttributeTable, d: int,

@@ -594,8 +594,7 @@ def test_a_nan_head_weight_stops_pseudo_labels_adapt_and_m2(small_adapted, head)
     net = getattr(model, head)
     params = net.params.copy()
     params[0] = np.nan
-    broken = dataclasses.replace(model, **{head: MlpNetwork(net.spec, params, net.stats,
-                                                            mode="eval")})
+    broken = dataclasses.replace(model, **{head: MlpNetwork(net.spec, params, net.stats)})
     first = f"class {state.unseen_ids[0]}: non-finite Gaussian"
     with pytest.raises(NumericalDivergence, match=first):
         pseudo_labels(broken, world.dataset)

@@ -23,8 +23,8 @@ from zslada.nn.mlp import (
 from zslada.profiles import ada_profile, base_profile
 from zslada.rng import named_seed, named_stream
 
-from .helpers import (exact_net, max_rel_err, numeric_grad, reference_param_grads,
-                      reference_stable_sigmoid)
+from .helpers import (exact_net, max_rel_err, numeric_grad, reference_inference,
+                      reference_param_grads, reference_stable_sigmoid)
 
 # kink guard: central differences at h=1e-5 are meaningless when a relu /
 # leaky pre-activation sits closer to zero than this
@@ -89,7 +89,7 @@ def _loss_and_grad(spec, params, X, C, rng_seed=None):
     """sum(out * C), its parameter gradient and whether the point is
     kink-safe, fresh net per call."""
     net = MlpNetwork(spec, np.asarray(params, dtype=np.float64).copy(),
-                     np.zeros(spec.n_stats()), mode="train")
+                     np.zeros(spec.n_stats()))
     out, cache = mlp_forward(net, X, rng_seed=rng_seed, update_stats=False)
     safe = _kink_safe(cache)
     mlp_backward(net, cache, C)
@@ -156,7 +156,7 @@ def test_batchnorm_train_mode_normalizes_and_tracks_stats():
     spec = MlpSpec((2, 2), ("identity",), (True,), (0.0,))
     params = np.concatenate([np.eye(2).ravel(), np.zeros(2),  # W, b
                              np.ones(2), np.zeros(2)])        # gamma, beta
-    net = MlpNetwork(spec, params, np.zeros(4), mode="train")
+    net = MlpNetwork(spec, params, np.zeros(4))
     X = np.array([[1.0, 10.0], [3.0, 20.0]])
     out, _ = mlp_forward(net, X, update_stats=True)
     mu, var = X.mean(axis=0), X.var(axis=0)
@@ -165,9 +165,8 @@ def test_batchnorm_train_mode_normalizes_and_tracks_stats():
     # running stats move by one EMA step with momentum 0.1
     assert np.allclose(net.stats[:2], 0.1 * mu)
     assert np.allclose(net.stats[2:], 0.1 * var)
-    # eval mode reads the running stats instead of the batch
-    net.set_mode("eval")
-    single, _ = mlp_forward(net, X[:1])
+    # the inference pass reads the running stats instead of the batch
+    single = forward_eval(net, X[:1])
     expected_eval = (X[:1] - net.stats[:2]) / np.sqrt(net.stats[2:] + 1e-5)
     assert np.allclose(single, expected_eval)
 
@@ -245,6 +244,17 @@ def test_upstream_row_count_must_match_cache():
         mlp_backward(net, cache, np.ones((4, 1)))
 
 
+def test_spec_dict_drops_bn_momentum_and_still_loads_older_specs():
+    spec = MlpSpec.dense((3, 4, 2), batchnorm=True, dropout=0.25)
+    saved = spec.to_dict()
+    assert "bn_momentum" not in saved
+    assert MlpSpec.from_dict(saved) == spec
+    # every spec written before the constant carried the one value in use
+    assert MlpSpec.from_dict({**saved, "bn_momentum": 0.1}) == spec
+    with pytest.raises(ConfigError, match="bn_momentum"):
+        MlpSpec.from_dict({**saved, "bn_momentum": 0.2})
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         MlpSpec((3,), (), (), ())  # fewer than two widths
@@ -275,7 +285,7 @@ def test_dropout_zero_fraction_and_survivor_scale():
     spec = MlpSpec.dense((4, 4, 4), activation="identity", dropout=p)
     eye = np.eye(4).ravel()
     params = np.concatenate([eye, np.zeros(4), eye, np.zeros(4)])
-    net = exact_net(spec, params, mode="train")
+    net = exact_net(spec, params)
     out, _ = mlp_forward(net, np.ones((2500, 4)), rng_seed=5, update_stats=False)
     flat = out.ravel()  # 10^4 independent unit draws
     dropped = flat == 0.0
@@ -285,15 +295,33 @@ def test_dropout_zero_fraction_and_survivor_scale():
 
 def test_eval_forward_is_bitwise_repeatable():
     spec = MlpSpec.dense((3, 8, 2), activation="relu", batchnorm=True, dropout=0.5)
-    net = init_network(spec, seed=9, mode="eval")
+    net = init_network(spec, seed=9)
     X = np.random.default_rng(3).standard_normal((7, 3))
     a = forward_eval(net, X)
     b = forward_eval(net, X)
     assert np.array_equal(a, b)
-    # dropout is identity in eval mode: no zeroed activations, no rescale
+    # dropout is identity in the inference pass: no zeroed activations, no rescale
     plain = MlpSpec.dense((3, 8, 2), activation="relu", batchnorm=True)
-    twin = MlpNetwork(plain, net.params.copy(), net.stats.copy(), mode="eval")
+    twin = MlpNetwork(plain, net.params.copy(), net.stats.copy())
     assert np.array_equal(a, forward_eval(twin, X))
+
+
+def test_inference_pass_writes_nothing_and_leaves_caches_live():
+    spec = MlpSpec.dense((3, 8, 5, 2), activation="relu", batchnorm=True, dropout=0.5)
+    net = init_network(spec, seed=9)
+    rng = np.random.default_rng(3)
+    net.stats[:] = rng.uniform(0.5, 1.5, net.stats.size)
+    X = rng.standard_normal((7, 3))
+    _, cache = mlp_forward(net, X, rng_seed=4)
+    params, stats, version = net.params.copy(), net.stats.copy(), net.version
+    out = forward_eval(net, X)
+    assert net.params.tobytes() == params.tobytes()
+    assert net.stats.tobytes() == stats.tobytes()
+    assert net.version == version
+    assert out.tobytes() == reference_inference(net, X).tobytes()
+    # the cache taken before the inference pass is still this net's
+    mlp_backward(net, cache, rng.standard_normal(out.shape))
+    param_grads(net, [cache], np.empty_like(net.params))
 
 
 def test_glorot_init_bounds_and_zero_biases():
@@ -325,7 +353,6 @@ def test_dropout_seed_only_for_train_mode_nets_with_dropout():
     assert dropout_seed(with_dropout, 9, "a", 1) == named_seed(9, "a", 1)
     assert dropout_seed(with_dropout, None, "a") is None
     assert dropout_seed(without, 9, "a") is None
-    assert dropout_seed(with_dropout.set_mode("eval"), 9, "a") is None
 
 
 def _real_specs(profile: str) -> dict[str, MlpSpec]:
@@ -358,7 +385,7 @@ def test_piece_products_are_the_rows_of_the_whole_product_at_real_shapes(profile
                 tape["gamma"] = tape["beta"] = tape["b"]
             layers.append(tape)
         whole = [tape["h_in"].T @ tape["delta"] for tape in layers]
-        tape = GradientTape(net, [MlpCache(net.version, net.mode, n, layers)])
+        tape = GradientTape(net, [MlpCache(net.version, n, layers)])
         assert len(tape.windows) > 1, name
         pieces = 0
         for k, (_, _, segments) in enumerate(tape.windows):
@@ -404,7 +431,7 @@ def test_backward_without_input_grad_keeps_param_grads_bitwise(case):
     spec = MlpSpec.dense(widths, activation=hidden, out_activation=out_act,
                          batchnorm=batchnorm, dropout=dropout)
     net = MlpNetwork(spec, init_network(spec, seed=seed).params,
-                     np.zeros(spec.n_stats()), mode="train")
+                     np.zeros(spec.n_stats()))
     rng = np.random.default_rng(seed + 1)
     X = rng.standard_normal((3, spec.in_dim))
     C = rng.standard_normal((3, spec.out_dim))
@@ -418,13 +445,13 @@ def test_backward_without_input_grad_keeps_param_grads_bitwise(case):
     assert only.tobytes() == grads.tobytes()
 
 
-def _forward_twice(case, mode):
-    """A net in ``mode`` and two (cache, upstream gradient) pairs from two
-    batches, for the accumulate-contract tests."""
+def _forward_twice(case):
+    """A net and two (cache, upstream gradient) pairs from two batches,
+    for the accumulate-contract tests."""
     widths, hidden, out_act, batchnorm, dropout, seed = case
     spec = MlpSpec.dense(widths, activation=hidden, out_activation=out_act,
                          batchnorm=batchnorm, dropout=dropout)
-    net = init_network(spec, seed=seed, mode=mode)
+    net = init_network(spec, seed=seed)
     rng = np.random.default_rng(seed + 2)
     pairs = []
     for rows, rng_seed in ((3, 17), (5, 18)):
@@ -434,11 +461,11 @@ def _forward_twice(case, mode):
     return net, pairs
 
 
-@given(_net_cases(), st.sampled_from(["train", "eval"]))
-def test_backward_accumulates_into_the_buffer(case, mode):
+@given(_net_cases())
+def test_backward_accumulates_into_the_buffer(case):
     # param_grads over two tapes must equal zeros-then-add, whatever the
     # buffer held before: a slice it overwrites, skips or double-adds shows
-    net, ((cache_a, C_a), (cache_b, C_b)) = _forward_twice(case, mode)
+    net, ((cache_a, C_a), (cache_b, C_b)) = _forward_twice(case)
     mlp_backward(net, cache_a, C_a)
     mlp_backward(net, cache_b, C_b, input_grad=False)
     out = np.full_like(net.params, np.nan)
@@ -450,18 +477,18 @@ def test_backward_accumulates_into_the_buffer(case, mode):
     assert np.array_equal(param_grads(net, [], out), np.zeros_like(out))
 
 
-@given(_net_cases(), st.sampled_from(["train", "eval"]))
-def test_frozen_backward_gives_the_same_input_grad(case, mode):
+@given(_net_cases())
+def test_frozen_backward_gives_the_same_input_grad(case):
     # backward alone is the frozen-net path: it writes no parameter, stat
     # or gradient, and taping the cache afterwards leaves the input grad
-    net, ((cache, C), _) = _forward_twice(case, mode)
+    net, ((cache, C), _) = _forward_twice(case)
     params, stats = net.params.copy(), net.stats.copy()
     frozen = mlp_backward(net, cache, C)
     assert np.array_equal(net.params, params) and np.array_equal(net.stats, stats)
-    taped, ((cache, C), _) = _forward_twice(case, mode)
+    taped, ((cache, C), _) = _forward_twice(case)
     assert np.array_equal(mlp_backward(taped, cache, C), frozen)
     param_grads(taped, [cache], np.empty_like(taped.params))
-    _, ((cache, C), _) = _forward_twice(case, mode)
+    _, ((cache, C), _) = _forward_twice(case)
     assert mlp_backward(net, cache, C, input_grad=False) is None
 
 
