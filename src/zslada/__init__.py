@@ -20,7 +20,6 @@ from zslada.ada import (
     AdaState,
     LabeledBatch,
     adapt,
-    augment_label,
     load_ada_state,
     map_prototypes,
     save_ada_state,

@@ -27,7 +27,7 @@ gradients reach the generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -40,8 +40,9 @@ from .errors import ConfigError, DataError, NumericalDivergence
 from .nn.checkpoint import load_container, save_container
 from .nn.mlp import (MlpCache, MlpNetwork, MlpSpec, dropout_seed, forward_eval,
                      init_network, mlp_backward, mlp_forward)
-from .nn.optim import RMSPROP_BETA2, OptimizerHyper, role_stepper
+from .nn.optim import OptimizerHyper, role_stepper
 from .rng import named_seed, named_stream
+from .settings import from_dict
 
 VARIANTS = ("full", "vanilla_ada", "cyclegan_wo", "std_da")
 CYCLE_FORMS = ("cross_domain", "within_domain")
@@ -131,24 +132,6 @@ class AdaConfig:
         object.__setattr__(self, "gen_hidden", tuple(int(w) for w in self.gen_hidden))
         object.__setattr__(self, "disc_hidden", tuple(int(w) for w in self.disc_hidden))
 
-    def to_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            out[name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AdaConfig":
-        unknown = set(payload) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown adaptation config keys: {sorted(unknown)}")
-        kwargs = dict(payload)
-        for key in ("gen_hidden", "disc_hidden"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
-
 
 @dataclass
 class AdaState:
@@ -179,18 +162,6 @@ class AdaState:
     @property
     def c_t(self) -> MlpNetwork:
         return self.nets["c_t"]
-
-
-def augment_label(x: np.ndarray, c: int, n_unseen: int) -> np.ndarray:
-    """Append the one-hot of unseen-class index ``c`` to a feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ConfigError("augment_label takes a single feature vector")
-    if not 0 <= c < n_unseen:
-        raise ConfigError(f"class index {c} out of range for {n_unseen} unseen classes")
-    onehot = np.zeros(n_unseen)
-    onehot[c] = 1.0
-    return np.concatenate([x, onehot])
 
 
 def augment_batch(X: np.ndarray, labels: np.ndarray, n_unseen: int) -> np.ndarray:
@@ -546,7 +517,7 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
     state, test_X, table, pools = _setup(base_model, test_data, config)
     log: list[tuple] = []
     roles = _trained_roles(state.variant, "generator") + _trained_roles(state.variant, "critic")
-    hyper = OptimizerHyper(learning_rate=config.learning_rate, beta2=RMSPROP_BETA2)
+    hyper = OptimizerHyper(learning_rate=config.learning_rate)
     step = role_stepper("rmsprop", state.nets, dict.fromkeys(roles, hyper))
 
     for it in range(config.n_steps):
@@ -598,8 +569,8 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
     state, test_X, table, pools = _setup(base_model, test_data, config)
     log: list[tuple] = []
     half = max(1, config.batch_size // 2)
-    step = role_stepper("rmsprop", state.nets, {"c_t": OptimizerHyper(
-        learning_rate=config.learning_rate, beta2=RMSPROP_BETA2)})
+    step = role_stepper("rmsprop", state.nets,
+                        {"c_t": OptimizerHyper(learning_rate=config.learning_rate)})
     for it in range(config.n_steps):
         state.iteration = it
         stream = named_stream(config.seed, "batch", "std", it)
@@ -655,13 +626,13 @@ def map_prototypes(state: AdaState, table: GaussianTable, n_samples: int,
 def save_ada_state(path: str | Path, state: AdaState, config: AdaConfig) -> None:
     meta = {
         "kind": "ada_state",
-        "config": config.to_dict(),
+        "config": asdict(config),
         "variant": state.variant,
         "phase": state.phase,
         "iteration": state.iteration,
         "unseen_ids": list(state.unseen_ids),
         "agreement_estimate": state.agreement_estimate,
-        "specs": {role: state.nets[role].spec.to_dict() for role in ROLES},
+        "specs": {role: asdict(state.nets[role].spec) for role in ROLES},
         "seeds": {role: state.nets[role].seed for role in ROLES},
     }
     arrays = {}
@@ -680,7 +651,7 @@ def load_ada_state(path: str | Path) -> tuple[AdaState, AdaConfig]:
     if meta.get("kind") != "ada_state":
         raise DataError("BAD_CHECKPOINT",
                         f"expected an adaptation checkpoint, found {meta.get('kind')!r}")
-    config = AdaConfig.from_dict(meta["config"])
+    config = from_dict(AdaConfig, meta["config"], "adaptation config")
     nets = {}
     for role in ROLES:
         spec = MlpSpec.from_dict(meta["specs"][role])

@@ -10,7 +10,7 @@ likelihood rankings are unchanged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -402,8 +402,8 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
 def save_base_model(path: str | Path, model: BaseZslModel) -> None:
     meta = {
         "kind": "base_model",
-        "mean_spec": model.mean_net.spec.to_dict(),
-        "prec_spec": model.prec_net.spec.to_dict(),
+        "mean_spec": asdict(model.mean_net.spec),
+        "prec_spec": asdict(model.prec_net.spec),
         "mean_seed": model.mean_net.seed,
         "prec_seed": model.prec_net.seed,
         "include_logdet": bool(model.include_logdet),

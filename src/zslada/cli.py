@@ -15,14 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .ada import VARIANTS, adapt, load_ada_state, save_ada_state, transformed_draws
-from .base_model import (class_params_matrix, draw_gaussian, load_base_model, pretrain,
-                         pseudo_labels, sample_stream, save_base_model)
+from .ada import VARIANTS, AdaConfig, adapt, load_ada_state, save_ada_state, transformed_draws
+from .base_model import (PretrainConfig, class_params_matrix, draw_gaussian, load_base_model,
+                         pretrain, pseudo_labels, sample_stream, save_base_model)
 from .data import DatasetBundle, export_embeddings, load_dataset
 from .errors import ConfigError, DataError, NonFiniteGradient, NumericalDivergence, ZsladaError
 from .metrics import (eval_workers, inductive_accuracy, lacks_metric, m1_accuracy,
                       m2_accuracy, write_report_csv)
 from .profiles import PROFILE_NAMES, ada_profile, build_base_model, pretrain_config
+from .settings import from_dict
 from .synthetic import SyntheticWorldSpec, make_synthetic_world, save_synthetic_world
 
 METRIC_CHOICES = ("inductive", "m1", "m2", "all")
@@ -66,7 +67,7 @@ def _load_bundle(args, cfg: dict) -> tuple[str | None, DatasetBundle]:
     if data:
         return data, load_dataset(data)
     if cfg.get("world"):
-        spec = SyntheticWorldSpec.from_dict(cfg["world"])
+        spec = from_dict(SyntheticWorldSpec, cfg["world"], "synthetic-world")
         world = make_synthetic_world(spec)
         return None, world.bundle
     raise ConfigError("need a dataset: pass --data DIR or a 'world' spec in --config")
@@ -112,29 +113,18 @@ def _world_spec(cfg: dict, seed: int | None) -> SyntheticWorldSpec:
                                 "eval", "base", "ada_state", "metric")}
     if not payload:
         raise ConfigError("synth needs a world spec in --config")
-    spec = SyntheticWorldSpec.from_dict(payload)
+    spec = from_dict(SyntheticWorldSpec, payload, "synthetic-world")
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
     return spec
 
 
-def _merge(profile_cfg, file_dict: dict | None):
-    if not file_dict:
-        return profile_cfg
-    known = {f.name for f in dataclasses.fields(profile_cfg)}
-    bad = sorted(set(file_dict) - known)
-    if bad:
-        raise ConfigError(f"unknown config keys: {', '.join(bad)}")
-    return dataclasses.replace(profile_cfg, **file_dict)
-
-
-def cmd_synth(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
+def cmd_synth(args, cfg: dict) -> int:
     spec = _world_spec(cfg, args.seed)
     out = _out_dir(args, cfg, "synth")
     world = make_synthetic_world(spec)
     save_synthetic_world(out, world)
-    _write_snapshot(out, {"command": "synth", "world": spec.to_dict(),
+    _write_snapshot(out, {"command": "synth", "world": dataclasses.asdict(spec),
                           "out": str(out)})
     print(f"world written to {out} "
           f"({spec.n_classes} classes, {spec.samples_per_class} samples/class)")
@@ -149,13 +139,13 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-def cmd_pretrain(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
+def cmd_pretrain(args, cfg: dict) -> int:
     profile = args.profile or cfg.get("profile") or "synth-small"
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     out = _out_dir(args, cfg, "pretrain")
     data, bundle = _load_bundle(args, cfg)
-    train_cfg = _merge(pretrain_config(profile, seed=seed), cfg.get("pretrain"))
+    train_cfg = from_dict(PretrainConfig, cfg.get("pretrain") or {}, "pretrain config",
+                          base=pretrain_config(profile, seed=seed))
 
     ckpt = out / "base_model.ckpt"
     if ckpt.exists():
@@ -187,14 +177,14 @@ def _fmt_metric(value) -> str:
     return "NA" if value is None else f"{value:.4f}"
 
 
-def cmd_adapt(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
+def cmd_adapt(args, cfg: dict) -> int:
     profile = args.profile or cfg.get("profile") or "synth-small"
     out = _out_dir(args, cfg, "adapt")
     data, bundle = _load_bundle(args, cfg)
     base_path, model = _load_base(args, cfg, bundle, "adapt")
 
-    ada_cfg = _merge(ada_profile(profile), cfg.get("ada"))
+    ada_cfg = from_dict(AdaConfig, cfg.get("ada") or {}, "adaptation config",
+                        base=ada_profile(profile))
     if args.variant:
         ada_cfg = dataclasses.replace(ada_cfg, variant=_VARIANT_FLAGS[args.variant])
     if args.seed is not None:
@@ -226,7 +216,7 @@ def cmd_adapt(args) -> int:
     _write_snapshot(out, {"command": "adapt", "profile": profile,
                           "data": data,
                           "world": cfg.get("world"), "base": str(base_path),
-                          "ada": ada_cfg.to_dict(), "out": str(out),
+                          "ada": dataclasses.asdict(ada_cfg), "out": str(out),
                           "eval": {"n_samples": n_samples, "seed": eval_seed}})
     agree_s = "NA" if agreement is None else f"{agreement:.4f}"
     print(f"variant {state.variant}, final phase {state.phase}")
@@ -236,8 +226,7 @@ def cmd_adapt(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
+def cmd_eval(args, cfg: dict) -> int:
     out = _out_dir(args, cfg, "eval")
     metric = args.metric or cfg.get("metric") or "all"
     if metric not in METRIC_CHOICES:
@@ -280,8 +269,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_export(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
+def cmd_export(args, cfg: dict) -> int:
     out = _out_dir(args, cfg, "export")
     data, bundle = _load_bundle(args, cfg)
     base_path, model = _load_base(args, cfg, bundle, "export")
@@ -371,7 +359,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         eval_workers()  # fail fast on a bad ZSLADA_THREADS value
-        return args.fn(args)
+        return args.fn(args, _load_json(args.config) if args.config else {})
     except (NumericalDivergence, NonFiniteGradient) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

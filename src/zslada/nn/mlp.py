@@ -31,6 +31,7 @@ import numpy as np
 
 from zslada.errors import ConfigError, DimensionMismatch, StaleCache
 from zslada.rng import named_seed, named_stream
+from zslada.settings import from_dict
 
 BN_EPS = 1e-5
 # weight of the batch's statistics in each running-average update
@@ -125,27 +126,16 @@ class MlpSpec:
         dp = tuple([float(dropout)] * (n - 1) + [0.0])
         return cls(widths, acts, bn, dp)
 
-    def to_dict(self) -> dict:
-        return {
-            "layer_widths": list(self.layer_widths),
-            "activations": list(self.activations),
-            "batchnorm": list(self.batchnorm),
-            "dropout": list(self.dropout),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
-        """Inverse of :meth:`to_dict`.  Older checkpoints also carry
+        """The spec ``dataclasses.asdict`` wrote, read by
+        :func:`zslada.settings.from_dict`.  Older checkpoints also carry
         ``bn_momentum``, which must be :data:`BN_MOMENTUM`."""
-        if float(d.get("bn_momentum", BN_MOMENTUM)) != BN_MOMENTUM:
-            raise ConfigError(f"bn_momentum {d['bn_momentum']!r} is not the "
-                              f"supported {BN_MOMENTUM}")
-        return cls(
-            tuple(d["layer_widths"]),
-            tuple(d["activations"]),
-            tuple(d["batchnorm"]),
-            tuple(d["dropout"]),
-        )
+        d = dict(d)
+        momentum = d.pop("bn_momentum", BN_MOMENTUM)
+        if float(momentum) != BN_MOMENTUM:
+            raise ConfigError(f"bn_momentum {momentum!r} is not the supported {BN_MOMENTUM}")
+        return from_dict(cls, d, "network spec")
 
     def n_params(self) -> int:
         return self._layout[1]

@@ -13,6 +13,12 @@ were.  Weight decay is decoupled: the ``weight_decay * theta`` term is
 added to the scaled update directly and never enters the moment
 accumulators.
 
+An :class:`OptimizerHyper` sets a role's learning rate and weight decay.
+The decays and epsilon are module constants, the one value every caller
+uses: Adam (the attribute heads) runs at ``ADAM_BETA1``/``ADAM_BETA2``,
+and rmsprop (the adaptation nets, whose WGAN critics arXiv 1701.07875
+trains with rmsprop) smooths squared gradients by ``RMSPROP_BETA2``.
+
 The gradient is either an array or a :class:`~zslada.nn.mlp.GradientTape`.
 A tape is stepped window by window: each window is built from the tape
 and consumed at once, so no parameter-sized gradient ever exists.  A
@@ -61,8 +67,12 @@ from ..errors import ConfigError, NonFiniteGradient
 from .mlp import GradientTape, MlpCache, MlpNetwork
 
 _KINDS = ("adam", "rmsprop")
-# rmsprop's squared-gradient smoothing unless a hyper block says otherwise
+# Adam's moment decays and rmsprop's squared-gradient smoothing
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 RMSPROP_BETA2 = 0.99
+# added to both rules' root-mean-square denominators
+EPSILON = 1e-8
 
 BLOCK = 32_768
 # A tape whose bound stays below this cannot produce a non-finite entry.
@@ -71,30 +81,15 @@ FINITE_BOUND = 1e300
 
 @dataclass(frozen=True)
 class OptimizerHyper:
-    """Hyperparameters shared by both update rules.
-
-    ``beta1``/``beta2`` are the Adam moment decays; rmsprop reads only
-    ``beta2`` (its squared-gradient smoothing, ``RMSPROP_BETA2`` in
-    :func:`init_optimizer`'s default block) and ignores ``beta1``.
-    """
+    """The two settings of a role's steps that callers vary; the decays
+    and epsilon are the module constants."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name, value, lo, hi in (
-            ("beta1", self.beta1, 0.0, 1.0),
-            ("beta2", self.beta2, 0.0, 1.0),
-        ):
-            if not lo <= value < hi:
-                raise ConfigError(f"{name} must lie in [0, 1), got {value}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
@@ -115,23 +110,14 @@ class OptimizerState:
 def init_optimizer(
     kind: str,
     n_params: int,
-    hyper: OptimizerHyper | None = None,
+    hyper: OptimizerHyper,
     param_layout: list[tuple[str, int, int]] | None = None,
 ) -> OptimizerState:
-    """Fresh zeroed state.
-
-    With no explicit hyper, adam defaults to (lr 1e-3, 0.9, 0.999) and
-    rmsprop to (lr 1e-5, smoothing ``RMSPROP_BETA2``).
-    """
+    """Fresh zeroed state."""
     if kind not in _KINDS:
         raise ConfigError(f"unknown optimizer kind {kind!r}, expected one of {_KINDS}")
     if n_params <= 0:
         raise ConfigError(f"n_params must be positive, got {n_params}")
-    if hyper is None:
-        if kind == "adam":
-            hyper = OptimizerHyper(learning_rate=1e-3)
-        else:
-            hyper = OptimizerHyper(learning_rate=1e-5, beta2=RMSPROP_BETA2)
     return OptimizerState(
         kind=kind,
         step_count=0,
@@ -240,19 +226,19 @@ def adam_step(params: np.ndarray, grads: np.ndarray | GradientTape,
     """
     hp = state.hyper
     t = state.step_count + 1
-    m_scale = 1.0 - hp.beta1 ** t
-    v_scale = 1.0 - hp.beta2 ** t
+    m_scale = 1.0 - ADAM_BETA1 ** t
+    v_scale = 1.0 - ADAM_BETA2 ** t
     for sl, g, upd, tmp in _blocks(params, grads, state, "adam"):
         m, v = state.first_moment[sl], state.second_moment[sl]
         # m = beta1 * m + (1 - beta1) * g
-        np.multiply(g, 1.0 - hp.beta1, out=tmp)
-        np.multiply(m, hp.beta1, out=m)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        np.multiply(m, ADAM_BETA1, out=m)
         np.add(m, tmp, out=m)
-        _decay_square(v, g, hp.beta2, tmp)
+        _decay_square(v, g, ADAM_BETA2, tmp)
         # update = (m / m_scale) / (sqrt(v / v_scale) + epsilon)
         np.divide(v, v_scale, out=upd)
         np.sqrt(upd, out=upd)
-        np.add(upd, hp.epsilon, out=upd)
+        np.add(upd, EPSILON, out=upd)
         np.divide(m, m_scale, out=tmp)
         np.divide(tmp, upd, out=upd)
         _apply(params[sl], upd, tmp, hp)
@@ -262,7 +248,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray | GradientTape,
 def rmsprop_step(params: np.ndarray, grads: np.ndarray | GradientTape,
                  state: OptimizerState, clip: float | None = None) -> None:
     """One rmsprop update of ``params`` and ``state``, in place, with
-    ``beta2`` as the squared-gradient decay.
+    ``RMSPROP_BETA2`` as the squared-gradient decay.
 
     With ``clip`` set, each block of ``params`` is clipped to
     ``[-clip, clip]`` right after its update, in the same pass (the WGAN
@@ -272,10 +258,10 @@ def rmsprop_step(params: np.ndarray, grads: np.ndarray | GradientTape,
     hp = state.hyper
     for sl, g, upd, tmp in _blocks(params, grads, state, "rmsprop"):
         v, p = state.second_moment[sl], params[sl]
-        _decay_square(v, g, hp.beta2, tmp)
+        _decay_square(v, g, RMSPROP_BETA2, tmp)
         # update = g / (sqrt(v) + epsilon)
         np.sqrt(v, out=upd)
-        np.add(upd, hp.epsilon, out=upd)
+        np.add(upd, EPSILON, out=upd)
         np.divide(g, upd, out=upd)
         _apply(p, upd, tmp, hp)
         if clip is not None:

@@ -11,8 +11,7 @@ unseen-class test rows, which is what the adaptation stage has to undo.
 from __future__ import annotations
 
 import json
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,39 +57,11 @@ class SyntheticWorldSpec:
         if self.shift_magnitude < 0:
             raise ConfigError("shift_magnitude must be >= 0")
         object.__setattr__(self, "map_hidden", tuple(int(w) for w in self.map_hidden))
+        object.__setattr__(self, "precision_range", tuple(self.precision_range))
 
     @property
     def n_classes(self) -> int:
         return self.S + self.U
-
-    def to_dict(self) -> dict:
-        return {
-            "S": self.S, "U": self.U, "d": self.d, "attr_dim": self.attr_dim,
-            "samples_per_class": self.samples_per_class,
-            "attribute_map": self.attribute_map,
-            "map_hidden": list(self.map_hidden),
-            "precision_range": list(self.precision_range),
-            "shift_kind": self.shift_kind,
-            "shift_magnitude": self.shift_magnitude,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SyntheticWorldSpec":
-        fields = cls.__dataclass_fields__
-        unknown = set(payload) - set(fields)
-        if unknown:
-            raise ConfigError(f"unknown synthetic-world keys: {sorted(unknown)}")
-        missing = sorted(name for name, f in fields.items()
-                         if f.default is dataclasses.MISSING and name not in payload)
-        if missing:
-            raise ConfigError(f"missing synthetic-world keys: {missing}")
-        kwargs = dict(payload)
-        if "map_hidden" in kwargs:
-            kwargs["map_hidden"] = tuple(kwargs["map_hidden"])
-        if "precision_range" in kwargs:
-            kwargs["precision_range"] = tuple(kwargs["precision_range"])
-        return cls(**kwargs)
 
 
 @dataclass
@@ -103,7 +74,6 @@ class SyntheticTruth:
     shift_kind: str
     shift_magnitude: float
     shift_offset: np.ndarray | None = None
-    shift_matrix: np.ndarray | None = None
     nonlinear_weights: np.ndarray | None = None
 
     def apply_shift(self, x: np.ndarray) -> np.ndarray:
@@ -111,7 +81,7 @@ class SyntheticTruth:
         if self.shift_kind == "none" or self.shift_magnitude == 0.0:
             return x
         if self.shift_kind == "affine":
-            return x @ self.shift_matrix.T + self.shift_offset
+            return x + self.shift_offset
         scaled = x @ self.nonlinear_weights / np.sqrt(x.shape[-1])
         return x + self.shift_magnitude * np.tanh(scaled)
 
@@ -123,7 +93,7 @@ class SyntheticTruth:
             "shift_kind": self.shift_kind,
             "shift_magnitude": self.shift_magnitude,
         }
-        for name in ("shift_offset", "shift_matrix", "nonlinear_weights"):
+        for name in ("shift_offset", "nonlinear_weights"):
             arr = getattr(self, name)
             payload[name] = None if arr is None else arr.tolist()
         return payload
@@ -212,7 +182,6 @@ def make_synthetic_world(spec: SyntheticWorldSpec) -> SyntheticWorld:
         if norm < 1e-12:
             direction = basis[:, 0]
             norm = 1.0
-        truth.shift_matrix = np.eye(spec.d)
         truth.shift_offset = spec.shift_magnitude * direction / norm
     elif spec.shift_kind == "nonlinear":
         truth.nonlinear_weights = named_stream(spec.seed, "shift").standard_normal(
@@ -255,7 +224,7 @@ def make_synthetic_world(spec: SyntheticWorldSpec) -> SyntheticWorld:
 def save_synthetic_world(dir_path: str | Path, world: SyntheticWorld,
                          binary: bool = False) -> Path:
     dir_path = save_dataset(dir_path, world.dataset, world.attributes, binary=binary)
-    record = {"spec": world.spec.to_dict(), "truth": world.truth.to_dict()}
+    record = {"spec": asdict(world.spec), "truth": world.truth.to_dict()}
     with open(Path(dir_path) / "truth.json", "w") as fh:
         json.dump(record, fh)
         fh.write("\n")

@@ -16,7 +16,7 @@ from zslada.base_model import (BaseZslModel, PretrainConfig, class_params_matrix
 from zslada.data import ClassAttributeTable
 from zslada.nn.mlp import (BN_EPS, MlpCache, MlpNetwork, MlpSpec, forward_eval,
                            init_network, param_grads)
-from zslada.nn.optim import OptimizerState
+from zslada.nn.optim import ADAM_BETA1, ADAM_BETA2, EPSILON, RMSPROP_BETA2, OptimizerState
 from zslada.rng import named_seed
 from zslada.synthetic import SyntheticWorld, SyntheticWorldSpec, make_synthetic_world
 
@@ -81,11 +81,11 @@ def reference_adam_step(params: np.ndarray, grads: np.ndarray,
     (params, state) and leaves its inputs alone."""
     hp = state.hyper
     t = state.step_count + 1
-    m = hp.beta1 * state.first_moment + (1.0 - hp.beta1) * grads
-    v = hp.beta2 * state.second_moment + (1.0 - hp.beta2) * grads * grads
-    m_hat = m / (1.0 - hp.beta1 ** t)
-    v_hat = v / (1.0 - hp.beta2 ** t)
-    update = m_hat / (np.sqrt(v_hat) + hp.epsilon)
+    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    update = m_hat / (np.sqrt(v_hat) + EPSILON)
     if hp.weight_decay:
         update = update + hp.weight_decay * params
     return params - hp.learning_rate * update, OptimizerState(
@@ -96,8 +96,8 @@ def reference_rmsprop_step(params: np.ndarray, grads: np.ndarray,
                            state: OptimizerState) -> tuple[np.ndarray, OptimizerState]:
     """Whole-vector rmsprop, same conventions as ``reference_adam_step``."""
     hp = state.hyper
-    v = hp.beta2 * state.second_moment + (1.0 - hp.beta2) * grads * grads
-    update = grads / (np.sqrt(v) + hp.epsilon)
+    v = RMSPROP_BETA2 * state.second_moment + (1.0 - RMSPROP_BETA2) * grads * grads
+    update = grads / (np.sqrt(v) + EPSILON)
     if hp.weight_decay:
         update = update + hp.weight_decay * params
     return params - hp.learning_rate * update, OptimizerState(

@@ -318,6 +318,34 @@ def test_export_memory_does_not_grow_with_n(tmp_path, monkeypatch):
 # ---------------------------------------------------------------- errors
 
 
+@pytest.mark.parametrize("command", ["synth", "pretrain", "adapt", "eval", "export"])
+def test_snapshot_replays_to_the_same_bytes(pipeline, tmp_path, command):
+    # the first run mixes flags and a config; the replay reads only its snapshot
+    cfg = _write_json(tmp_path / "run.json", {"pretrain": {"max_epochs": 5},
+                                              "ada": {"n_steps": 40},
+                                              "eval": {"n_samples": 100, "seed": 2}})
+    data = ["--data", str(pipeline["world"])]
+    base = ["--base", str(pipeline["pre"] / "base_model.ckpt")]
+    ada = ["--ada", str(pipeline["ada"] / "ada_state.ckpt")]
+    args = {"synth": ["--config", pipeline["spec_cfg"], "--seed", "3"],
+            "pretrain": ["--config", cfg, *data, "--seed", "1"],
+            "adapt": ["--config", cfg, *data, *base, "--variant", "cyclegan-wo", "--seed", "5"],
+            "eval": ["--config", cfg, *data, *base, *ada],
+            "export": ["--config", cfg, *data, *base, *ada]}[command]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([command, *args, "--out", str(first)]) == 0
+    assert main([command, "--config", str(first / "resolved_config.json"),
+                 "--out", str(again)]) == 0
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in again.iterdir())
+    for name in names:
+        if name != "resolved_config.json":
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+    snapshots = [json.loads((out / "resolved_config.json").read_text()) for out in (first, again)]
+    assert [snapshot.pop("out") for snapshot in snapshots] == [str(first), str(again)]
+    assert snapshots[0] == snapshots[1]
+
+
 def test_synth_requires_out(tmp_path, capsys):
     cfg = _write_json(tmp_path / "spec.json", WORLD_SPEC)
     assert main(["synth", "--config", cfg]) == 2

@@ -1,4 +1,5 @@
 """Forward/backward correctness of the dense network engine."""
+import dataclasses
 import itertools
 
 import numpy as np
@@ -246,7 +247,7 @@ def test_upstream_row_count_must_match_cache():
 
 def test_spec_dict_drops_bn_momentum_and_still_loads_older_specs():
     spec = MlpSpec.dense((3, 4, 2), batchnorm=True, dropout=0.25)
-    saved = spec.to_dict()
+    saved = dataclasses.asdict(spec)
     assert "bn_momentum" not in saved
     assert MlpSpec.from_dict(saved) == spec
     # every spec written before the constant carried the one value in use
