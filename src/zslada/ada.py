@@ -27,7 +27,7 @@ gradients reach the generators.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -142,6 +142,9 @@ class AdaState:
     iteration: int = 0
     pseudo: np.ndarray | None = None
     agreement_estimate: float | None = None
+    # unseen classes with no pseudo-labelled test row at set-up or after a
+    # relabel: no batch pairs them with target rows while that lasts
+    empty_pseudo_ids: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         missing = set(ROLES) - set(self.nets)
@@ -392,9 +395,13 @@ def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
     return float(sum(breakdown.values())), breakdown, tapes
 
 
-def _class_pools(pseudo: np.ndarray, unseen_ids: Sequence[int]) -> list[np.ndarray]:
-    """The test rows pseudo-labelled as each unseen class, in class order."""
-    return [np.flatnonzero(pseudo == cid) for cid in unseen_ids]
+def _class_pools(state: AdaState) -> list[np.ndarray]:
+    """The test rows pseudo-labelled as each unseen class, in class order.
+    Classes with none join ``state.empty_pseudo_ids``."""
+    pools = [np.flatnonzero(state.pseudo == cid) for cid in state.unseen_ids]
+    empty = {cid for cid, rows in zip(state.unseen_ids, pools) if not rows.size}
+    state.empty_pseudo_ids = sorted(empty.union(state.empty_pseudo_ids))
+    return pools
 
 
 def _draw_batches(state: AdaState, table: GaussianTable, test_X: np.ndarray,
@@ -422,36 +429,51 @@ def classify(net: MlpNetwork, X: np.ndarray, unseen_ids: Sequence[int]) -> np.nd
     return ids[np.argmax(log_probs, axis=1)]
 
 
-def transformed_draws(state: AdaState, table: GaussianTable, j: int, n: int,
-                      seed: int):
-    """``n`` draws from unseen class index ``j``'s row of ``table`` (the base
-    model's Gaussians of ``state.unseen_ids``, in that order) and G_T of them
-    with the class's one-hot appended, yielded as ``(draws, moved)`` chunks
-    of ``DRAW_CHUNK`` rows and then the rest, so memory does not grow with
-    ``n``.  ``draws`` is a view of a buffer the next chunk overwrites.
-    The chunks have the bits of one batch of all ``n`` draws:
-
-    - they read one ``"sample"`` stream in turn, which numpy fills exactly
-      as it fills one ``standard_normal`` batch of ``n`` rows;
-    - no chunk has one row when ``n > 1``: a one-row product takes BLAS's
-      matrix-vector path, whose bits differ, so a one-row rest joins the
-      chunk before it.
-    """
+def _chunk_rows(n: int) -> list[int]:
+    """Row counts of the chunks ``n`` draws stream in: ``DRAW_CHUNK`` rows
+    each, then the rest.  No chunk has one row when ``n > 1``: a one-row
+    product takes BLAS's matrix-vector path, whose bits differ, so a
+    one-row rest joins the chunk before it."""
     if n < 1:
         raise ConfigError(f"need n >= 1 draws, got {n}")
     chunks = [DRAW_CHUNK] * (n // DRAW_CHUNK)
     rest = n % DRAW_CHUNK
     if rest == 1 and chunks:
-        chunks[-1] += 1  # never a one-row chunk
+        chunks[-1] += 1
     elif rest:
         chunks.append(rest)
-    mean, precision = table[0][j], table[1][j]
-    stream = sample_stream(seed, state.unseen_ids[j])
-    d = mean.shape[0]
-    block = np.zeros((max(chunks), d + state.n_unseen))
-    block[:, d + j] = 1.0
+    return chunks
+
+
+def draw_chunks(mean: np.ndarray, precision: np.ndarray, n: int,
+                stream: np.random.Generator):
+    """``n`` draws from N(mean, diag(1/precision)) read from ``stream``,
+    yielded in the chunks of ``_chunk_rows(n)`` so memory does not grow
+    with ``n``.  Each chunk is a view of one buffer that the next chunk
+    overwrites.  The chunks have the bits of one ``draw_gaussian`` batch
+    of all ``n`` draws: they read the stream in turn, which numpy fills
+    exactly as it fills one ``standard_normal`` batch of ``n`` rows."""
+    chunks = _chunk_rows(n)
+    buffer = np.empty((max(chunks), mean.shape[0]))
     for rows in chunks:
-        block[:rows, :d] = draw_gaussian(mean, precision, rows, stream)
+        buffer[:rows] = draw_gaussian(mean, precision, rows, stream)
+        yield buffer[:rows]
+
+
+def transformed_draws(state: AdaState, table: GaussianTable, j: int, n: int,
+                      seed: int):
+    """``n`` draws from unseen class index ``j``'s row of ``table`` (the base
+    model's Gaussians of ``state.unseen_ids``, in that order) and G_T of them
+    with the class's one-hot appended, yielded as ``(draws, moved)`` chunks
+    as ``draw_chunks`` yields the draws.  ``draws`` is a view of a buffer
+    the next chunk overwrites."""
+    mean, precision = table[0][j], table[1][j]
+    d = mean.shape[0]
+    block = np.zeros((max(_chunk_rows(n)), d + state.n_unseen))
+    block[:, d + j] = 1.0
+    for draws in draw_chunks(mean, precision, n, sample_stream(seed, state.unseen_ids[j])):
+        rows = draws.shape[0]
+        block[:rows, :d] = draws
         yield block[:rows, :d], forward_eval(state.g_t, block[:rows])
 
 
@@ -499,7 +521,7 @@ def _setup(base_model: BaseZslModel, test_data: FeatureDataset, config: AdaConfi
     report = pseudo_labels(base_model, test_data, table)
     state.pseudo = report.labels.copy()
     state.agreement_estimate = report.mean_agreement
-    return state, test_X, table, _class_pools(state.pseudo, state.unseen_ids)
+    return state, test_X, table, _class_pools(state)
 
 
 def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
@@ -542,7 +564,7 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
         if config.relabel_interval and (it + 1) % config.relabel_interval == 0 \
                 and state.variant in _CLF_VARIANTS:
             state.pseudo = classify(state.c_t, test_X, state.unseen_ids)
-            pools = _class_pools(state.pseudo, state.unseen_ids)
+            pools = _class_pools(state)
 
         row = (it,
                bd["L_G_T"] + bd["L_D_T"],
@@ -632,6 +654,7 @@ def save_ada_state(path: str | Path, state: AdaState, config: AdaConfig) -> None
         "iteration": state.iteration,
         "unseen_ids": list(state.unseen_ids),
         "agreement_estimate": state.agreement_estimate,
+        "empty_pseudo_ids": list(state.empty_pseudo_ids),
         "specs": {role: asdict(state.nets[role].spec) for role in ROLES},
         "seeds": {role: state.nets[role].seed for role in ROLES},
     }
@@ -660,7 +683,8 @@ def load_ada_state(path: str | Path) -> tuple[AdaState, AdaConfig]:
                                 seed=meta["seeds"][role])
     state = AdaState(nets=nets, unseen_ids=meta["unseen_ids"], variant=meta["variant"],
                      phase=meta["phase"], iteration=int(meta["iteration"]),
-                     agreement_estimate=meta.get("agreement_estimate"))
+                     agreement_estimate=meta.get("agreement_estimate"),
+                     empty_pseudo_ids=meta.get("empty_pseudo_ids", []))
     if "pseudo" in arrays:
         state.pseudo = arrays["pseudo"].astype(np.int64)
     return state, config

@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .ada import VARIANTS, AdaConfig, adapt, load_ada_state, save_ada_state, transformed_draws
-from .base_model import (PretrainConfig, class_params_matrix, draw_gaussian, load_base_model,
-                         pretrain, pseudo_labels, sample_stream, save_base_model)
-from .data import DatasetBundle, export_embeddings, load_dataset
+from .ada import (LOG_COLUMNS, VARIANTS, AdaConfig, adapt, draw_chunks, load_ada_state,
+                  save_ada_state, transformed_draws)
+from .base_model import (PretrainConfig, class_params_matrix, load_base_model, pretrain,
+                         pseudo_labels, sample_stream, save_base_model)
+from .data import DatasetBundle, export_embeddings, load_dataset, write_csv
 from .errors import ConfigError, DataError, NonFiniteGradient, NumericalDivergence, ZsladaError
 from .metrics import (eval_workers, inductive_accuracy, lacks_metric, m1_accuracy,
                       m2_accuracy, write_report_csv)
@@ -157,10 +158,7 @@ def cmd_pretrain(args, cfg: dict) -> int:
         model, trace = pretrain(model, bundle.dataset, train_cfg)
         out.mkdir(parents=True, exist_ok=True)
         save_base_model(ckpt, model)
-        with open(out / "loss_trace.csv", "w") as fh:
-            fh.write("epoch,train_loglik,heldout_loglik\n")
-            for epoch, tr, he in trace:
-                fh.write(f"{epoch},{tr!r},{he!r}\n")
+        write_csv(out / "loss_trace.csv", ("epoch", "train_loglik", "heldout_loglik"), trace)
     report = inductive_accuracy(model, bundle.dataset)
     write_report_csv(report, out / "report_inductive.csv")
     _write_snapshot(out, {"command": "pretrain", "profile": profile,
@@ -195,11 +193,7 @@ def cmd_adapt(args, cfg: dict) -> int:
     state, log = adapt(model, bundle.dataset, ada_cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_ada_state(out / "ada_state.ckpt", state, ada_cfg)
-    with open(out / "training_log.csv", "w") as fh:
-        fh.write("iter,L_adv_T,L_adv_S,L_cyc,L_clf_T,L_clf_S,phase\n")
-        for row in log:
-            vals = ",".join(repr(float(v)) for v in row[1:6])
-            fh.write(f"{row[0]},{vals},{row[6]}\n")
+    write_csv(out / "training_log.csv", LOG_COLUMNS, log)
 
     m1 = m2 = None
     if not lacks_metric(state.variant, "m1"):
@@ -208,11 +202,8 @@ def cmd_adapt(args, cfg: dict) -> int:
         m2 = m2_accuracy(state, model, bundle.dataset,
                          n_samples=n_samples, seed=eval_seed).mean_per_class_acc
     agreement = state.agreement_estimate
-    with open(out / "summary.csv", "w") as fh:
-        fh.write("metric,value\n")
-        fh.write(f"pseudo_label_agreement,{'NA' if agreement is None else repr(agreement)}\n")
-        fh.write(f"M1,{'NA' if m1 is None else repr(m1)}\n")
-        fh.write(f"M2,{'NA' if m2 is None else repr(m2)}\n")
+    write_csv(out / "summary.csv", ("metric", "value"),
+              [("pseudo_label_agreement", agreement), ("M1", m1), ("M2", m2)])
     _write_snapshot(out, {"command": "adapt", "profile": profile,
                           "data": data,
                           "world": cfg.get("world"), "base": str(base_path),
@@ -220,6 +211,8 @@ def cmd_adapt(args, cfg: dict) -> int:
                           "eval": {"n_samples": n_samples, "seed": eval_seed}})
     agree_s = "NA" if agreement is None else f"{agreement:.4f}"
     print(f"variant {state.variant}, final phase {state.phase}")
+    if state.empty_pseudo_ids:
+        print(f"unseen classes with no pseudo-labelled test row: {state.empty_pseudo_ids}")
     print(f"pseudo-label agreement: {agree_s}")
     print(f"M1: {_fmt_metric(m1)}")
     print(f"M2: {_fmt_metric(m2)}")
@@ -289,19 +282,21 @@ def cmd_export(args, cfg: dict) -> int:
     if state is not None:
         matrices["transformed"] = transformed = np.empty_like(generated)
         label_map["transformed"] = gen_labels
-    # each unseen class in table order; its draws and their G_T rows stream
-    # into the preallocated matrices chunk by chunk
+    # each unseen class in table order; its draws, and their G_T rows when
+    # a state is given, stream into the preallocated matrices chunk by chunk
     for k, cid in enumerate(unseen):
         j = ids.index(cid)
         if state is None:
-            generated[k * n:(k + 1) * n] = draw_gaussian(table[0][j], table[1][j], n,
-                                                         sample_stream(seed, cid))
-            continue
+            chunks = ((draws, None) for draws in
+                      draw_chunks(table[0][j], table[1][j], n, sample_stream(seed, cid)))
+        else:
+            chunks = transformed_draws(state, table, j, n, seed)
         start = k * n
-        for draws, moved in transformed_draws(state, table, j, n, seed):
+        for draws, moved in chunks:
             stop = start + draws.shape[0]
             generated[start:stop] = draws
-            transformed[start:stop] = moved
+            if moved is not None:
+                transformed[start:stop] = moved
             start = stop
     out.mkdir(parents=True, exist_ok=True)
     path = out / "embeddings.csv"

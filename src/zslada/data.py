@@ -5,8 +5,11 @@ header ``label,f0,...,f{d-1}`` (label -1 when unlabeled),
 ``attributes.csv`` with header ``class_id,a0,...``, and ``split.json``
 holding seen/unseen class ids plus train/test row indices.  A binary
 twin (``.npy``, little-endian float64, same column layout) is
-negotiated purely by file extension for large matrices.  Floats in CSV
-are written with ``repr`` so the round trip is bitwise exact.
+negotiated purely by file extension for large matrices.  ``write_csv``
+is the one writer of every CSV the pipeline makes.  It spells an int
+(numpy ints too) as ``str(int(v))``, a float (numpy floats too) as
+``repr(float(v))``, so the round trip is bitwise exact, a str as it is
+and ``None`` as ``NA``; a float vector cell spans one column per entry.
 """
 from __future__ import annotations
 
@@ -22,10 +25,6 @@ import numpy as np
 from .errors import DataError, UnknownClass
 
 ORIGIN_TAGS = ("generated", "real", "transformed")
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _as_int_list(values: Iterable, what: str) -> list[int]:
@@ -261,18 +260,35 @@ def _read_npy_matrix(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return ids.astype(np.int64), raw[:, 1:]
 
 
-def _write_csv_matrix(path: Path, id_column: str, value_prefix: str,
-                      ids: np.ndarray, values: np.ndarray) -> None:
-    d = values.shape[1]
-    header = [id_column] + [f"{value_prefix}{j}" for j in range(d)]
+def _cell(value) -> str:
+    if value is None:
+        return "NA"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Writes ``header``, then one line per row with each cell spelled by
+    the module rule.  A cell that is an ndarray (a float vector, such as a
+    matrix row) spans one column per entry."""
+    path = Path(path)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(values.shape[0]):
-            fields = [str(int(ids[i]))] + [_fmt(v) for v in values[i]]
+        for row in rows:
+            fields = []
+            for value in row:
+                if isinstance(value, np.ndarray):
+                    fields += map(repr, value.tolist())
+                else:
+                    fields.append(_cell(value))
             fh.write(",".join(fields) + "\n")
+    return path
 
 
-def _write_npy_matrix(path: Path, ids: np.ndarray, values: np.ndarray) -> None:
+def _write_npy_matrix(path: Path, ids: Sequence[int], values: np.ndarray) -> None:
     block = np.empty((values.shape[0], values.shape[1] + 1), dtype="<f8")
     block[:, 0] = ids
     block[:, 1:] = values
@@ -287,17 +303,14 @@ def save_dataset(dir_path: str | Path, dataset: FeatureDataset,
     labels = dataset.labels
     if labels is None:
         labels = np.full(dataset.n_rows, -1, dtype=np.int64)
-    if binary:
-        _write_npy_matrix(dir_path / "features.npy", labels, dataset.features)
-        _write_npy_matrix(dir_path / "attributes.npy",
-                          np.asarray(attributes.class_ids, dtype=np.int64),
-                          attributes.attributes)
-    else:
-        _write_csv_matrix(dir_path / "features.csv", "label", "f",
-                          labels, dataset.features)
-        _write_csv_matrix(dir_path / "attributes.csv", "class_id", "a",
-                          np.asarray(attributes.class_ids, dtype=np.int64),
-                          attributes.attributes)
+    for name, id_column, prefix, ids, values in (
+            ("features", "label", "f", labels.tolist(), dataset.features),
+            ("attributes", "class_id", "a", attributes.class_ids, attributes.attributes)):
+        if binary:
+            _write_npy_matrix(dir_path / f"{name}.npy", ids, values)
+        else:
+            header = [id_column] + [f"{prefix}{j}" for j in range(values.shape[1])]
+            write_csv(dir_path / f"{name}.csv", header, zip(ids, values))
     with open(dir_path / "split.json", "w") as fh:
         json.dump(dataset.split.to_dict(), fh, indent=1)
         fh.write("\n")
@@ -362,7 +375,6 @@ def export_embeddings(matrices: Mapping[str, np.ndarray],
     ``generated | real | transformed``; row order inside each block and
     block order (mapping insertion order) are preserved verbatim.
     """
-    path = Path(path)
     if set(matrices) != set(labels):
         raise DataError("BAD_VALUE", "matrices and labels must share origin tags")
     dims = set()
@@ -380,12 +392,6 @@ def export_embeddings(matrices: Mapping[str, np.ndarray],
         raise DataError("BAD_VALUE", f"matrices disagree on feature dim: {sorted(dims)}")
     d = dims.pop() if dims else 0
     header = [f"f{j}" for j in range(d)] + ["label", "origin"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for tag, mat in matrices.items():
-            mat = np.asarray(mat, dtype=np.float64)
-            tag_labels = labels[tag]
-            for i in range(mat.shape[0]):
-                fields = [_fmt(v) for v in mat[i]] + [str(int(tag_labels[i])), tag]
-                fh.write(",".join(fields) + "\n")
-    return path
+    return write_csv(path, header, (
+        (row, label, tag) for tag, mat in matrices.items()
+        for row, label in zip(np.asarray(mat, dtype=np.float64), labels[tag])))

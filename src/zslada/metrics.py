@@ -19,7 +19,7 @@ import numpy as np
 
 from .ada import AdaState, adapt, classify, map_prototypes
 from .base_model import BaseZslModel, class_params_matrix, gaussian_scores, predict
-from .data import FeatureDataset
+from .data import FeatureDataset, write_csv
 from .errors import ConfigError, DataError
 
 METRIC_KINDS = ("inductive", "m1", "m2")
@@ -214,18 +214,14 @@ def base_model_hash(model: BaseZslModel) -> str:
 
 
 def write_report_csv(report: EvalReport, path: str | Path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write("class_id,n,correct,acc\n")
-        for c in sorted(set(report.per_class_acc) | set(report.excluded)):
-            if c in report.excluded:
-                fh.write(f"{c},0,0,NA\n")
-                continue
-            n = report.n_per_class[c]
-            acc = report.per_class_acc[c]
-            fh.write(f"{c},{n},{int(round(acc * n))},{acc!r}\n")
-        total_n = sum(report.n_per_class.values())
-        total_correct = sum(int(round(report.per_class_acc[c] * report.n_per_class[c]))
-                            for c in report.per_class_acc)
-        fh.write(f"MEAN,{total_n},{total_correct},{report.mean_per_class_acc!r}\n")
-    return path
+    rows = []
+    for c in sorted(set(report.per_class_acc) | set(report.excluded)):
+        if c in report.excluded:
+            rows.append((c, 0, 0, None))
+            continue
+        n = report.n_per_class[c]
+        acc = report.per_class_acc[c]
+        rows.append((c, n, int(round(acc * n)), acc))
+    totals = [sum(row[k] for row in rows) for k in (1, 2)]  # n and correct
+    rows.append(("MEAN", *totals, report.mean_per_class_acc))
+    return write_csv(path, ("class_id", "n", "correct", "acc"), rows)

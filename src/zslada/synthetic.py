@@ -221,9 +221,8 @@ def make_synthetic_world(spec: SyntheticWorldSpec) -> SyntheticWorld:
     return SyntheticWorld(spec=spec, dataset=dataset, attributes=table, truth=truth)
 
 
-def save_synthetic_world(dir_path: str | Path, world: SyntheticWorld,
-                         binary: bool = False) -> Path:
-    dir_path = save_dataset(dir_path, world.dataset, world.attributes, binary=binary)
+def save_synthetic_world(dir_path: str | Path, world: SyntheticWorld) -> Path:
+    dir_path = save_dataset(dir_path, world.dataset, world.attributes)
     record = {"spec": asdict(world.spec), "truth": world.truth.to_dict()}
     with open(Path(dir_path) / "truth.json", "w") as fh:
         json.dump(record, fh)

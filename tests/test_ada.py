@@ -26,6 +26,7 @@ import zslada.base_model
 from zslada.base_model import class_params_matrix, pseudo_labels, sample_stream
 from zslada.errors import ConfigError, DataError, NumericalDivergence
 from zslada.metrics import m2_accuracy
+from zslada.nn.checkpoint import load_container, save_container
 from zslada.nn.mlp import MlpNetwork, MlpSpec, forward_eval, param_grads
 from zslada.rng import named_seed
 from zslada.synthetic import make_synthetic_world
@@ -646,6 +647,25 @@ def test_std_da_trains_only_the_target_classifier(small_adapted):
         assert row[6] == "warmup"
 
 
+def test_adapt_names_unseen_classes_without_pseudo_labelled_rows(small_adapted, monkeypatch):
+    world, model, _, config, state, _ = small_adapted
+    assert state.empty_pseudo_ids == []
+    first, other = state.unseen_ids
+    # drop the test rows the base model pseudo-labels as ``other``
+    split = world.dataset.split
+    kept = [i for i, c in zip(split.test_row_indices, state.pseudo) if c != other]
+    pruned = dataclasses.replace(
+        world.dataset, split=dataclasses.replace(split, test_row_indices=kept))
+    for variant in ("full", "std_da"):
+        run = dataclasses.replace(config, n_steps=3, variant=variant)
+        assert adapt(model, pruned, run)[0].empty_pseudo_ids == [other], variant
+    # a relabel that leaves ``other`` no row names it too
+    monkeypatch.setattr(zslada.ada, "classify",
+                        lambda net, X, unseen_ids: np.full(X.shape[0], first))
+    relabelled = dataclasses.replace(config, n_steps=4, relabel_interval=2)
+    assert adapt(model, world.dataset, relabelled)[0].empty_pseudo_ids == [other]
+
+
 # ---------------------------------------------------------------- prototypes
 
 
@@ -755,6 +775,19 @@ def test_map_prototypes_memory_does_not_grow_with_n_samples():
 
 
 # ---------------------------------------------------------------- checkpoints
+
+
+def test_checkpoint_carries_the_classes_without_pseudo_labelled_rows(tmp_path, small_adapted):
+    _, _, _, config, state, _ = small_adapted
+    path = tmp_path / "ada.ckpt"
+    save_ada_state(path, dataclasses.replace(state, empty_pseudo_ids=[state.unseen_ids[1]]),
+                   config)
+    assert load_ada_state(path)[0].empty_pseudo_ids == [state.unseen_ids[1]]
+    # a checkpoint written before the key existed loads with none
+    meta, arrays = load_container(path)
+    del meta["empty_pseudo_ids"]
+    save_container(path, meta, arrays)
+    assert load_ada_state(path)[0].empty_pseudo_ids == []
 
 
 def test_ada_state_checkpoint_round_trip(tmp_path, small_adapted):

@@ -1,4 +1,5 @@
 """End-to-end command-line runs on a small synthetic world."""
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 import zslada.base_model
 import zslada.cli
 from zslada.ada import DRAW_CHUNK, AdaConfig, load_ada_state, save_ada_state
-from zslada.base_model import load_base_model, save_base_model
+from zslada.base_model import load_base_model, pseudo_labels, save_base_model
 from zslada.cli import main
 from zslada.data import FeatureDataset, SplitSpec, export_embeddings, load_dataset, save_dataset
 from zslada.profiles import build_base_model
@@ -150,6 +151,32 @@ def test_eval_all_writes_three_reports(pipeline, tmp_path, capsys):
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert sorted(resolved["reports"]) == ["report_inductive.csv",
                                            "report_m1.csv", "report_m2.csv"]
+
+
+def test_adapt_prints_unseen_classes_without_pseudo_labelled_rows(pipeline, tmp_path, capsys):
+    # the test rows the base model pseudo-labels as the last unseen class
+    # are left out, so adaptation never pairs that class with target rows
+    bundle = load_dataset(pipeline["world"])
+    model = load_base_model(pipeline["pre"] / "base_model.ckpt", bundle.attributes)
+    dropped = bundle.attributes.unseen_ids[-1]
+    split = bundle.dataset.split
+    kept = [i for i, c in zip(split.test_row_indices,
+                              pseudo_labels(model, bundle.dataset).labels) if c != dropped]
+    pruned = tmp_path / "pruned"
+    save_dataset(pruned, FeatureDataset(
+        features=bundle.dataset.features, labels=bundle.dataset.labels,
+        split=dataclasses.replace(split, test_row_indices=kept)), bundle.attributes)
+    cfg = _write_json(tmp_path / "short.json",
+                      {"ada": {"n_steps": 5}, "eval": {"n_samples": 50, "seed": 0}})
+    line = "unseen classes with no pseudo-labelled test row"
+    for world, named in ((pipeline["world"], []), (pruned, [dropped])):
+        out = tmp_path / world.name
+        assert main(["adapt", "--config", cfg, "--data", str(world),
+                     "--base", str(pipeline["pre"] / "base_model.ckpt"),
+                     "--out", str(out)]) == 0
+        printed = [text for text in capsys.readouterr().out.splitlines() if line in text]
+        assert printed == ([f"{line}: {named}"] if named else [])
+        assert load_ada_state(out / "ada_state.ckpt")[0].empty_pseudo_ids == named
 
 
 def test_variant_run_marks_missing_metric_na(pipeline, tmp_path, capsys):
@@ -297,22 +324,24 @@ def test_export_streams_to_the_one_batch_bits(tmp_path, monkeypatch, n, reverse_
 
 
 def test_export_memory_does_not_grow_with_n(tmp_path, monkeypatch):
-    # each class streams its draws through G_T in chunks, so beyond its
-    # outputs, eight times the draws keep the peak of one chunk; the
-    # one-batch reference grows about 8x
+    # each class streams its draws, and with a state their G_T rows, in
+    # chunks, so beyond its outputs, eight times the draws keep the peak of
+    # one chunk; the one-batch reference grows about 8x
     model, state = streaming_setup(d=64)
 
-    def overhead(n: int) -> int:
-        run = _export_run(tmp_path / str(n), monkeypatch, model, state, n, 0)
+    def overhead(adapted, n: int) -> int:
+        run = _export_run(tmp_path / f"{adapted is None}-{n}", monkeypatch, model, adapted,
+                          n, 0)
         handed = []
         peak = peak_traced_bytes(lambda: handed.append(run()))
         matrices, labels = handed[0]
-        output = sum(matrices[k].nbytes for k in ("generated", "transformed"))
+        output = sum(matrix.nbytes for tag, matrix in matrices.items() if tag != "real")
         output += labels["generated"].nbytes
         return peak - output
 
-    one, eight = overhead(DRAW_CHUNK), overhead(8 * DRAW_CHUNK)
-    assert eight <= 1.25 * one, (eight, one)
+    for adapted in (state, None):
+        one, eight = overhead(adapted, DRAW_CHUNK), overhead(adapted, 8 * DRAW_CHUNK)
+        assert eight <= 1.25 * one, (adapted is None, eight, one)
 
 
 # ---------------------------------------------------------------- errors

@@ -13,6 +13,7 @@ from zslada.data import (
     export_embeddings,
     load_dataset,
     save_dataset,
+    write_csv,
 )
 from zslada.errors import DataError, UnknownClass
 
@@ -124,6 +125,8 @@ def test_contiguous_test_rows_are_read_only_views():
 @pytest.mark.parametrize("binary", [False, True])
 def test_round_trip_is_bitwise(tmp_path, binary):
     data, table = _tiny_bundle(np.random.default_rng(5))
+    # a negative zero and the smallest subnormal keep their bits as well
+    data.features[0, :2] = table.attributes[1, :2] = [-0.0, 5e-324]
     save_dataset(tmp_path, data, table, binary=binary)
     loaded, loaded_table = load_dataset(tmp_path)
 
@@ -134,6 +137,17 @@ def test_round_trip_is_bitwise(tmp_path, binary):
     assert loaded_table.table_hash() == table.table_hash()
     assert loaded_table.class_ids == table.class_ids
     assert loaded_table.seen_ids == table.seen_ids
+
+
+@pytest.mark.parametrize("cell, text", [
+    (-0.0, "-0.0"), (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    (5e-324, "5e-324"), (1e300, "1e+300"), (np.float64(0.1), "0.1"), (np.int64(7), "7"),
+    (-3, "-3"), (None, "NA"), ("real", "real"),
+    (np.array([-0.0, 5e-324, 0.1]), "-0.0,5e-324,0.1"),
+])
+def test_write_csv_spells_each_cell_by_one_rule(tmp_path, cell, text):
+    path = write_csv(tmp_path / "cells.csv", ["id", "cell"], [(1, cell)])
+    assert path.read_text() == f"id,cell\n1,{text}\n"
 
 
 def test_no_silent_row_reordering(tmp_path):
