@@ -4,7 +4,6 @@ and cycle-consistent adversarial feature adaptation."""
 from zslada.base_model import (
     BaseZslModel,
     PretrainConfig,
-    PseudoLabelReport,
     class_params_matrix,
     draw_gaussian,
     load_base_model,

@@ -518,9 +518,7 @@ def _setup(base_model: BaseZslModel, test_data: FeatureDataset, config: AdaConfi
         raise DataError("EMPTY_SPLIT", "adaptation needs test rows, the split has none")
     state = init_ada_state(base_model, config)
     table = class_params_matrix(base_model, state.unseen_ids)
-    report = pseudo_labels(base_model, test_data, table)
-    state.pseudo = report.labels.copy()
-    state.agreement_estimate = report.mean_agreement
+    state.pseudo, state.agreement_estimate = pseudo_labels(base_model, test_data, table)
     return state, test_X, table, _class_pools(state)
 
 

@@ -54,10 +54,6 @@ class BaseZslModel:
     def dim(self) -> int:
         return self.mean_net.spec.out_dim
 
-    @property
-    def attr_dim(self) -> int:
-        return self.attribute_table.attr_dim
-
 
 def raw_to_precision(raw: np.ndarray) -> np.ndarray:
     """Bounded precision head: (0.5, 1.5), saturating at the limits."""
@@ -167,22 +163,16 @@ def sample_class(model: BaseZslModel, class_id: int, n: int,
     return draw_gaussian(means[0], precisions[0], n, sample_stream(seed, class_id))
 
 
-@dataclass(frozen=True)
-class PseudoLabelReport:
-    labels: np.ndarray
-    n_per_class: dict[int, int]
-    agreement_per_class: dict[int, float] | None
-    mean_agreement: float | None
-
-
 def pseudo_labels(model: BaseZslModel, test_data: FeatureDataset,
-                  table: GaussianTable | None = None) -> PseudoLabelReport:
-    """Unseen-restricted predictions for every test row.
+                  table: GaussianTable | None = None) -> tuple[np.ndarray, float | None]:
+    """``(labels, agreement)``: the unseen-restricted prediction for every
+    test row, and the mean over classes of the share of each class's
+    labelled test rows predicted as that class, or ``None`` when no test
+    row carries a ground-truth label.
 
     ``table`` is the unseen classes' ``class_params_matrix`` rows in id
-    order, built here when not given.  Ground-truth labels, when present,
-    feed agreement diagnostics only; the labels returned here are always
-    the model's own predictions.
+    order, built here when not given.  Ground truth feeds the agreement
+    only; the labels are always the model's own predictions.
     """
     X, truth = test_data.test_rows()
     if X.shape[1] != model.dim:
@@ -191,22 +181,10 @@ def pseudo_labels(model: BaseZslModel, test_data: FeatureDataset,
     means, precisions = class_params_matrix(model, ids) if table is None else table
     scores = gaussian_scores(X, means, precisions, model.include_logdet)
     labels = np.asarray(ids, dtype=np.int64)[np.argmax(scores, axis=1)]
-    agreement = None
-    mean_agreement = None
-    n_per_class: dict[int, int] = {}
-    if truth is not None and np.any(truth >= 0):
-        agreement = {}
-        for c in sorted(set(int(v) for v in truth if v >= 0)):
-            mask = truth == c
-            n_per_class[c] = int(mask.sum())
-            agreement[c] = float(np.mean(labels[mask] == c))
-        mean_agreement = float(np.mean(list(agreement.values())))
-    else:
-        for c in sorted(set(int(v) for v in labels)):
-            n_per_class[c] = int(np.sum(labels == c))
-    return PseudoLabelReport(labels=labels, n_per_class=n_per_class,
-                             agreement_per_class=agreement,
-                             mean_agreement=mean_agreement)
+    if truth is None or not np.any(truth >= 0):
+        return labels, None
+    per_class = [np.mean(labels[truth == c] == c) for c in np.unique(truth[truth >= 0])]
+    return labels, float(np.mean(per_class))
 
 
 @dataclass(frozen=True)
@@ -399,7 +377,10 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
     return model, trace
 
 
-def save_base_model(path: str | Path, model: BaseZslModel) -> None:
+def save_base_model(path: str | Path, model: BaseZslModel,
+                    pretrain: PretrainConfig | None = None) -> None:
+    """Writes the heads and, when given, the ``pretrain`` settings that
+    trained them, which ``load_base_model`` can hold a rerun to."""
     meta = {
         "kind": "base_model",
         "mean_spec": asdict(model.mean_net.spec),
@@ -409,6 +390,8 @@ def save_base_model(path: str | Path, model: BaseZslModel) -> None:
         "include_logdet": bool(model.include_logdet),
         "attr_table_hash": model.attribute_table.table_hash(),
     }
+    if pretrain is not None:
+        meta["pretrain"] = asdict(pretrain)
     save_container(path, meta, {
         "mean_params": model.mean_net.params,
         "mean_stats": model.mean_net.stats,
@@ -417,8 +400,11 @@ def save_base_model(path: str | Path, model: BaseZslModel) -> None:
     })
 
 
-def load_base_model(path: str | Path,
-                    attribute_table: ClassAttributeTable) -> BaseZslModel:
+def load_base_model(path: str | Path, attribute_table: ClassAttributeTable,
+                    pretrain: PretrainConfig | None = None) -> BaseZslModel:
+    """The checkpoint's model.  When ``pretrain`` is given, refuses a
+    checkpoint that records no pretrain settings or other ones, naming
+    each key that differs."""
     meta, arrays = load_container(path)
     if meta.get("kind") != "base_model":
         raise DataError("BAD_CHECKPOINT",
@@ -426,6 +412,15 @@ def load_base_model(path: str | Path,
     if meta["attr_table_hash"] != attribute_table.table_hash():
         raise DataError("BAD_CHECKPOINT",
                         "checkpoint was trained against a different attribute table")
+    if pretrain is not None:
+        recorded, asked = meta.get("pretrain"), asdict(pretrain)
+        if recorded is None:
+            raise DataError("BAD_CHECKPOINT", f"{path} records no pretrain settings")
+        differ = [f"{k} {recorded.get(k)!r} (asked {v!r})" for k, v in asked.items()
+                  if recorded.get(k) != v]
+        if differ:
+            raise DataError("BAD_CHECKPOINT",
+                            f"{path} was pretrained with other settings: {', '.join(differ)}")
     mean_net = MlpNetwork(spec=MlpSpec.from_dict(meta["mean_spec"]),
                           params=arrays["mean_params"], stats=arrays["mean_stats"],
                           seed=meta.get("mean_seed"))

@@ -150,14 +150,14 @@ def cmd_pretrain(args, cfg: dict) -> int:
 
     ckpt = out / "base_model.ckpt"
     if ckpt.exists():
-        model = load_base_model(ckpt, bundle.attributes)
+        model = load_base_model(ckpt, bundle.attributes, pretrain=train_cfg)
         print(f"loaded existing checkpoint {ckpt}")
     else:
         model = build_base_model(bundle.attributes, bundle.dataset.dim,
                                  profile=profile, seed=seed)
         model, trace = pretrain(model, bundle.dataset, train_cfg)
         out.mkdir(parents=True, exist_ok=True)
-        save_base_model(ckpt, model)
+        save_base_model(ckpt, model, pretrain=train_cfg)
         write_csv(out / "loss_trace.csv", ("epoch", "train_loglik", "heldout_loglik"), trace)
     report = inductive_accuracy(model, bundle.dataset)
     write_report_csv(report, out / "report_inductive.csv")
@@ -274,7 +274,7 @@ def cmd_export(args, cfg: dict) -> int:
     ids = sorted(unseen)
     table = class_params_matrix(model, ids)
     if labels is None:
-        labels = pseudo_labels(model, bundle.dataset, table).labels
+        labels = pseudo_labels(model, bundle.dataset, table)[0]
     gen_labels = np.repeat(np.asarray(unseen, dtype=np.int64), n)
     generated = np.empty((gen_labels.size, model.dim))
     matrices = {"real": X, "generated": generated}

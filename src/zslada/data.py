@@ -5,7 +5,10 @@ header ``label,f0,...,f{d-1}`` (label -1 when unlabeled),
 ``attributes.csv`` with header ``class_id,a0,...``, and ``split.json``
 holding seen/unseen class ids plus train/test row indices.  A binary
 twin (``.npy``, little-endian float64, same column layout) is
-negotiated purely by file extension for large matrices.  ``write_csv``
+negotiated purely by file extension for large matrices.  A directory
+holds one copy of each matrix: ``save_dataset`` removes the other
+format's twin of each file it writes, and ``load_dataset`` refuses a
+directory holding both.  ``write_csv``
 is the one writer of every CSV the pipeline makes.  It spells an int
 (numpy ints too) as ``str(int(v))``, a float (numpy floats too) as
 ``repr(float(v))``, so the round trip is bitwise exact, a str as it is
@@ -214,14 +217,9 @@ class DatasetBundle:
     dataset: FeatureDataset
     attributes: ClassAttributeTable
 
-    def __iter__(self):
-        return iter((self.dataset, self.attributes))
-
 
 def _read_csv_matrix(path: Path, id_column: str) -> tuple[np.ndarray, np.ndarray]:
     """Returns (ids, values).  First column per header, rest float64."""
-    if not path.exists():
-        raise DataError("MISSING_FILE", f"required file missing: {path}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -258,6 +256,19 @@ def _read_npy_matrix(path: Path) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(ids == np.round(ids)):
         raise DataError("BAD_VALUE", f"{path}: id column holds non-integers")
     return ids.astype(np.int64), raw[:, 1:]
+
+
+def _read_matrix(dir_path: Path, name: str, id_column: str) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, values) of the one copy of ``name`` in ``dir_path``, CSV or
+    ``.npy``; refuses a directory holding both or neither."""
+    csv_path, npy_path = dir_path / f"{name}.csv", dir_path / f"{name}.npy"
+    if csv_path.exists() and npy_path.exists():
+        raise DataError("DUPLICATE_FILE", f"both {csv_path} and {npy_path} exist; keep one")
+    if csv_path.exists():
+        return _read_csv_matrix(csv_path, id_column)
+    if npy_path.exists():
+        return _read_npy_matrix(npy_path)
+    raise DataError("MISSING_FILE", f"no {name}.csv or {name}.npy in {dir_path}")
 
 
 def _cell(value) -> str:
@@ -297,7 +308,8 @@ def _write_npy_matrix(path: Path, ids: Sequence[int], values: np.ndarray) -> Non
 
 def save_dataset(dir_path: str | Path, dataset: FeatureDataset,
                  attributes: ClassAttributeTable, binary: bool = False) -> Path:
-    """Writes features, attributes and split.json into ``dir_path``."""
+    """Writes features, attributes and split.json into ``dir_path``,
+    removing the other format's twin of each matrix it writes."""
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
     labels = dataset.labels
@@ -311,6 +323,7 @@ def save_dataset(dir_path: str | Path, dataset: FeatureDataset,
         else:
             header = [id_column] + [f"{prefix}{j}" for j in range(values.shape[1])]
             write_csv(dir_path / f"{name}.csv", header, zip(ids, values))
+        (dir_path / f"{name}.{'csv' if binary else 'npy'}").unlink(missing_ok=True)
     with open(dir_path / "split.json", "w") as fh:
         json.dump(dataset.split.to_dict(), fh, indent=1)
         fh.write("\n")
@@ -320,7 +333,7 @@ def save_dataset(dir_path: str | Path, dataset: FeatureDataset,
 
 
 def load_dataset(dir_path: str | Path) -> DatasetBundle:
-    """Loads a dataset directory (CSV preferred, .npy twin as fallback)."""
+    """Loads a dataset directory, each matrix from its one copy."""
     dir_path = Path(dir_path)
     split_path = dir_path / "split.json"
     if not split_path.exists():
@@ -330,20 +343,8 @@ def load_dataset(dir_path: str | Path) -> DatasetBundle:
     except json.JSONDecodeError as exc:
         raise DataError("BAD_VALUE", f"{split_path}: invalid JSON ({exc})") from None
 
-    if (dir_path / "features.csv").exists():
-        labels, features = _read_csv_matrix(dir_path / "features.csv", "label")
-    elif (dir_path / "features.npy").exists():
-        labels, features = _read_npy_matrix(dir_path / "features.npy")
-    else:
-        raise DataError("MISSING_FILE",
-                        f"no features.csv or features.npy in {dir_path}")
-    if (dir_path / "attributes.csv").exists():
-        class_ids, attr = _read_csv_matrix(dir_path / "attributes.csv", "class_id")
-    elif (dir_path / "attributes.npy").exists():
-        class_ids, attr = _read_npy_matrix(dir_path / "attributes.npy")
-    else:
-        raise DataError("MISSING_FILE",
-                        f"no attributes.csv or attributes.npy in {dir_path}")
+    labels, features = _read_matrix(dir_path, "features", "label")
+    class_ids, attr = _read_matrix(dir_path, "attributes", "class_id")
 
     universe = split.class_universe
     table_ids = [int(c) for c in class_ids]

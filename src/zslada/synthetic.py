@@ -86,17 +86,16 @@ class SyntheticTruth:
         return x + self.shift_magnitude * np.tanh(scaled)
 
     def to_dict(self) -> dict:
-        payload = {
+        """Everything but ``nonlinear_weights``, which ``make_synthetic_world``
+        redraws from the spec's seed and which grow with d squared."""
+        return {
             "class_means": self.class_means.tolist(),
             "class_precisions": self.class_precisions.tolist(),
             "scale": self.scale,
             "shift_kind": self.shift_kind,
             "shift_magnitude": self.shift_magnitude,
+            "shift_offset": None if self.shift_offset is None else self.shift_offset.tolist(),
         }
-        for name in ("shift_offset", "nonlinear_weights"):
-            arr = getattr(self, name)
-            payload[name] = None if arr is None else arr.tolist()
-        return payload
 
 
 @dataclass
@@ -109,9 +108,6 @@ class SyntheticWorld:
     @property
     def bundle(self) -> DatasetBundle:
         return DatasetBundle(dataset=self.dataset, attributes=self.attributes)
-
-    def __iter__(self):
-        return iter((self.dataset, self.attributes, self.truth))
 
 
 def _map_attributes(spec: SyntheticWorldSpec, attrs: np.ndarray) -> np.ndarray:

@@ -389,7 +389,7 @@ def calibrate_shift(world_seed: int, model_seed: int = 11,
 
     def agreement_at(m: float):
         w = world_at(m)
-        return w, pseudo_labels(model, w.dataset).mean_agreement
+        return w, pseudo_labels(model, w.dataset)[1]
 
     m_lo, m_hi = 0.0, start
     w, a = agreement_at(start)

@@ -612,9 +612,9 @@ def test_adapt_is_deterministic_in_seed(small_adapted):
 
 def test_adapt_keeps_pseudo_labels_fixed_by_default(small_adapted):
     world, model, _, _, state, _ = small_adapted
-    report = pseudo_labels(model, world.dataset)
-    assert np.array_equal(state.pseudo, report.labels)
-    assert state.agreement_estimate == report.mean_agreement
+    labels, agreement = pseudo_labels(model, world.dataset)
+    assert np.array_equal(state.pseudo, labels)
+    assert state.agreement_estimate == agreement
 
 
 @pytest.mark.parametrize("loop", ["adapt", "train_std_da"])

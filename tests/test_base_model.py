@@ -238,19 +238,19 @@ def test_draw_gaussian_in_place_has_the_bits_of_the_plain_expression(n, d):
 
 def test_pseudo_labels_agree_without_shift(world19, model19):
     model, _ = model19
-    report = pseudo_labels(model, world19.dataset)
-    assert report.mean_agreement is not None
-    assert report.mean_agreement >= 0.9
+    labels, agreement = pseudo_labels(model, world19.dataset)
+    assert agreement is not None
+    assert agreement >= 0.9
     unseen = set(world19.attributes.unseen_ids)
-    assert set(int(v) for v in report.labels) <= unseen
-    assert sum(report.n_per_class.values()) == len(world19.dataset.split.test_row_indices)
+    assert set(int(v) for v in labels) <= unseen
+    assert labels.shape == (len(world19.dataset.split.test_row_indices),)
 
 
 def test_pseudo_labels_degrade_under_shift(world19, model19):
     model, _ = model19
-    plain = pseudo_labels(model, world19.dataset).mean_agreement
+    plain = pseudo_labels(model, world19.dataset)[1]
     shifted_world = make_synthetic_world(bench_spec(seed=19, shift_magnitude=12.0))
-    shifted = pseudo_labels(model, shifted_world.dataset).mean_agreement
+    shifted = pseudo_labels(model, shifted_world.dataset)[1]
     assert shifted < plain - 0.1
 
 
@@ -260,9 +260,9 @@ def test_pseudo_labels_single_unseen_class():
                       train_row_indices=[0, 1], test_row_indices=[2, 3])
     data = FeatureDataset(features=np.array([[0.1], [-0.2], [9.0], [4.2]]),
                           labels=np.array([0, 0, 1, 1]), split=split)
-    report = pseudo_labels(model, data)
-    assert report.mean_agreement == 1.0
-    assert report.n_per_class == {1: 2}
+    labels, agreement = pseudo_labels(model, data)
+    assert agreement == 1.0
+    assert labels.tolist() == [1, 1]
     wide = FeatureDataset(features=np.zeros((4, 2)), labels=data.labels, split=split)
     with pytest.raises(DimensionMismatch):
         pseudo_labels(model, wide)

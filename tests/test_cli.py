@@ -104,6 +104,27 @@ def test_pretrain_rerun_loads_checkpoint(pipeline, capsys):
     assert (pre / "report_inductive.csv").read_bytes() == before
 
 
+def test_pretrain_rerun_with_other_settings_is_refused(pipeline, tmp_path, capsys):
+    out = tmp_path / "pre"
+    args = ["--data", str(pipeline["world"]), "--out", str(out), "--seed", "0"]
+    short = _write_json(tmp_path / "short.json", {"pretrain": {"max_epochs": 3}})
+    longer = _write_json(tmp_path / "long.json", {"pretrain": {"max_epochs": 40}})
+    assert main(["pretrain", "--config", short, *args]) == 0
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main(["pretrain", "--config", longer, *args]) == 2
+    err = capsys.readouterr().err
+    assert "max_epochs 3 (asked 40)" in err and "learning_rate" not in err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
+    # a checkpoint that records no settings is refused as well
+    ckpt = out / "base_model.ckpt"
+    save_base_model(ckpt, load_base_model(ckpt, load_dataset(pipeline["world"]).attributes))
+    written["base_model.ckpt"] = ckpt.read_bytes()
+    assert main(["pretrain", "--config", short, *args]) == 2
+    assert "records no pretrain settings" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
+
 @pytest.mark.parametrize("flag", [True, False])
 def test_pretrain_snapshot_names_the_dataset_it_loaded(pipeline, tmp_path, flag):
     # --data wins over the config's "data"; the config's other directory
@@ -161,7 +182,7 @@ def test_adapt_prints_unseen_classes_without_pseudo_labelled_rows(pipeline, tmp_
     dropped = bundle.attributes.unseen_ids[-1]
     split = bundle.dataset.split
     kept = [i for i, c in zip(split.test_row_indices,
-                              pseudo_labels(model, bundle.dataset).labels) if c != dropped]
+                              pseudo_labels(model, bundle.dataset)[0]) if c != dropped]
     pruned = tmp_path / "pruned"
     save_dataset(pruned, FeatureDataset(
         features=bundle.dataset.features, labels=bundle.dataset.labels,

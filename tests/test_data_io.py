@@ -128,7 +128,8 @@ def test_round_trip_is_bitwise(tmp_path, binary):
     # a negative zero and the smallest subnormal keep their bits as well
     data.features[0, :2] = table.attributes[1, :2] = [-0.0, 5e-324]
     save_dataset(tmp_path, data, table, binary=binary)
-    loaded, loaded_table = load_dataset(tmp_path)
+    bundle = load_dataset(tmp_path)
+    loaded, loaded_table = bundle.dataset, bundle.attributes
 
     assert loaded.features.tobytes() == data.features.tobytes()
     assert np.array_equal(loaded.labels, data.labels)
@@ -137,6 +138,29 @@ def test_round_trip_is_bitwise(tmp_path, binary):
     assert loaded_table.table_hash() == table.table_hash()
     assert loaded_table.class_ids == table.class_ids
     assert loaded_table.seen_ids == table.seen_ids
+
+
+@pytest.mark.parametrize("first", [False, True])
+def test_a_directory_holds_one_copy_of_each_matrix(tmp_path, first):
+    # zeros saved in one format, then ones in the other, load back as ones
+    data, table = _tiny_bundle(np.random.default_rng(6))
+    for binary, value in ((first, 0.0), (not first, 1.0)):
+        data.features[:] = table.attributes[:] = value
+        save_dataset(tmp_path, data, table, binary=binary)
+    bundle = load_dataset(tmp_path)
+    assert np.all(bundle.dataset.features == 1.0) and np.all(bundle.attributes.attributes == 1.0)
+    stale = "npy" if first else "csv"
+    assert not any(tmp_path.glob(f"*.{stale}"))
+
+    # a twin made by hand is refused, naming both copies
+    save_dataset(tmp_path / "other", data, table, binary=first)
+    twin = "features.npy" if first else "features.csv"
+    (tmp_path / twin).write_bytes((tmp_path / "other" / twin).read_bytes())
+    with pytest.raises(DataError) as err:
+        load_dataset(tmp_path)
+    assert err.value.code == "DUPLICATE_FILE"
+    assert str(tmp_path / "features.csv") in str(err.value)
+    assert str(tmp_path / "features.npy") in str(err.value)
 
 
 @pytest.mark.parametrize("cell, text", [
@@ -158,7 +182,7 @@ def test_no_silent_row_reordering(tmp_path):
     table = ClassAttributeTable(np.zeros((2, 2)), [3, 9], np.array([True, False]))
     data = FeatureDataset(features, labels, split)
     save_dataset(tmp_path, data, table)
-    loaded, _ = load_dataset(tmp_path)
+    loaded = load_dataset(tmp_path).dataset
     assert np.array_equal(loaded.features, features)
     assert np.array_equal(loaded.labels, labels)
 
@@ -177,7 +201,7 @@ def test_csv_headers_and_split_keys(tmp_path):
 def test_unlabeled_round_trip(tmp_path):
     data, table = _tiny_bundle(np.random.default_rng(2), labeled=False)
     save_dataset(tmp_path, data, table)
-    loaded, _ = load_dataset(tmp_path)
+    loaded = load_dataset(tmp_path).dataset
     assert loaded.labels is None
 
 

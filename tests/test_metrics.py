@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import zslada.base_model
 import zslada.metrics
 from zslada.ada import AdaConfig, init_ada_state
-from zslada.base_model import class_params_matrix
+from zslada.base_model import class_params_matrix, pseudo_labels
 from zslada.data import FeatureDataset, SplitSpec
 from zslada.errors import ConfigError, DataError
 from zslada.metrics import (
@@ -321,6 +321,16 @@ def test_inductive_accuracy_on_trained_model(world19, model19):
     assert report.excluded == ()
     assert sorted(report.per_class_acc) == list(world19.attributes.unseen_ids)
     assert report.mean_per_class_acc >= 0.9
+
+
+@pytest.mark.parametrize("shift", [0.0, 12.0])
+def test_pseudo_label_agreement_is_the_inductive_accuracy(model19, shift):
+    # two computations of one per-class accuracy, held to the same bits
+    model, _ = model19
+    world = make_synthetic_world(bench_spec(seed=19, shift_magnitude=shift))
+    agreement = pseudo_labels(model, world.dataset)[1]
+    report = inductive_accuracy(model, world.dataset)
+    assert agreement.hex() == report.mean_per_class_acc.hex()
 
 
 # ---------------------------------------------------------------- parallel

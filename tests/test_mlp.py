@@ -21,7 +21,7 @@ from zslada.nn.mlp import (
     param_grads,
     stable_sigmoid,
 )
-from zslada.profiles import ada_profile, base_profile
+from zslada.profiles import ada_profile, preset
 from zslada.rng import named_seed, named_stream
 
 from .helpers import (exact_net, max_rel_err, numeric_grad, reference_inference,
@@ -359,7 +359,7 @@ def test_dropout_seed_only_for_train_mode_nets_with_dropout():
 def _real_specs(profile: str) -> dict[str, MlpSpec]:
     """The networks ``adapt`` and ``pretrain`` build at a profile's shapes."""
     d, u, attr = {"awa": (2048, 10, 85), "cub": (2048, 50, 312)}[profile]
-    ada, base = ada_profile(profile), base_profile(profile)
+    ada, base = ada_profile(profile), preset(profile)
     return {
         "generator": MlpSpec.dense((d + u, *ada.gen_hidden, d), activation="leaky_relu:0.2",
                                    batchnorm=ada.use_batchnorm),

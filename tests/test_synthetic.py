@@ -147,3 +147,14 @@ def test_world_save_and_truth_round_trip(tmp_path):
     truth = record["truth"]
     for name in ("class_means", "class_precisions", "shift_offset"):
         assert np.array_equal(np.asarray(truth[name]), getattr(world.truth, name)), name
+
+
+def test_truth_json_leaves_the_nonlinear_weights_to_the_spec(tmp_path):
+    world = make_synthetic_world(bench_spec(seed=4, S=2, U=2, d=256, samples_per_class=10,
+                                            shift_kind="nonlinear", shift_magnitude=2.0))
+    save_synthetic_world(tmp_path, world)
+    assert (tmp_path / "truth.json").stat().st_size < (tmp_path / "features.csv").stat().st_size
+    record = json.loads((tmp_path / "truth.json").read_text())
+    assert "nonlinear_weights" not in record["truth"]
+    rebuilt = make_synthetic_world(from_dict(SyntheticWorldSpec, record["spec"], "synthetic-world"))
+    assert rebuilt.truth.nonlinear_weights.tobytes() == world.truth.nonlinear_weights.tobytes()
