@@ -17,7 +17,7 @@ from zslada.base_model import (
 from zslada.ada import (
     AdaConfig,
     AdaState,
-    LabeledBatch,
+    AlignedBatch,
     adapt,
     load_ada_state,
     map_prototypes,

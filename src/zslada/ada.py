@@ -5,8 +5,8 @@ Six networks: G_T maps generated (source) samples into the real test
 critics with weight clipping, and C_T / C_S are classifiers over the
 unseen classes.  Generator inputs carry the class label as a one-hot
 appended to the feature vector.  Minibatches are class-aligned: each
-batch draws one pseudo-class and pairs real rows of that class with
-fresh class-conditional draws of the same class.
+``AlignedBatch`` draws one pseudo-class and pairs real rows of that
+class with fresh class-conditional draws of the same class.
 
 The reported total objective is the weighted sum
 ``L_adv_T + L_adv_S + chi * L_cyc + xi * L_clf_T + xi * L_clf_S`` with
@@ -18,7 +18,9 @@ stepping routine of every training loop.  Differentiating the summed
 min-max value directly would cancel the adversarial signal, so the two
 objectives are separated exactly as in standard adversarial training.
 The T and S sides mirror each other; ``_SIDES`` describes each side
-once and both objectives loop over it.
+once and both objectives loop over it.  ``VARIANT_ROLES`` says which
+networks each ablation variant trains, and every other variant rule
+derives from it.
 
 Classifier terms follow a two-phase schedule: during warmup only the
 real-data terms train the classifiers; after the recovery trigger
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,13 +46,20 @@ from .nn.optim import OptimizerHyper, role_stepper
 from .rng import named_seed, named_stream
 from .settings import from_dict
 
-VARIANTS = ("full", "vanilla_ada", "cyclegan_wo", "std_da")
+# The roles each variant trains besides the critics, in the order the
+# ablation reports them: a side plays the game when its generator trains,
+# and its critic trains with it.
+VARIANT_ROLES = {
+    "std_da": ("c_t",),
+    "vanilla_ada": ("g_t", "c_t"),
+    "cyclegan_wo": ("g_t", "g_s"),
+    "full": ("g_t", "g_s", "c_t", "c_s"),
+}
+VARIANTS = tuple(VARIANT_ROLES)
 CYCLE_FORMS = ("cross_domain", "within_domain")
 TRIGGERS = ("accuracy_crossover", "fixed_fraction")
 PHASES = ("warmup", "recovery")
 ROLES = ("g_t", "g_s", "d_t", "d_s", "c_t", "c_s")
-# variants whose generator step also trains the classifiers
-_CLF_VARIANTS = ("full", "vanilla_ada")
 LOG_COLUMNS = ("iter", "L_adv_T", "L_adv_S", "L_cyc", "L_clf_T", "L_clf_S", "phase")
 # Most class-conditional draws G_T transforms in one batch when prototypes,
 # crossover checks or exports stream their draws (transformed_draws), so
@@ -59,24 +68,26 @@ DRAW_CHUNK = 1024
 
 
 @dataclass(frozen=True)
-class LabeledBatch:
-    """Features plus unseen-class indices."""
+class AlignedBatch:
+    """A class-aligned minibatch: row i of ``source`` (class-conditional
+    draws) and row i of ``target`` (pseudo-labelled test rows) both carry
+    unseen-class index ``labels[i]``."""
 
-    features: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "features",
-                           np.asarray(self.features, dtype=np.float64))
+        for domain in ("source", "target"):
+            object.__setattr__(self, domain,
+                               np.asarray(getattr(self, domain), dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        if self.features.ndim != 2:
-            raise ConfigError("batch features must be a matrix")
-        if self.labels.shape != (self.features.shape[0],):
+        if self.source.ndim != 2 or self.source.shape != self.target.shape:
+            raise ConfigError("source and target must be matrices of one shape")
+        if self.labels.shape != (self.source.shape[0],):
             raise ConfigError("batch needs one label per row")
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
+        if not self.labels.size:
+            raise ConfigError("empty batch")
 
 
 @dataclass(frozen=True)
@@ -152,6 +163,8 @@ class AdaState:
             raise ConfigError(f"state is missing networks: {sorted(missing)}")
         if self.phase not in PHASES:
             raise ConfigError(f"phase must be one of {PHASES}")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}")
         self.unseen_ids = sorted(int(c) for c in self.unseen_ids)
 
     @property
@@ -195,46 +208,36 @@ def _ce(log_probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def _check_batches(source: LabeledBatch, target: LabeledBatch) -> None:
-    if source.n == 0 or target.n == 0:
-        raise ConfigError("empty batch")
-    if source.features.shape[1] != target.features.shape[1]:
-        raise ConfigError("source and target feature dims differ")
-
-
 class _Side(NamedTuple):
     """One side of the adaptation game and the dropout-seed tag of each of
-    its generator's forward passes.  Its generator translates the other
-    side's batch into the ``own`` domain, where its critic and classifier
-    live; critics and classifiers have no dropout and get no seed."""
+    its generator's forward passes.  Its generator translates the
+    ``other`` domain's rows into the ``own`` domain, where its critic and
+    classifier live; critics and classifiers have no dropout and get no
+    seed."""
 
     name: str
     g: str
     d: str
     c: str
     own: str
+    other: str
     translate: str
     ident: str
     cyc_back: str
 
 
 _SIDES = (
-    _Side("T", "g_t", "d_t", "c_t", "target", "gt_src", "gt_id", "cyc_back_s"),
-    _Side("S", "g_s", "d_s", "c_s", "source", "gs_tgt", "gs_id", "cyc_back_t"),
+    _Side("T", "g_t", "d_t", "c_t", "target", "source", "gt_src", "gt_id", "cyc_back_s"),
+    _Side("S", "g_s", "d_s", "c_s", "source", "target", "gs_tgt", "gs_id", "cyc_back_t"),
 )
 
 
-def _sides(variant: str, objective: str) -> tuple[_Side, ...]:
-    if variant == "std_da":
-        raise ConfigError(f"std_da has no {objective} objective")
-    return _SIDES[:1] if variant == "vanilla_ada" else _SIDES
-
-
-def _own_other(side: _Side, source_item, target_item) -> tuple:
-    """The side's own-domain item first, the other domain's second."""
-    if side.own == "target":
-        return target_item, source_item
-    return source_item, target_item
+def _sides(variant: str) -> tuple[_Side, ...]:
+    """The sides that play ``variant``'s game: those whose generator it trains."""
+    sides = tuple(side for side in _SIDES if side.g in VARIANT_ROLES[variant])
+    if not sides:
+        raise ConfigError(f"{variant} trains no generator, so has no adversarial objective")
+    return sides
 
 
 def init_ada_state(base_model: BaseZslModel, config: AdaConfig) -> AdaState:
@@ -256,18 +259,8 @@ def init_ada_state(base_model: BaseZslModel, config: AdaConfig) -> AdaState:
     return AdaState(nets=nets, unseen_ids=list(unseen), variant=config.variant)
 
 
-def _trained_roles(variant: str, objective: str) -> tuple[str, ...]:
-    """Roles whose parameters an objective of ``variant`` differentiates."""
-    sides = _sides(variant, objective)
-    if objective == "critic":
-        return tuple(side.d for side in sides)
-    clf = tuple(side.c for side in sides) if variant in _CLF_VARIANTS else ()
-    return tuple(side.g for side in sides) + clf
-
-
-def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
-                        target: LabeledBatch, commit_stats: bool = False,
-                        rng_seed: int | None = None,
+def generator_objective(state: AdaState, config: AdaConfig, batch: AlignedBatch,
+                        commit_stats: bool = False, rng_seed: int | None = None,
                         ) -> tuple[float, dict[str, float], dict[str, list[MlpCache]]]:
     """Generator-step objective: value, raw term breakdown, and the tape
     of every net updated in this step.
@@ -279,17 +272,15 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
     ``L_D_T`` / ``L_D_S``, so the summed min-max value of the variant is
     ``value + L_D_T + L_D_S``.  Terms a variant does not train read 0.
     """
-    _check_batches(source, target)
-    if source.n != target.n:
-        raise ConfigError("generator step needs equally sized class-aligned batches")
-    sides = _sides(state.variant, "generator")
-    has_clf = state.variant in _CLF_VARIANTS
-    # vanilla keeps only the plain adversarial game: both the cycle and
+    sides = _sides(state.variant)
+    roles = VARIANT_ROLES[state.variant]
+    has_clf = "c_t" in roles
+    # a one-sided game is the plain adversarial one: both the cycle and
     # the identity anchor are the constrained-translation additions.
-    beta = 0.0 if state.variant == "vanilla_ada" else config.identity_weight
+    beta = config.identity_weight if len(sides) == 2 else 0.0
     chi = config.cycle_weight
     xi = config.classifier_weight
-    n, d = target.features.shape
+    n, d = batch.target.shape
     u = state.n_unseen
     nets = state.nets
 
@@ -301,25 +292,24 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
         tapes[role].append(cache)
         return mlp_backward(nets[role], cache, grad_out, input_grad=input_grad)
 
-    aug_src = augment_batch(source.features, source.labels, u)
-    aug_tgt = augment_batch(target.features, target.labels, u)
-    tapes = {role: [] for role in _trained_roles(state.variant, "generator")}
+    aug = {domain: augment_batch(getattr(batch, domain), batch.labels, u)
+           for domain in ("source", "target")}
+    tapes = {role: [] for role in roles}
     breakdown = dict.fromkeys(
         ("L_G_T", "L_D_T", "L_G_S", "L_D_S", "L_cyc", "L_clf_T", "L_clf_S"), 0.0)
     moved, cache_g, at_moved = {}, {}, {}
 
     # translation, identity anchor and critic score
     for side in sides:
-        own, other = _own_other(side, source, target)
-        own_aug, other_aug = _own_other(side, aug_src, aug_tgt)
-        moved[side], cache_g[side] = fw(side.g, other_aug, side.translate)
+        own = getattr(batch, side.own)
+        moved[side], cache_g[side] = fw(side.g, aug[side.other], side.translate)
         d_fake, cache_d_fake = mlp_forward(nets[side.d], moved[side], update_stats=False)
-        ident_out, cache_ident = fw(side.g, own_aug, side.ident)
-        ident, ident_grad = _mean_l1(ident_out, own.features)
+        ident_out, cache_ident = fw(side.g, aug[side.own], side.ident)
+        ident, ident_grad = _mean_l1(ident_out, own)
         breakdown[f"L_G_{side.name}"] = beta * ident - float(d_fake.mean())
         breakdown[f"L_D_{side.name}"] = (
             float(d_fake.mean())
-            - float(mlp_forward(nets[side.d], own.features, update_stats=False)[0].mean()))
+            - float(mlp_forward(nets[side.d], own, update_stats=False)[0].mean()))
         at_moved[side] = np.zeros((n, d))
         bw(side.g, cache_ident, beta * ident_grad, input_grad=False)
         at_moved[side] += mlp_backward(nets[side.d], cache_d_fake, np.full((n, 1), -1.0 / n))
@@ -327,30 +317,29 @@ def generator_objective(state: AdaState, config: AdaConfig, source: LabeledBatch
     # cycle legs: each side's translated rows go back through the other generator
     if len(sides) == 2:
         for side, back in zip(sides, reversed(sides)):
-            own, other = _own_other(side, source, target)
-            rebuilt, cache_back = fw(back.g, augment_batch(moved[side], other.labels, u),
+            rebuilt, cache_back = fw(back.g, augment_batch(moved[side], batch.labels, u),
                                      side.cyc_back)
-            ref = own if config.cycle_form == "cross_domain" else other
-            leg, leg_grad = _mean_l1(rebuilt, ref.features)
+            ref = side.own if config.cycle_form == "cross_domain" else side.other
+            leg, leg_grad = _mean_l1(rebuilt, getattr(batch, ref))
             breakdown["L_cyc"] += leg
             gin = bw(back.g, cache_back, chi * leg_grad)
             at_moved[side] += gin[:, :d]
 
     # classifiers: real own-domain rows, plus the translated rows in recovery
     for side in sides if has_clf else ():
-        own, other = _own_other(side, source, target)
-        out, cache_c = mlp_forward(nets[side.c], own.features, update_stats=commit_stats)
-        clf, ce_grad = _ce(out, own.labels)
+        out, cache_c = mlp_forward(nets[side.c], getattr(batch, side.own),
+                                   update_stats=commit_stats)
+        clf, ce_grad = _ce(out, batch.labels)
         bw(side.c, cache_c, xi * ce_grad, input_grad=False)
         if state.phase == "recovery":
             out, cache_c = mlp_forward(nets[side.c], moved[side], update_stats=commit_stats)
-            term, ce_grad = _ce(out, other.labels)
+            term, ce_grad = _ce(out, batch.labels)
             clf += term
             at_moved[side] += bw(side.c, cache_c, xi * ce_grad)
         breakdown[f"L_clf_{side.name}"] = clf
     if has_clf and config.mismatched_pairs and u > 1:
-        wrong = _mismatched_labels(target.labels, u, config.seed, state.iteration)
-        out, cache_c = mlp_forward(nets["c_t"], target.features, update_stats=False)
+        wrong = _mismatched_labels(batch.labels, u, config.seed, state.iteration)
+        out, cache_c = mlp_forward(nets["c_t"], batch.target, update_stats=False)
         term, ce_grad = _ce(out, wrong)
         breakdown["L_clf_T"] -= config.mismatched_weight * term
         bw("c_t", cache_c, -config.mismatched_weight * xi * ce_grad, input_grad=False)
@@ -369,28 +358,26 @@ def _mismatched_labels(labels: np.ndarray, u: int, seed: int,
     return (labels + offsets) % u
 
 
-def critic_objective(state: AdaState, config: AdaConfig, source: LabeledBatch,
-                     target: LabeledBatch, commit_stats: bool = False,
-                     rng_seed: int | None = None,
+def critic_objective(state: AdaState, config: AdaConfig, batch: AlignedBatch,
+                     commit_stats: bool = False, rng_seed: int | None = None,
                      ) -> tuple[float, dict[str, float], dict[str, list[MlpCache]]]:
     """Critic-step objective with generators frozen; returns each
     critic's tape as ``generator_objective`` does."""
-    _check_batches(source, target)
-    u = state.n_unseen
+    sides = _sides(state.variant)
+    n = batch.labels.shape[0]
     nets = state.nets
-    tapes = {role: [] for role in _trained_roles(state.variant, "critic")}
+    tapes = {side.d: [] for side in sides}
     breakdown = {"L_D_T": 0.0, "L_D_S": 0.0}
-    for side in _sides(state.variant, "critic"):
-        own, other = _own_other(side, source, target)
-        fakes = mlp_forward(nets[side.g], augment_batch(other.features, other.labels, u),
-                            update_stats=False,
+    for side in sides:
+        other = augment_batch(getattr(batch, side.other), batch.labels, state.n_unseen)
+        fakes = mlp_forward(nets[side.g], other, update_stats=False,
                             rng_seed=dropout_seed(nets[side.g], rng_seed, side.translate))[0]
         out_f, cache_f = mlp_forward(nets[side.d], fakes, update_stats=commit_stats)
-        out_r, cache_r = mlp_forward(nets[side.d], own.features, update_stats=commit_stats)
+        out_r, cache_r = mlp_forward(nets[side.d], getattr(batch, side.own),
+                                     update_stats=commit_stats)
         breakdown[f"L_D_{side.name}"] = float(out_f.mean()) - float(out_r.mean())
-        nf, nr = fakes.shape[0], own.n
-        mlp_backward(nets[side.d], cache_f, np.full((nf, 1), 1.0 / nf), input_grad=False)
-        mlp_backward(nets[side.d], cache_r, np.full((nr, 1), -1.0 / nr), input_grad=False)
+        mlp_backward(nets[side.d], cache_f, np.full((n, 1), 1.0 / n), input_grad=False)
+        mlp_backward(nets[side.d], cache_r, np.full((n, 1), -1.0 / n), input_grad=False)
         tapes[side.d] += (cache_f, cache_r)
     return float(sum(breakdown.values())), breakdown, tapes
 
@@ -404,10 +391,9 @@ def _class_pools(state: AdaState) -> list[np.ndarray]:
     return pools
 
 
-def _draw_batches(state: AdaState, table: GaussianTable, test_X: np.ndarray,
-                  pools: list[np.ndarray], config: AdaConfig, *path,
-                  ) -> tuple[LabeledBatch, LabeledBatch]:
-    """One class-aligned (source, target) pair, deterministic in path.
+def _draw_batch(state: AdaState, table: GaussianTable, test_X: np.ndarray,
+                pools: list[np.ndarray], config: AdaConfig, *path) -> AlignedBatch:
+    """One class-aligned batch, deterministic in path.
     ``table`` and ``pools`` hold each unseen class's (mu, p) rows and
     pseudo-labelled test rows, in ``state.unseen_ids`` order."""
     nonempty = [j for j, rows in enumerate(pools) if rows.size]
@@ -415,18 +401,16 @@ def _draw_batches(state: AdaState, table: GaussianTable, test_X: np.ndarray,
     j = nonempty[int(stream.integers(len(nonempty)))]
     rows = pools[j]
     picks = rows[stream.integers(rows.size, size=config.batch_size)]
-    labels = np.full(config.batch_size, j, dtype=np.int64)
     y = draw_gaussian(table[0][j], table[1][j], config.batch_size,
                       sample_stream(named_seed(config.seed, "src", *path), state.unseen_ids[j]))
-    return (LabeledBatch(features=y, labels=labels),
-            LabeledBatch(features=test_X[picks], labels=labels))
+    return AlignedBatch(source=y, target=test_X[picks],
+                        labels=np.full(config.batch_size, j, dtype=np.int64))
 
 
-def classify(net: MlpNetwork, X: np.ndarray, unseen_ids: Sequence[int]) -> np.ndarray:
-    """Classifier predictions by the inference pass, mapped back to class ids."""
-    log_probs = forward_eval(net, np.asarray(X, dtype=np.float64))
-    ids = np.asarray(sorted(int(c) for c in unseen_ids), dtype=np.int64)
-    return ids[np.argmax(log_probs, axis=1)]
+def classify(state: AdaState, X: np.ndarray) -> np.ndarray:
+    """C_T's predictions by the inference pass, mapped back to class ids."""
+    log_probs = forward_eval(state.c_t, np.asarray(X, dtype=np.float64))
+    return np.asarray(state.unseen_ids, dtype=np.int64)[np.argmax(log_probs, axis=1)]
 
 
 def _chunk_rows(n: int) -> list[int]:
@@ -484,7 +468,7 @@ def _crossover_accuracy(state: AdaState, table: GaussianTable,
     seed = named_seed(config.seed, "xover", iteration)
     correct = []
     for j, cid in enumerate(state.unseen_ids):
-        hits = sum(int(np.count_nonzero(classify(state.c_t, moved, state.unseen_ids) == cid))
+        hits = sum(int(np.count_nonzero(classify(state, moved) == cid))
                    for _, moved in transformed_draws(state, table, j, n, seed))
         correct.append(hits / n)
     return float(np.mean(correct))
@@ -492,7 +476,7 @@ def _crossover_accuracy(state: AdaState, table: GaussianTable,
 
 def _maybe_switch_phase(state: AdaState, table: GaussianTable,
                         config: AdaConfig) -> None:
-    if state.phase == "recovery" or state.variant == "cyclegan_wo":
+    if state.phase == "recovery" or "c_t" not in VARIANT_ROLES[state.variant]:
         return
     it = state.iteration
     if it + 1 >= int(config.recovery_fraction * config.n_steps):
@@ -536,32 +520,31 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
         return train_std_da(base_model, test_data, config)
     state, test_X, table, pools = _setup(base_model, test_data, config)
     log: list[tuple] = []
-    roles = _trained_roles(state.variant, "generator") + _trained_roles(state.variant, "critic")
+    roles = VARIANT_ROLES[state.variant] + tuple(side.d for side in _sides(state.variant))
     hyper = OptimizerHyper(learning_rate=config.learning_rate)
     step = role_stepper("rmsprop", state.nets, dict.fromkeys(roles, hyper))
 
     for it in range(config.n_steps):
         state.iteration = it
         _maybe_switch_phase(state, table, config)
-        src, tgt = _draw_batches(state, table, test_X, pools, config, "gen", it)
+        batch = _draw_batch(state, table, test_X, pools, config, "gen", it)
         value, bd, tapes = generator_objective(
-            state, config, src, tgt, commit_stats=True,
+            state, config, batch, commit_stats=True,
             rng_seed=named_seed(config.seed, "drop", it, "gen"))
         _abort_if_nonfinite(value, bd, it)
         step(tapes)
 
         for inner in range(config.n_critic):
-            src2, tgt2 = _draw_batches(state, table, test_X, pools, config, "critic", it,
-                                       inner)
+            batch = _draw_batch(state, table, test_X, pools, config, "critic", it, inner)
             cval, cbd, tapes = critic_objective(
-                state, config, src2, tgt2, commit_stats=True,
+                state, config, batch, commit_stats=True,
                 rng_seed=named_seed(config.seed, "drop", it, "critic", inner))
             _abort_if_nonfinite(cval, cbd, it)
             step(tapes, clip=config.clip_c)
 
         if config.relabel_interval and (it + 1) % config.relabel_interval == 0 \
-                and state.variant in _CLF_VARIANTS:
-            state.pseudo = classify(state.c_t, test_X, state.unseen_ids)
+                and "c_t" in roles:
+            state.pseudo = classify(state, test_X)
             pools = _class_pools(state)
 
         row = (it,
@@ -606,9 +589,7 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
         labels = np.full(X.shape[0], j, dtype=np.int64)
         out, cache = mlp_forward(state.c_t, X, update_stats=True)
         loss, ce_grad = _ce(out, labels)
-        if not np.isfinite(loss):
-            raise NumericalDivergence("non-finite classifier loss", iteration=it,
-                                      breakdown={"L_clf_T": loss})
+        _abort_if_nonfinite(loss, {"L_clf_T": loss}, it)
         mlp_backward(state.c_t, cache, ce_grad, input_grad=False)
         step({"c_t": [cache]})
         row = (it, 0.0, 0.0, 0.0, loss, 0.0, state.phase)

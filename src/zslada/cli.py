@@ -94,14 +94,19 @@ def _load_ada(args, cfg: dict, bundle: DatasetBundle):
     return path, state
 
 
-def _eval_settings(cfg: dict, n_samples: int = 10000) -> tuple[int, int]:
-    """``(n_samples, seed)`` of the config's ``eval`` block; refuses fewer
-    than one draw per class."""
-    eval_cfg = cfg.get("eval", {})
-    n = int(eval_cfg.get("n_samples", n_samples))
-    if n < 1:
-        raise ConfigError(f"need n >= 1 draws, got {n}")
-    return n, int(eval_cfg.get("seed", 0))
+@dataclasses.dataclass(frozen=True)
+class EvalSettings:
+    """The ``eval`` block: draws per unseen class and their seed, for M2's
+    prototypes and for exported embeddings."""
+
+    n_samples: int
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n_samples", int(self.n_samples))
+        object.__setattr__(self, "seed", int(self.seed))
+        if self.n_samples < 1:
+            raise ConfigError(f"need n >= 1 draws, got {self.n_samples}")
 
 
 def _world_spec(cfg: dict, seed: int | None) -> SyntheticWorldSpec:
@@ -188,7 +193,8 @@ def cmd_adapt(args, cfg: dict) -> int:
     if args.seed is not None:
         # default stays the config/profile seed (100) when the flag is unset
         ada_cfg = dataclasses.replace(ada_cfg, seed=args.seed)
-    n_samples, eval_seed = _eval_settings(cfg)
+    evals = from_dict(EvalSettings, cfg.get("eval") or {}, "eval",
+                      base=EvalSettings(10_000))
 
     state, log = adapt(model, bundle.dataset, ada_cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -200,7 +206,7 @@ def cmd_adapt(args, cfg: dict) -> int:
         m1 = m1_accuracy(state, bundle.dataset).mean_per_class_acc
     if not lacks_metric(state.variant, "m2"):
         m2 = m2_accuracy(state, model, bundle.dataset,
-                         n_samples=n_samples, seed=eval_seed).mean_per_class_acc
+                         n_samples=evals.n_samples, seed=evals.seed).mean_per_class_acc
     agreement = state.agreement_estimate
     write_csv(out / "summary.csv", ("metric", "value"),
               [("pseudo_label_agreement", agreement), ("M1", m1), ("M2", m2)])
@@ -208,7 +214,7 @@ def cmd_adapt(args, cfg: dict) -> int:
                           "data": data,
                           "world": cfg.get("world"), "base": str(base_path),
                           "ada": dataclasses.asdict(ada_cfg), "out": str(out),
-                          "eval": {"n_samples": n_samples, "seed": eval_seed}})
+                          "eval": dataclasses.asdict(evals)})
     agree_s = "NA" if agreement is None else f"{agreement:.4f}"
     print(f"variant {state.variant}, final phase {state.phase}")
     if state.empty_pseudo_ids:
@@ -227,7 +233,8 @@ def cmd_eval(args, cfg: dict) -> int:
     data, bundle = _load_bundle(args, cfg)
     base_path, model = _load_base(args, cfg, bundle, "eval")
     ada_path, state = _load_ada(args, cfg, bundle)
-    n_samples, eval_seed = _eval_settings(cfg)
+    evals = from_dict(EvalSettings, cfg.get("eval") or {}, "eval",
+                      base=EvalSettings(10_000))
 
     wanted = ("inductive", "m1", "m2") if metric == "all" else (metric,)
     out.mkdir(parents=True, exist_ok=True)
@@ -248,7 +255,7 @@ def cmd_eval(args, cfg: dict) -> int:
                 report = m1_accuracy(state, bundle.dataset)
             else:
                 report = m2_accuracy(state, model, bundle.dataset,
-                                     n_samples=n_samples, seed=eval_seed)
+                                     n_samples=evals.n_samples, seed=evals.seed)
         path = out / f"report_{name}.csv"
         write_report_csv(report, path)
         written.append(path.name)
@@ -257,7 +264,7 @@ def cmd_eval(args, cfg: dict) -> int:
                           "data": data,
                           "world": cfg.get("world"), "base": str(base_path),
                           "ada_state": str(ada_path) if ada_path else None,
-                          "eval": {"n_samples": n_samples, "seed": eval_seed},
+                          "eval": dataclasses.asdict(evals),
                           "out": str(out), "reports": written})
     return 0
 
@@ -267,7 +274,8 @@ def cmd_export(args, cfg: dict) -> int:
     data, bundle = _load_bundle(args, cfg)
     base_path, model = _load_base(args, cfg, bundle, "export")
     ada_path, state = _load_ada(args, cfg, bundle)
-    n, seed = _eval_settings(cfg, n_samples=200)
+    evals = from_dict(EvalSettings, cfg.get("eval") or {}, "eval", base=EvalSettings(200))
+    n, seed = evals.n_samples, evals.seed
     X, labels = bundle.dataset.test_rows()
     unseen = model.attribute_table.unseen_ids
     # one Gaussian table in id order, the state's unseen order when given
@@ -304,7 +312,7 @@ def cmd_export(args, cfg: dict) -> int:
     _write_snapshot(out, {"command": "export", "data": data,
                           "world": cfg.get("world"), "base": str(base_path),
                           "ada_state": str(ada_path) if ada_path else None,
-                          "eval": {"n_samples": n, "seed": seed}, "out": str(out)})
+                          "eval": dataclasses.asdict(evals), "out": str(out)})
     print(f"embeddings written to {path}")
     return 0
 
@@ -316,36 +324,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "cycle-consistent adversarial adaptation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_variant=False, with_metric=False, with_ckpts=False):
+    # each subcommand takes --config and --out, and the flags it reads
+    flags = {
+        "--seed": dict(type=int, default=None),
+        "--profile": dict(choices=PROFILE_NAMES),
+        "--data": dict(help="dataset directory"),
+        "--base": dict(help="pretrained base-model checkpoint"),
+        "--ada": dict(help="adapted-state checkpoint"),
+        "--variant": dict(choices=sorted(_VARIANT_FLAGS)),
+        "--metric": dict(choices=METRIC_CHOICES),
+    }
+    for name, fn, help_text, own in (
+            ("synth", cmd_synth, "write a synthetic benchmark world", ("--seed",)),
+            ("pretrain", cmd_pretrain, "fit the attribute-conditioned Gaussians",
+             ("--seed", "--profile", "--data")),
+            ("adapt", cmd_adapt, "adversarial adaptation on unlabeled test data",
+             ("--seed", "--profile", "--data", "--base", "--variant")),
+            ("eval", cmd_eval, "write per-class accuracy reports",
+             ("--data", "--base", "--ada", "--metric")),
+            ("export", cmd_export, "dump real/generated/transformed embeddings",
+             ("--data", "--base", "--ada"))):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON run config")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--profile", choices=PROFILE_NAMES)
-        p.add_argument("--data", help="dataset directory")
-        if with_ckpts:
-            p.add_argument("--base", help="pretrained base-model checkpoint")
-            p.add_argument("--ada", help="adapted-state checkpoint")
-        if with_variant:
-            p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS))
-        if with_metric:
-            p.add_argument("--metric", choices=METRIC_CHOICES)
-
-    p = sub.add_parser("synth", help="write a synthetic benchmark world")
-    common(p)
-    p.set_defaults(fn=cmd_synth)
-    p = sub.add_parser("pretrain", help="fit the attribute-conditioned Gaussians")
-    common(p)
-    p.set_defaults(fn=cmd_pretrain)
-    p = sub.add_parser("adapt", help="adversarial adaptation on unlabeled test data")
-    common(p, with_variant=True)
-    p.add_argument("--base", help="pretrained base-model checkpoint")
-    p.set_defaults(fn=cmd_adapt)
-    p = sub.add_parser("eval", help="write per-class accuracy reports")
-    common(p, with_metric=True, with_ckpts=True)
-    p.set_defaults(fn=cmd_eval)
-    p = sub.add_parser("export", help="dump real/generated/transformed embeddings")
-    common(p, with_ckpts=True)
-    p.set_defaults(fn=cmd_export)
+        for flag in own:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(fn=fn)
     return parser
 
 

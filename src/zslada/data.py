@@ -309,7 +309,8 @@ def _write_npy_matrix(path: Path, ids: Sequence[int], values: np.ndarray) -> Non
 def save_dataset(dir_path: str | Path, dataset: FeatureDataset,
                  attributes: ClassAttributeTable, binary: bool = False) -> Path:
     """Writes features, attributes and split.json into ``dir_path``,
-    removing the other format's twin of each matrix it writes."""
+    removing the other format's twin of each matrix it writes, and an
+    older ``provenance.txt`` when the dataset has no provenance."""
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
     labels = dataset.labels
@@ -327,8 +328,11 @@ def save_dataset(dir_path: str | Path, dataset: FeatureDataset,
     with open(dir_path / "split.json", "w") as fh:
         json.dump(dataset.split.to_dict(), fh, indent=1)
         fh.write("\n")
+    provenance = dir_path / "provenance.txt"
     if dataset.provenance:
-        (dir_path / "provenance.txt").write_text(dataset.provenance + "\n")
+        provenance.write_text(dataset.provenance + "\n")
+    else:
+        provenance.unlink(missing_ok=True)
     return dir_path
 
 

@@ -17,13 +17,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ada import AdaState, adapt, classify, map_prototypes
+from .ada import VARIANT_ROLES, VARIANTS, AdaState, adapt, classify, map_prototypes
 from .base_model import BaseZslModel, class_params_matrix, gaussian_scores, predict
 from .data import FeatureDataset, write_csv
 from .errors import ConfigError, DataError
 
 METRIC_KINDS = ("inductive", "m1", "m2")
-_LACKS = {"cyclegan_wo": "m1", "std_da": "m2"}
 
 
 @dataclass(frozen=True)
@@ -118,9 +117,11 @@ def inductive_accuracy(model: BaseZslModel, test_data: FeatureDataset) -> EvalRe
 
 
 def lacks_metric(variant: str, metric: str) -> bool:
-    """The one rule for which metric a variant cannot produce: cyclegan_wo
-    trains no classifier, so has no M1; std_da no generator, so no M2."""
-    return _LACKS.get(variant) == metric
+    """The one rule for which metric a variant cannot produce: M1 scores
+    with C_T and M2 maps prototypes through G_T, so a variant that does
+    not train that network has no such metric."""
+    role = {"m1": "c_t", "m2": "g_t"}.get(metric)
+    return role is not None and role not in VARIANT_ROLES[variant]
 
 
 def m1_accuracy(state: AdaState, test_data: FeatureDataset) -> EvalReport:
@@ -130,7 +131,7 @@ def m1_accuracy(state: AdaState, test_data: FeatureDataset) -> EvalReport:
     if state.iteration == 0:
         raise ConfigError("classifier has not been trained yet")
     X, truth = _require_truth(test_data)
-    picks = parallel_rows(lambda rows: classify(state.c_t, rows, state.unseen_ids), X)
+    picks = parallel_rows(lambda rows: classify(state, rows), X)
     return per_class_top1(picks, truth, label_space=state.unseen_ids,
                           metric_kind="m1")
 
@@ -180,8 +181,7 @@ class AblationTable:
 
 
 def ablation_run(base_model: BaseZslModel, test_data: FeatureDataset, config,
-                 variants: Sequence[str] = ("std_da", "vanilla_ada",
-                                            "cyclegan_wo", "full"),
+                 variants: Sequence[str] = VARIANTS,
                  n_samples: int = 10_000, seed: int = 0) -> AblationTable:
     """Runs each variant from the same base model and scores M1/M2.
 

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 
-from zslada.ada import AdaConfig, AdaState, LabeledBatch, augment_batch, init_ada_state
+from zslada.ada import AdaConfig, AdaState, AlignedBatch, augment_batch, init_ada_state
 from zslada.base_model import (BaseZslModel, PretrainConfig, class_params_matrix, pretrain,
                                pseudo_labels, sample_stream)
 from zslada.data import ClassAttributeTable
@@ -306,11 +306,11 @@ def uniform_classifier(d: int, u: int) -> MlpNetwork:
     return exact_net(spec, np.zeros(d * u + u))
 
 
-def batch(features, labels) -> LabeledBatch:
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+def aligned(source, target, labels) -> AlignedBatch:
+    """A class-aligned batch; a scalar ``labels`` labels every row."""
     if np.isscalar(labels):
-        labels = np.full(features.shape[0], labels, dtype=np.int64)
-    return LabeledBatch(features=features, labels=np.asarray(labels, dtype=np.int64))
+        labels = np.full(np.shape(source)[0], labels, dtype=np.int64)
+    return AlignedBatch(source=source, target=target, labels=labels)
 
 
 # The four-seen/four-unseen 16-d benchmark every slow test shares.  The

@@ -49,13 +49,13 @@ def test_gradient_suite_50_seeds_under_60s():
 
         cycle_form = "cross_domain" if seed % 2 == 0 else "within_domain"
         phase = "recovery" if seed % 2 == 0 else "warmup"
-        state, config, source, target = _toy_ada(seed=seed, cycle_form=cycle_form,
+        state, config, batch = _toy_ada(seed=seed, cycle_form=cycle_form,
                                                  phase=phase)
         role = GEN_ROLES[seed % len(GEN_ROLES)]
 
         def gen_fn(p):
             state.nets[role].set_params(p)
-            value, _, tapes = generator_objective(state, config, source, target)
+            value, _, tapes = generator_objective(state, config, batch)
             return value, tape_grads(state.nets, tapes)[role]
 
         report = grad_check(gen_fn, state.nets[role].params.copy(), tolerance=1e-3)
@@ -65,7 +65,7 @@ def test_gradient_suite_50_seeds_under_60s():
 
         def critic_fn(p):
             state.nets[crole].set_params(p)
-            value, _, tapes = critic_objective(state, config, source, target)
+            value, _, tapes = critic_objective(state, config, batch)
             return value, tape_grads(state.nets, tapes)[crole]
 
         report = grad_check(critic_fn, state.nets[crole].params.copy(),

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 import zslada.ada
 from zslada.ada import (
     DRAW_CHUNK,
+    VARIANT_ROLES,
+    VARIANTS,
     AdaConfig,
-    LabeledBatch,
+    AlignedBatch,
     _abort_if_nonfinite,
     adapt,
     augment_batch,
@@ -25,14 +27,14 @@ from zslada.ada import (
 import zslada.base_model
 from zslada.base_model import class_params_matrix, pseudo_labels, sample_stream
 from zslada.errors import ConfigError, DataError, NumericalDivergence
-from zslada.metrics import m2_accuracy
+from zslada.metrics import lacks_metric, m2_accuracy
 from zslada.nn.checkpoint import load_container, save_container
 from zslada.nn.mlp import MlpNetwork, MlpSpec, forward_eval, param_grads
 from zslada.rng import named_seed
 from zslada.synthetic import make_synthetic_world
 
 from .helpers import (
-    batch,
+    aligned,
     bench_spec,
     biased_classifier,
     constant_critic,
@@ -101,12 +103,20 @@ def test_augment_batch_matches_per_row():
         augment_batch(X, np.array([0, 3, 0]), 3)
 
 
-def test_labeled_batch_validation():
+def test_aligned_batch_validation():
     with pytest.raises(ConfigError):
-        LabeledBatch(features=np.zeros(3), labels=np.zeros(3))
+        AlignedBatch(source=np.zeros(3), target=np.zeros(3), labels=np.zeros(3))
     with pytest.raises(ConfigError):
-        LabeledBatch(features=np.zeros((3, 2)), labels=np.zeros(2))
-    assert batch(np.zeros((3, 2)), 0).n == 3
+        AlignedBatch(source=np.zeros((2, 3)), target=np.zeros((3, 3)), labels=np.zeros(2))
+    with pytest.raises(ConfigError):
+        AlignedBatch(source=np.zeros((3, 2)), target=np.zeros((3, 3)), labels=np.zeros(3))
+    with pytest.raises(ConfigError):
+        AlignedBatch(source=np.zeros((3, 2)), target=np.zeros((3, 2)), labels=np.zeros(2))
+    with pytest.raises(ConfigError):
+        aligned(np.zeros((0, 2)), np.zeros((0, 2)), 0)
+    batch = aligned(np.zeros((3, 2)), np.ones((3, 2)), 1)
+    assert batch.labels.tolist() == [1, 1, 1] and batch.labels.dtype == np.int64
+    assert batch.source.dtype == batch.target.dtype == np.float64
 
 
 # ---------------------------------------------------------------- loss terms
@@ -131,72 +141,66 @@ def _exact_state(d, u, config, base_seed=0, **nets):
 TOY_CONFIG = dict(gen_hidden=(4,), disc_hidden=(4,), use_batchnorm=False)
 
 
-def _gen_terms(src, tgt, d, u, phase="warmup", config=None, **nets):
+def _gen_terms(batch, d, u, phase="warmup", config=None, **nets):
     """Generator-objective breakdown on an exact toy state."""
     config = config or AdaConfig(**TOY_CONFIG)
     state = _exact_state(d, u, config, **nets)
     state.phase = phase
-    return generator_objective(state, config, src, tgt)[1]
+    return generator_objective(state, config, batch)[1]
 
 
-def _critic_terms(src, tgt, d, u, **nets):
+def _critic_terms(batch, d, u, **nets):
     config = AdaConfig(**TOY_CONFIG)
-    return critic_objective(_exact_state(d, u, config, **nets), config, src, tgt)[1]
+    return critic_objective(_exact_state(d, u, config, **nets), config, batch)[1]
 
 
-def _cycle(src, tgt, d, u, cycle_form=None, **nets):
+def _cycle(batch, d, u, cycle_form=None, **nets):
     form = {} if cycle_form is None else {"cycle_form": cycle_form}
     config = AdaConfig(**form, **TOY_CONFIG)
-    return _gen_terms(src, tgt, d, u, config=config, **nets)["L_cyc"]
+    return _gen_terms(batch, d, u, config=config, **nets)["L_cyc"]
 
 
 def test_generator_loss_identity_and_zero_critic():
     rng = np.random.default_rng(0)
-    src = batch(rng.standard_normal((3, 3)), np.array([0, 1, 0]))
-    tgt = batch(rng.standard_normal((3, 3)), np.array([0, 1, 0]))
+    batch = aligned(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)), [0, 1, 0])
     config = AdaConfig(identity_weight=5.0, **TOY_CONFIG)
-    assert _gen_terms(src, tgt, 3, 2, config=config)["L_G_T"] == 0.0
+    assert _gen_terms(batch, 3, 2, config=config)["L_G_T"] == 0.0
 
 
 def test_generator_loss_constant_critic():
     rng = np.random.default_rng(1)
-    src = batch(rng.standard_normal((4, 2)), np.zeros(4, dtype=int))
-    tgt = batch(rng.standard_normal((4, 2)), np.zeros(4, dtype=int))
+    batch = aligned(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)), 0)
     config = AdaConfig(identity_weight=0.0, **TOY_CONFIG)
-    bd = _gen_terms(src, tgt, 2, 1, config=config, d_t=constant_critic(2, 2.5))
+    bd = _gen_terms(batch, 2, 1, config=config, d_t=constant_critic(2, 2.5))
     assert bd["L_G_T"] == -2.5
 
 
 def test_generator_loss_offset_toy():
     # G_T adds (1, 0); identity penalty on x = (0, 0) is exactly 1
     g_t = identity_generator(2, 1, offset=np.array([1.0, 0.0]))
-    src = batch(np.array([[0.3, -0.4]]), np.array([0]))
-    tgt = batch(np.array([[0.0, 0.0]]), np.array([0]))
+    batch = aligned([[0.3, -0.4]], [[0.0, 0.0]], 0)
     config = AdaConfig(identity_weight=5.0, **TOY_CONFIG)
-    assert _gen_terms(src, tgt, 2, 1, config=config, g_t=g_t)["L_G_T"] == 5.0
+    assert _gen_terms(batch, 2, 1, config=config, g_t=g_t)["L_G_T"] == 5.0
 
 
 def test_critic_loss_constant_critic_is_zero():
     rng = np.random.default_rng(2)
-    src = batch(rng.standard_normal((5, 2)), np.zeros(5, dtype=int))
-    tgt = batch(rng.standard_normal((5, 2)), np.zeros(5, dtype=int))
-    assert _critic_terms(src, tgt, 2, 1, d_t=constant_critic(2, 0.7))["L_D_T"] == 0.0
+    batch = aligned(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)), 0)
+    assert _critic_terms(batch, 2, 1, d_t=constant_critic(2, 0.7))["L_D_T"] == 0.0
 
 
 def test_critic_loss_fakes_minus_reals():
-    src = batch(np.array([[1.0]]), np.array([0]))
-    tgt = batch(np.array([[3.0]]), np.array([0]))
-    assert _critic_terms(src, tgt, 1, 1, d_t=linear_critic(1, [1.0]))["L_D_T"] == -2.0
+    batch = aligned([[1.0]], [[3.0]], 0)
+    assert _critic_terms(batch, 1, 1, d_t=linear_critic(1, [1.0]))["L_D_T"] == -2.0
 
 
 def test_cycle_loss_identity_generators():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((4, 3))
     labels = np.array([0, 1, 1, 0])
-    src = batch(X, labels)
-    tgt = batch(X.copy(), labels)
-    assert _cycle(src, tgt, 3, 2) == 0.0
-    assert _cycle(src, tgt, 3, 2, cycle_form="within_domain") == 0.0
+    batch = aligned(X, X.copy(), labels)
+    assert _cycle(batch, 3, 2) == 0.0
+    assert _cycle(batch, 3, 2, cycle_form="within_domain") == 0.0
 
 
 def test_cycle_loss_scalar_toy_depends_on_pairing_form():
@@ -204,11 +208,10 @@ def test_cycle_loss_scalar_toy_depends_on_pairing_form():
     # with its own starting row gives 0+0; the cross-domain default
     # compares with the paired row from the other domain and gives 2.
     nets = dict(g_t=linear_generator(1, 1, +1.0), g_s=linear_generator(1, 1, -1.0))
-    src = batch(np.array([[0.0]]), np.array([0]))
-    tgt = batch(np.array([[1.0]]), np.array([0]))
-    assert _cycle(src, tgt, 1, 1, cycle_form="within_domain", **nets) == 0.0
-    assert _cycle(src, tgt, 1, 1, **nets) == 2.0
-    assert _cycle(src, tgt, 1, 1, cycle_form="cross_domain", **nets) == 2.0
+    batch = aligned([[0.0]], [[1.0]], 0)
+    assert _cycle(batch, 1, 1, cycle_form="within_domain", **nets) == 0.0
+    assert _cycle(batch, 1, 1, **nets) == 2.0
+    assert _cycle(batch, 1, 1, cycle_form="cross_domain", **nets) == 2.0
 
 
 def test_cycle_loss_isolates_second_leg():
@@ -217,53 +220,51 @@ def test_cycle_loss_isolates_second_leg():
     relu_spec = MlpSpec.dense((2, 1, 1), activation="relu")
     g_t = exact_net(relu_spec, np.array([1.0, 0.0, 0.0, 1.0, 0.0]))
     g_s = linear_generator(1, 1, 0.0)
-    src = batch(np.array([[2.0]]), np.array([0]))
-    tgt = batch(np.array([[-2.0]]), np.array([0]))
-    value = _cycle(src, tgt, 1, 1, cycle_form="within_domain", g_t=g_t, g_s=g_s)
+    batch = aligned([[2.0]], [[-2.0]], 0)
+    value = _cycle(batch, 1, 1, cycle_form="within_domain", g_t=g_t, g_s=g_s)
     # second leg alone: |relu(G_S(-2)) - (-2)| = |0 - (-2)|
     assert value == 2.0
 
 
 def test_classifier_loss_perfect_and_uniform():
-    src = batch(np.zeros((5, 3)), np.full(5, 1))
-    tgt = batch(np.zeros((5, 3)), np.full(5, 1))
+    batch = aligned(np.zeros((5, 3)), np.zeros((5, 3)), 1)
 
     perfect = biased_classifier(3, 4, favored=1)
-    assert _gen_terms(src, tgt, 3, 4, "warmup", c_t=perfect)["L_clf_T"] == 0.0
-    assert _gen_terms(src, tgt, 3, 4, "recovery", c_t=perfect)["L_clf_T"] == 0.0
+    assert _gen_terms(batch, 3, 4, "warmup", c_t=perfect)["L_clf_T"] == 0.0
+    assert _gen_terms(batch, 3, 4, "recovery", c_t=perfect)["L_clf_T"] == 0.0
 
     uniform = uniform_classifier(3, 4)
-    bd = _gen_terms(src, tgt, 3, 4, "warmup", c_t=uniform, c_s=uniform)
+    bd = _gen_terms(batch, 3, 4, "warmup", c_t=uniform, c_s=uniform)
     assert abs(bd["L_clf_T"] - math.log(4.0)) < 1e-12
     assert bd["L_clf_S"] == bd["L_clf_T"]
 
 
 def test_classifier_loss_warmup_ignores_generator():
     rng = np.random.default_rng(4)
-    src = batch(rng.standard_normal((4, 2)), np.array([0, 1, 0, 1]))
-    tgt = batch(rng.standard_normal((4, 2)), np.array([1, 0, 1, 0]))
+    batch = aligned(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)), [0, 1, 0, 1])
     c_t = uniform_classifier(2, 2)
     plain = identity_generator(2, 2)
     shifted = identity_generator(2, 2, offset=np.array([10.0, -3.0]))
 
-    warm_a = _gen_terms(src, tgt, 2, 2, "warmup", c_t=c_t, g_t=plain)["L_clf_T"]
-    warm_b = _gen_terms(src, tgt, 2, 2, "warmup", c_t=c_t, g_t=shifted)["L_clf_T"]
+    warm_a = _gen_terms(batch, 2, 2, "warmup", c_t=c_t, g_t=plain)["L_clf_T"]
+    warm_b = _gen_terms(batch, 2, 2, "warmup", c_t=c_t, g_t=shifted)["L_clf_T"]
     assert warm_a == warm_b
     assert abs(warm_a - math.log(2.0)) < 1e-12
 
     # recovery adds the generator-transformed term, so G_T now matters
-    rec = _gen_terms(src, tgt, 2, 2, "recovery", c_t=c_t, g_t=plain)["L_clf_T"]
+    rec = _gen_terms(batch, 2, 2, "recovery", c_t=c_t, g_t=plain)["L_clf_T"]
     assert abs(rec - 2 * math.log(2.0)) < 1e-12
     state = _exact_state(2, 2, AdaConfig(**TOY_CONFIG))
     with pytest.raises(ConfigError):
         dataclasses.replace(state, phase="later")
+    with pytest.raises(ConfigError):
+        dataclasses.replace(state, variant="dann")
 
 
 def test_classifier_loss_rejects_out_of_range_labels():
-    src = batch(np.zeros((2, 2)), np.array([0, 0]))
-    bad = batch(np.zeros((2, 2)), np.array([0, 5]))
+    bad = aligned(np.zeros((2, 2)), np.zeros((2, 2)), [0, 5])
     with pytest.raises(ConfigError):
-        _gen_terms(src, bad, 2, 2, c_t=uniform_classifier(2, 2))
+        _gen_terms(bad, 2, 2, c_t=uniform_classifier(2, 2))
 
 
 # ---------------------------------------------------------------- total loss
@@ -275,9 +276,9 @@ def test_total_loss_all_terms_zero():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((4, 2))
     labels = np.zeros(4, dtype=int)
-    src, tgt = batch(X, labels), batch(X.copy(), labels)
-    value, breakdown, _ = generator_objective(state, config, src, tgt)
-    critic_value, critic_breakdown, _ = critic_objective(state, config, src, tgt)
+    batch = aligned(X, X.copy(), labels)
+    value, breakdown, _ = generator_objective(state, config, batch)
+    critic_value, critic_breakdown, _ = critic_objective(state, config, batch)
     assert value + breakdown["L_D_T"] + breakdown["L_D_S"] == 0.0
     assert critic_value == 0.0
     assert all(v == 0.0 for v in breakdown.values())
@@ -292,8 +293,7 @@ def test_total_loss_cycle_term_only():
     X = rng.integers(-20, 20, size=(4, 2)).astype(np.float64) / 8.0
     Y = X + np.array([0.5, 0.0])
     labels = np.zeros(4, dtype=int)
-    value, breakdown, _ = generator_objective(state, config, batch(Y, labels),
-                                              batch(X, labels))
+    value, breakdown, _ = generator_objective(state, config, aligned(Y, X, labels))
     assert breakdown["L_cyc"] == 1.0
     assert value + breakdown["L_D_T"] + breakdown["L_D_S"] == 10.0
     assert breakdown["L_G_T"] == breakdown["L_G_S"] == 0.0
@@ -309,11 +309,10 @@ def test_total_loss_breakdown_sums_and_matches_objectives(seed):
     state = init_ada_state(model, config)
     rng = np.random.default_rng(seed + 50)
     labels = np.array([0, 1, 0, 1])
-    src = batch(rng.standard_normal((4, 3)), labels)
-    tgt = batch(rng.standard_normal((4, 3)), labels)
+    batch = aligned(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)), labels)
 
-    value, gen_bd, _ = generator_objective(state, config, src, tgt)
-    critic_value, crit_bd, _ = critic_objective(state, config, src, tgt)
+    value, gen_bd, _ = generator_objective(state, config, batch)
+    critic_value, crit_bd, _ = critic_objective(state, config, batch)
     assert abs(gen_bd["L_D_T"] - crit_bd["L_D_T"]) <= 1e-12
     assert abs(gen_bd["L_D_S"] - crit_bd["L_D_S"]) <= 1e-12
     assert abs(critic_value - (crit_bd["L_D_T"] + crit_bd["L_D_S"])) <= 1e-12
@@ -329,8 +328,7 @@ def test_variant_term_structure():
                     identity_weight=5.0)
     labels = np.array([0, 1])
     # zero features keep the offset generator's identity penalty exactly 1
-    src = batch(np.zeros((2, d)), labels)
-    tgt = batch(np.zeros((2, d)), labels)
+    batch = aligned(np.zeros((2, d)), np.zeros((2, d)), labels)
 
     def state_for(variant):
         config = AdaConfig(variant=variant, **base_cfg)
@@ -340,37 +338,33 @@ def test_variant_term_structure():
         return state, config
 
     state, config = state_for("full")
-    _, bd, tapes = generator_objective(state, config, src, tgt)
+    _, bd, tapes = generator_objective(state, config, batch)
     assert set(tapes) == {"g_t", "g_s", "c_t", "c_s"}
     assert bd["L_G_T"] == 5.0 * 1.0 - 2.0
 
     state, config = state_for("vanilla_ada")
-    _, bd, tapes = generator_objective(state, config, src, tgt)
+    _, bd, tapes = generator_objective(state, config, batch)
     assert set(tapes) == {"g_t", "c_t"}
     # no identity anchor and no cycle: plain adversarial pull only
     assert bd["L_G_T"] == -2.0
     assert bd["L_cyc"] == 0.0 and bd["L_G_S"] == 0.0 and bd["L_clf_S"] == 0.0
-    _, cbd, ctapes = critic_objective(state, config, src, tgt)
+    _, cbd, ctapes = critic_objective(state, config, batch)
     assert set(ctapes) == {"d_t"}
     assert cbd["L_D_S"] == 0.0
 
     state, config = state_for("cyclegan_wo")
-    _, bd, tapes = generator_objective(state, config, src, tgt)
+    _, bd, tapes = generator_objective(state, config, batch)
     assert set(tapes) == {"g_t", "g_s"}
     assert bd["L_clf_T"] == 0.0 and bd["L_clf_S"] == 0.0
-    _, _, ctapes = critic_objective(state, config, src, tgt)
+    _, _, ctapes = critic_objective(state, config, batch)
     assert set(ctapes) == {"d_t", "d_s"}
 
 
 def test_generator_objective_requires_aligned_sizes():
-    table = toy_table(S=2, U=2, attr_dim=3)
-    model = linear_model(table, d=3, seed=1)
-    config = AdaConfig(gen_hidden=(4,), disc_hidden=(4,), use_batchnorm=False)
-    state = init_ada_state(model, config)
-    src = batch(np.zeros((2, 3)), np.zeros(2, dtype=int))
-    tgt = batch(np.zeros((3, 3)), np.zeros(3, dtype=int))
-    with pytest.raises(ConfigError):
-        generator_objective(state, config, src, tgt)
+    # a batch whose halves differ in size cannot be built, so no objective sees one
+    with pytest.raises(ConfigError, match="one shape"):
+        AlignedBatch(source=np.zeros((2, 3)), target=np.zeros((3, 3)),
+                     labels=np.zeros(2, dtype=int))
 
 
 def _objective_case(d, u, n, config, phase="recovery"):
@@ -379,21 +373,19 @@ def _objective_case(d, u, n, config, phase="recovery"):
     state.phase = phase
     rng = np.random.default_rng(d + u)
     labels = np.arange(n) % u
-    src = batch(rng.standard_normal((n, d)), labels)
-    tgt = batch(rng.standard_normal((n, d)), labels)
-    return state, src, tgt
+    return state, aligned(rng.standard_normal((n, d)), rng.standard_normal((n, d)), labels)
 
 
 @pytest.mark.parametrize("variant", ["full", "vanilla_ada", "cyclegan_wo"])
 def test_objectives_sum_into_the_given_buffers(variant):
     config = AdaConfig(gen_hidden=(6, 5), disc_hidden=(4,), gen_dropout=0.2,
                        mismatched_pairs=True, variant=variant)
-    state, src, tgt = _objective_case(d=3, u=3, n=6, config=config)
+    state, batch = _objective_case(d=3, u=3, n=6, config=config)
     # one scratch serves every role in turn, as in adapt; it starts as NaN
     # so stale contents leaking into a sum would show
     scratch = np.full(max(net.params.size for net in state.nets.values()), np.nan)
     for objective in (generator_objective, critic_objective):
-        _, _, tapes = objective(state, config, src, tgt, rng_seed=4)
+        _, _, tapes = objective(state, config, batch, rng_seed=4)
         fresh = {role: reference_param_grads(state.nets[role], caches)
                  for role, caches in tapes.items()}
         for role, caches in tapes.items():
@@ -407,12 +399,12 @@ def test_objectives_with_buffers_allocate_no_parameter_sized_vector():
     # the objectives return tapes and every gradient is built in one
     # shared scratch, so besides it no parameter-sized vector is allocated
     config = AdaConfig(gen_hidden=(512, 512), disc_hidden=(256,), gen_dropout=0.1)
-    state, src, tgt = _objective_case(d=256, u=4, n=16, config=config)
+    state, batch = _objective_case(d=256, u=4, n=16, config=config)
     scratch = np.empty(state.g_t.params.size)
 
     def one_step():
         for objective, seed in ((generator_objective, 1), (critic_objective, 2)):
-            for role, caches in objective(state, config, src, tgt, rng_seed=seed)[2].items():
+            for role, caches in objective(state, config, batch, rng_seed=seed)[2].items():
                 net = state.nets[role]
                 param_grads(net, caches, scratch[:net.params.size])
 
@@ -647,6 +639,36 @@ def test_std_da_trains_only_the_target_classifier(small_adapted):
         assert row[6] == "warmup"
 
 
+# the networks each variant moves: its generators and classifiers, plus
+# the critic of each side whose generator trains
+MOVED_ROLES = {
+    "full": {"g_t", "g_s", "d_t", "d_s", "c_t", "c_s"},
+    "vanilla_ada": {"g_t", "d_t", "c_t"},
+    "cyclegan_wo": {"g_t", "g_s", "d_t", "d_s"},
+    "std_da": {"c_t"},
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_variant_trains_exactly_the_networks_its_table_names(small_adapted, variant):
+    world, model, _, _, _, _ = small_adapted
+    config = AdaConfig(**{**ADAPT_CONFIG, "n_steps": 4, "variant": variant,
+                          "relabel_interval": 1})
+    state, log = adapt(model, world.dataset, config)
+    fresh = init_ada_state(model, config)
+    moved = {role for role in fresh.nets
+             if not np.array_equal(state.nets[role].params, fresh.nets[role].params)}
+    assert moved == MOVED_ROLES[variant]
+    critics = {"d" + role[1:] for role in VARIANT_ROLES[variant] if role[0] == "g"}
+    assert moved == set(VARIANT_ROLES[variant]) | critics
+    assert lacks_metric(variant, "m1") == ("c_t" not in moved)
+    assert lacks_metric(variant, "m2") == ("g_t" not in moved)
+    if variant == "cyclegan_wo":
+        # no classifier: the phase never switches and nothing relabels
+        assert [row[6] for row in log] == ["warmup"] * 4
+        assert np.array_equal(state.pseudo, pseudo_labels(model, world.dataset)[0])
+
+
 def test_adapt_names_unseen_classes_without_pseudo_labelled_rows(small_adapted, monkeypatch):
     world, model, _, config, state, _ = small_adapted
     assert state.empty_pseudo_ids == []
@@ -661,7 +683,7 @@ def test_adapt_names_unseen_classes_without_pseudo_labelled_rows(small_adapted, 
         assert adapt(model, pruned, run)[0].empty_pseudo_ids == [other], variant
     # a relabel that leaves ``other`` no row names it too
     monkeypatch.setattr(zslada.ada, "classify",
-                        lambda net, X, unseen_ids: np.full(X.shape[0], first))
+                        lambda state, X: np.full(X.shape[0], first))
     relabelled = dataclasses.replace(config, n_steps=4, relabel_interval=2)
     assert adapt(model, world.dataset, relabelled)[0].empty_pseudo_ids == [other]
 

@@ -470,6 +470,17 @@ def test_zero_eval_draws_are_refused_before_any_work(pipeline, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["adapt", "eval", "export"])
+def test_an_unknown_eval_key_is_refused_before_any_work(pipeline, tmp_path, capsys, command):
+    cfg = _write_json(tmp_path / "typo.json", {"ada": {"n_steps": 5}, "eval": {"n_sample": 1}})
+    ada = ["--ada", str(pipeline["ada"] / "ada_state.ckpt")] if command != "adapt" else []
+    assert main([command, "--config", cfg, "--data", str(pipeline["world"]),
+                 "--base", str(pipeline["pre"] / "base_model.ckpt"),
+                 "--out", str(tmp_path / "out")] + ada) == 2
+    assert "unknown eval keys: ['n_sample']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_export_fails_on_a_nonfinite_base_model(pipeline, tmp_path, capsys):
     bundle = load_dataset(pipeline["world"])
     model = load_base_model(pipeline["pre"] / "base_model.ckpt", bundle.attributes)
@@ -529,6 +540,18 @@ def test_unknown_metric_flag_rejected(pipeline, tmp_path):
               "--base", str(pipeline["pre"] / "base_model.ckpt"),
               "--metric", "m3", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("synth", "--profile", "cub"), ("synth", "--data", "/nonexistent"),
+    ("eval", "--seed", "7"), ("eval", "--profile", "awa"),
+    ("export", "--seed", "7"), ("export", "--profile", "awa"),
+])
+def test_a_command_refuses_flags_it_does_not_read(tmp_path, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_metric_in_config_rejected(pipeline, tmp_path, capsys):

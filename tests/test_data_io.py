@@ -163,6 +163,15 @@ def test_a_directory_holds_one_copy_of_each_matrix(tmp_path, first):
     assert str(tmp_path / "features.npy") in str(err.value)
 
 
+def test_a_dataset_without_provenance_drops_the_old_record(tmp_path):
+    data, table = _tiny_bundle(np.random.default_rng(6))
+    save_dataset(tmp_path, dataclasses.replace(data, provenance="old run"), table)
+    assert load_dataset(tmp_path).dataset.provenance == "old run"
+    save_dataset(tmp_path, dataclasses.replace(data, provenance=""), table)
+    assert load_dataset(tmp_path).dataset.provenance == ""
+    assert not (tmp_path / "provenance.txt").exists()
+
+
 @pytest.mark.parametrize("cell, text", [
     (-0.0, "-0.0"), (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
     (5e-324, "5e-324"), (1e300, "1e+300"), (np.float64(0.1), "0.1"), (np.int64(7), "7"),

@@ -14,7 +14,7 @@ from zslada.errors import ConfigError
 from zslada.nn.gradcheck import grad_check, numeric_gradient
 from zslada.nn.mlp import MlpSpec, init_network, mlp_backward, mlp_forward, param_grads
 
-from .helpers import batch, linear_model, max_rel_err, tape_grads, toy_table
+from .helpers import aligned, linear_model, max_rel_err, tape_grads, toy_table
 
 
 def test_quadratic_in_one_variable():
@@ -105,9 +105,8 @@ def _toy_ada(seed=5, phase="recovery", **overrides):
     state.phase = phase
     rng = np.random.default_rng(seed + 100)
     labels = np.array([0, 1, 0, 1])
-    source = batch(rng.standard_normal((4, 3)), labels)
-    target = batch(rng.standard_normal((4, 3)), labels)
-    return state, config, source, target
+    return state, config, aligned(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)),
+                                  labels)
 
 
 MISMATCHED = {"mismatched_pairs": True}
@@ -126,11 +125,11 @@ CYCLEGAN_WO = {"variant": "cyclegan_wo"}
     pytest.param("g_s", "recovery", CYCLEGAN_WO, id="g_s-cyclegan_wo"),
 ])
 def test_generator_objective_gradients(role, phase, overrides):
-    state, config, source, target = _toy_ada(phase=phase, **overrides)
+    state, config, batch = _toy_ada(phase=phase, **overrides)
 
     def fn(p):
         state.nets[role].set_params(p)
-        value, _, tapes = generator_objective(state, config, source, target)
+        value, _, tapes = generator_objective(state, config, batch)
         return value, tape_grads(state.nets, tapes)[role]
 
     report = grad_check(fn, state.nets[role].params.copy(), tolerance=1e-3)
@@ -145,11 +144,11 @@ def test_generator_objective_gradients(role, phase, overrides):
     pytest.param("d_s", CYCLEGAN_WO, id="d_s-cyclegan_wo"),
 ])
 def test_critic_objective_gradients(role, overrides):
-    state, config, source, target = _toy_ada(seed=6, **overrides)
+    state, config, batch = _toy_ada(seed=6, **overrides)
 
     def fn(p):
         state.nets[role].set_params(p)
-        value, _, tapes = critic_objective(state, config, source, target)
+        value, _, tapes = critic_objective(state, config, batch)
         return value, tape_grads(state.nets, tapes)[role]
 
     report = grad_check(fn, state.nets[role].params.copy(), tolerance=1e-3)
@@ -161,22 +160,22 @@ def test_total_loss_gradient_assembled_from_parts():
     # appears with both signs, so its pull on the generator cancels.
     # The generator-step gradient plus that one re-added term must
     # therefore match finite differences of the scalar total.
-    state, config, source, target = _toy_ada(seed=12)
+    state, config, batch = _toy_ada(seed=12)
     g_t = state.nets["g_t"]
     p0 = g_t.params.copy()
 
     def scalar(p):
         g_t.set_params(p)
-        value, bd, _ = generator_objective(state, config, source, target)
+        value, bd, _ = generator_objective(state, config, batch)
         return value + bd["L_D_T"] + bd["L_D_S"]
 
     numeric = numeric_gradient(scalar, p0.copy())
 
     g_t.set_params(p0)
-    _, _, tapes = generator_objective(state, config, source, target)
+    _, _, tapes = generator_objective(state, config, batch)
     gen_grads = tape_grads(state.nets, tapes)
-    n = source.n
-    ya = augment_batch(source.features, source.labels, state.n_unseen)
+    n = batch.labels.size
+    ya = augment_batch(batch.source, batch.labels, state.n_unseen)
     fakes, cache_g = mlp_forward(g_t, ya, update_stats=False)
     _, cache_d = mlp_forward(state.nets["d_t"], fakes, update_stats=False)
     gin = mlp_backward(state.nets["d_t"], cache_d, np.full((n, 1), 1.0 / n))
@@ -197,9 +196,8 @@ def test_std_da_has_no_adversarial_objectives():
     state = init_ada_state(model, config)
     labels = np.array([0, 1])
     rng = np.random.default_rng(0)
-    src = batch(rng.standard_normal((2, 3)), labels)
-    tgt = batch(rng.standard_normal((2, 3)), labels)
+    batch = aligned(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)), labels)
     with pytest.raises(ConfigError):
-        generator_objective(state, config, src, tgt)
+        generator_objective(state, config, batch)
     with pytest.raises(ConfigError):
-        critic_objective(state, config, src, tgt)
+        critic_objective(state, config, batch)
