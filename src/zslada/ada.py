@@ -41,7 +41,7 @@ from .data import FeatureDataset
 from .errors import ConfigError, DataError, NumericalDivergence
 from .nn.checkpoint import load_container, save_container
 from .nn.mlp import (MlpCache, MlpNetwork, MlpSpec, dropout_seed, forward_eval,
-                     init_network, mlp_backward, mlp_forward)
+                     init_network, mean_forward_eval, mlp_backward, mlp_forward)
 from .nn.optim import OptimizerHyper, role_stepper
 from .rng import named_seed, named_stream
 from .settings import from_dict
@@ -61,8 +61,8 @@ TRIGGERS = ("accuracy_crossover", "fixed_fraction")
 PHASES = ("warmup", "recovery")
 ROLES = ("g_t", "g_s", "d_t", "d_s", "c_t", "c_s")
 LOG_COLUMNS = ("iter", "L_adv_T", "L_adv_S", "L_cyc", "L_clf_T", "L_clf_S", "phase")
-# Most class-conditional draws G_T transforms in one batch when prototypes,
-# crossover checks or exports stream their draws (transformed_draws), so
+# Most class-conditional draws G_T takes in one batch when prototypes,
+# crossover checks or exports stream their draws (_augmented_draws), so
 # their memory does not grow with the number of draws.
 DRAW_CHUNK = 1024
 
@@ -199,8 +199,6 @@ def _mean_l1(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 def _ce(log_probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy from log-softmax outputs, and its gradient."""
     n = log_probs.shape[0]
-    if np.any(labels < 0) or np.any(labels >= log_probs.shape[1]):
-        raise ConfigError("classifier label out of range")
     rows = np.arange(n)
     loss = -float(log_probs[rows, labels].mean())
     grad = np.zeros_like(log_probs)
@@ -444,13 +442,13 @@ def draw_chunks(mean: np.ndarray, precision: np.ndarray, n: int,
         yield buffer[:rows]
 
 
-def transformed_draws(state: AdaState, table: GaussianTable, j: int, n: int,
-                      seed: int):
+def _augmented_draws(state: AdaState, table: GaussianTable, j: int, n: int,
+                     seed: int):
     """``n`` draws from unseen class index ``j``'s row of ``table`` (the base
-    model's Gaussians of ``state.unseen_ids``, in that order) and G_T of them
-    with the class's one-hot appended, yielded as ``(draws, moved)`` chunks
-    as ``draw_chunks`` yields the draws.  ``draws`` is a view of a buffer
-    the next chunk overwrites."""
+    model's Gaussians of ``state.unseen_ids``, in that order) with the
+    class's one-hot appended, G_T's input, yielded in the chunks
+    ``draw_chunks`` yields.  Each chunk is a view of one buffer that the
+    next chunk overwrites."""
     mean, precision = table[0][j], table[1][j]
     d = mean.shape[0]
     block = np.zeros((max(_chunk_rows(n)), d + state.n_unseen))
@@ -458,7 +456,16 @@ def transformed_draws(state: AdaState, table: GaussianTable, j: int, n: int,
     for draws in draw_chunks(mean, precision, n, sample_stream(seed, state.unseen_ids[j])):
         rows = draws.shape[0]
         block[:rows, :d] = draws
-        yield block[:rows, :d], forward_eval(state.g_t, block[:rows])
+        yield block[:rows]
+
+
+def transformed_draws(state: AdaState, table: GaussianTable, j: int, n: int,
+                      seed: int):
+    """The chunks of ``_augmented_draws`` yielded as ``(draws, moved)``:
+    the draws, a view the next chunk overwrites, and G_T of the chunk."""
+    d = table[0].shape[1]
+    for block in _augmented_draws(state, table, j, n, seed):
+        yield block[:, :d], forward_eval(state.g_t, block)
 
 
 def _crossover_accuracy(state: AdaState, table: GaussianTable,
@@ -604,24 +611,18 @@ def map_prototypes(state: AdaState, table: GaussianTable, n_samples: int,
     each class drawn from its row of ``table`` as in ``transformed_draws``.
 
     Covariances are deliberately left at the base model's values; only
-    the class means move.  The draws stream through ``transformed_draws``
-    and the mean keeps the bits of ``.mean(axis=0)`` over one batch: numpy
-    sums the rows of a C-contiguous matrix down axis 0 in order, so the
-    running sum rides as the leading row of the next chunk's sum, and is
-    divided by ``n_samples`` once at the end.  Adding per-chunk sums would
-    group the additions differently.  (With a one-column output numpy sums
-    pairwise instead, and the last bits can differ.)
+    the class means move.  G_T's output layer is affine (``MlpSpec.dense``
+    puts no batchnorm, dropout or activation on it), and the mean of
+    ``h @ W + b`` over rows is ``mean(h) @ W + b``, so the output layer
+    runs once per class (``mean_forward_eval``).  A prototype has the bits
+    of ``.mean(axis=0)`` over G_T's last hidden activations of all
+    ``n_samples`` draws in one batch, then the output layer; it differs
+    from the mean of G_T's outputs only in rounding.
     """
     proto_seed = named_seed(seed, "proto")
-    out: dict[int, np.ndarray] = {}
-    for j, cid in enumerate(state.unseen_ids):
-        total = None
-        for _, moved in transformed_draws(state, table, j, n_samples, proto_seed):
-            if total is not None:
-                moved = np.concatenate([total[None], moved])
-            total = np.add.reduce(moved, axis=0)
-        out[cid] = total / n_samples
-    return out
+    return {cid: mean_forward_eval(state.g_t, _augmented_draws(state, table, j, n_samples,
+                                                                proto_seed))
+            for j, cid in enumerate(state.unseen_ids)}
 
 
 def save_ada_state(path: str | Path, state: AdaState, config: AdaConfig) -> None:

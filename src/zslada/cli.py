@@ -103,8 +103,10 @@ class EvalSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_samples", int(self.n_samples))
-        object.__setattr__(self, "seed", int(self.seed))
+        for key in ("n_samples", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"eval key {key!r} must be an integer, got {value!r}")
         if self.n_samples < 1:
             raise ConfigError(f"need n >= 1 draws, got {self.n_samples}")
 
@@ -274,6 +276,9 @@ def cmd_export(args, cfg: dict) -> int:
     data, bundle = _load_bundle(args, cfg)
     base_path, model = _load_base(args, cfg, bundle, "export")
     ada_path, state = _load_ada(args, cfg, bundle)
+    if state is not None and lacks_metric(state.variant, "m2"):
+        raise ConfigError(f"{ada_path} holds a {state.variant} state, which trains no G_T: "
+                          f"it has no transformed rows to export")
     evals = from_dict(EvalSettings, cfg.get("eval") or {}, "eval", base=EvalSettings(200))
     n, seed = evals.n_samples, evals.seed
     X, labels = bundle.dataset.test_rows()

@@ -14,6 +14,8 @@ batch's statistics (and moves the running ones), dropout draws masks, and
 the returned cache is what :func:`mlp_backward` reads.  :func:`forward_eval`
 is the inference pass: batchnorm reads the running statistics, dropout is
 the identity, nothing is cached and nothing is written.
+:func:`mean_forward_eval` is the inference pass averaged over many rows,
+with the affine last layer applied once, to the mean.
 
 Backward materialises no parameter gradient: a :class:`GradientTape`
 builds it from backpropagated caches one window at a time, a weight
@@ -56,12 +58,20 @@ def parse_activation(name: str) -> tuple[str, float]:
     return name, 0.0
 
 
-def stable_sigmoid(z: np.ndarray) -> np.ndarray:
+def stable_sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sigmoid without overflow at either tail: one ``exp`` of ``-|z|``,
-    which never exceeds 1."""
+    which never exceeds 1, then ``1 / (1 + e)`` where ``z >= 0`` and
+    ``e / (1 + e)`` elsewhere.  ``out`` (``z`` itself, say) receives the
+    result; by default a new array does."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    positive = z >= 0
+    e = np.abs(z, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denominator = e + 1.0
+    np.divide(e, denominator, out=e, where=~positive)
+    np.divide(1.0, denominator, out=e, where=positive)
+    return e
 
 
 @dataclass(frozen=True)
@@ -326,41 +336,73 @@ def mlp_forward(net: MlpNetwork, batch: np.ndarray, rng_seed: int | None = None,
 def forward_eval(net: MlpNetwork, batch: np.ndarray) -> np.ndarray:
     """The inference pass: batchnorm reads the running statistics,
     dropout is the identity, and nothing is cached or written, so it
-    leaves the net (and any cache taken from it) as it found it."""
+    leaves the net (and any cache taken from it) as it found it.
+
+    Each layer works in place on the fresh array its product ``h @ W``
+    returns, never on ``batch`` or the net's vectors, and gives the bits
+    of the training pass's out-of-place expressions."""
     return _layers(net, batch, None)
 
 
+def mean_forward_eval(net: MlpNetwork, chunks) -> np.ndarray:
+    """Row mean of the inference pass over the rows of ``chunks``, an
+    iterable of input batches.  The last layer must be affine, so it runs
+    once, on the mean of its inputs; the other layers run on each chunk,
+    and memory is that of one chunk.  The mean has the bits of
+    ``.mean(axis=0)`` over one batch of all the rows: numpy sums a
+    C-contiguous matrix down axis 0 row by row, so the running sum rides
+    as the leading row of the next chunk's sum.  (A one-column matrix is
+    summed pairwise instead, and its last bits can differ.)
+    """
+    spec = net.spec
+    last = spec.n_layers - 1
+    if spec.batchnorm[last] or spec._acts[last][0] != "identity":
+        raise ConfigError(f"the mean passes through an affine last layer only, got "
+                          f"{spec.activations[last]!r} with batchnorm {spec.batchnorm[last]}")
+    total, n_rows = None, 0
+    for chunk in chunks:
+        hidden = _layers(net, chunk, None, n_layers=last)
+        n_rows += hidden.shape[0]
+        if total is not None:
+            hidden = np.concatenate([total[None], hidden])
+        total = np.add.reduce(hidden, axis=0)
+    if total is None:
+        raise ConfigError("need at least one row to average")
+    return (total / n_rows) @ net.weight(last) + net.bias(last)
+
+
 def _layers(net: MlpNetwork, batch: np.ndarray, layers: list | None,
-            rng_seed: int | None = None, update_stats: bool = False) -> np.ndarray:
+            rng_seed: int | None = None, update_stats: bool = False,
+            n_layers: int | None = None) -> np.ndarray:
     """The layer loop behind both passes: the training pass when
     ``layers`` is a list, which receives one record per layer, and the
-    inference pass when it is ``None``."""
+    inference pass when it is ``None``.  ``n_layers`` stops it after that
+    many layers (all by default)."""
     spec = net.spec
-    train = layers is not None
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2:
         x = x.reshape(1, -1)
     if x.shape[1] != spec.in_dim:
         raise DimensionMismatch(0, spec.in_dim, x.shape[1])
     h = x
-    for i in range(spec.n_layers):
+    for i in range(spec.n_layers if n_layers is None else n_layers):
+        z = h @ net.weight(i)
+        z += net.bias(i)
+        if layers is None:
+            _infer_in_place(net, i, z)
+            h = z
+            continue
         sl = net._slices[i]
-        W = net.weight(i)
-        z = h @ W + net.bias(i)
         rec = {"h_in": h}
         if spec.batchnorm[i]:
             gamma = net.params[sl.gamma]
-            if train:
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)
-                inv = 1.0 / np.sqrt(var + BN_EPS)
-                if update_stats:
-                    m = BN_MOMENTUM
-                    net.stats[sl.r_mean] = (1 - m) * net.stats[sl.r_mean] + m * mu
-                    net.stats[sl.r_var] = (1 - m) * net.stats[sl.r_var] + m * var
-            else:
-                mu = net.stats[sl.r_mean]
-                inv = 1.0 / np.sqrt(net.stats[sl.r_var] + BN_EPS)
+            mu = z.mean(axis=0)
+            var = z.var(axis=0)
+            inv = 1.0 / np.sqrt(var + BN_EPS)
+            if update_stats:
+                m = BN_MOMENTUM
+                net.stats[sl.r_mean] = (1 - m) * net.stats[sl.r_mean] + m * mu
+                net.stats[sl.r_var] = (1 - m) * net.stats[sl.r_var] + m * var
             xhat = (z - mu) * inv
             z = gamma * xhat + net.params[sl.beta]
             rec["xhat"] = xhat
@@ -383,15 +425,38 @@ def _layers(net: MlpNetwork, batch: np.ndarray, layers: list | None,
         else:
             a = z
         p = spec.dropout[i]
-        if p > 0 and train:
+        if p > 0:
             rng = named_stream(rng_seed, "dropout", i)
             mask = (rng.random(a.shape) >= p) / (1.0 - p)
             a = a * mask
             rec["mask"] = mask
-        if train:
-            layers.append(rec)
+        layers.append(rec)
         h = a
     return h
+
+
+def _infer_in_place(net: MlpNetwork, i: int, z: np.ndarray) -> None:
+    """Layer ``i`` of the inference pass after its affine part, written
+    into ``z``: batchnorm by the running statistics as
+    ``gamma * ((z - mean) * inv) + beta`` and the activation, each with
+    the bits of the out-of-place expression the training pass uses."""
+    spec, sl = net.spec, net._slices[i]
+    if spec.batchnorm[i]:
+        z -= net.stats[sl.r_mean]
+        z *= 1.0 / np.sqrt(net.stats[sl.r_var] + BN_EPS)
+        z *= net.params[sl.gamma]
+        z += net.params[sl.beta]
+    kind, slope = spec._acts[i]
+    if kind == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif kind == "leaky_relu":
+        # np.where(z > 0, z, slope * z) for every slope, signed zero and NaN
+        np.multiply(z, slope, out=z, where=~(z > 0))
+    elif kind == "sigmoid":
+        stable_sigmoid(z, out=z)
+    elif kind == "log_softmax":
+        z -= z.max(axis=1, keepdims=True)
+        z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def mlp_backward(net: MlpNetwork, cache: MlpCache, grad_out: np.ndarray,

@@ -15,7 +15,7 @@ from zslada.base_model import (BaseZslModel, PretrainConfig, class_params_matrix
                                pseudo_labels, sample_stream)
 from zslada.data import ClassAttributeTable
 from zslada.nn.mlp import (BN_EPS, MlpCache, MlpNetwork, MlpSpec, forward_eval,
-                           init_network, param_grads)
+                           init_network, param_grads, parse_activation)
 from zslada.nn.optim import ADAM_BETA1, ADAM_BETA2, EPSILON, RMSPROP_BETA2, OptimizerState
 from zslada.rng import named_seed
 from zslada.synthetic import SyntheticWorld, SyntheticWorldSpec, make_synthetic_world
@@ -157,15 +157,18 @@ def reference_map_prototypes(state: AdaState, base_model: BaseZslModel, n_sample
                              seed: int) -> dict[int, np.ndarray]:
     """Per-class prototypes in one shot: all ``n_samples`` draws of a
     class from its row of the unseen classes' Gaussian table, augmented
-    and transformed in one batch, then averaged."""
+    and run through G_T's hidden layers in one batch, averaged with
+    ``.mean(axis=0)``, then G_T's affine output layer."""
     means, precisions = class_params_matrix(base_model, state.unseen_ids)
+    last = state.g_t.spec.n_layers - 1
     out = {}
     for j, cid in enumerate(state.unseen_ids):
         draws = reference_draw_gaussian(means[j], precisions[j], n_samples,
                                         sample_stream(named_seed(seed, "proto"), cid))
         labels = np.full(n_samples, j, dtype=np.int64)
-        moved = forward_eval(state.g_t, augment_batch(draws, labels, state.n_unseen))
-        out[cid] = moved.mean(axis=0)
+        hidden = reference_inference(state.g_t, augment_batch(draws, labels, state.n_unseen),
+                                     n_layers=last)
+        out[cid] = hidden.mean(axis=0) @ state.g_t.weight(last) + state.g_t.bias(last)
     return out
 
 
@@ -199,16 +202,22 @@ def exact_net(spec: MlpSpec, params: np.ndarray) -> MlpNetwork:
                       np.zeros(spec.n_stats()))
 
 
-def reference_inference(net: MlpNetwork, X: np.ndarray) -> np.ndarray:
-    """The inference pass of a relu/identity stack, one whole expression
-    per layer: ``act(gamma * ((X @ W + b - mean) * (1 / sqrt(var + eps)))
-    + beta)`` with the running statistics, and no dropout at all.  The
-    statistics are read in spec order, (mean, var) per batchnorm layer."""
+def reference_inference(net: MlpNetwork, X: np.ndarray,
+                        n_layers: int | None = None) -> np.ndarray:
+    """The inference pass, one whole out-of-place expression per layer,
+    stopped after ``n_layers`` layers (all by default): ``act(gamma * ((X
+    @ W + b - mean) * (1 / sqrt(var + eps))) + beta)`` with the running
+    statistics and no dropout at all, where ``act`` is ``np.maximum(z,
+    0)``, ``np.where(z > 0, z, slope * z)``, ``np.where(z >= 0, 1 / (1 +
+    e), e / (1 + e))`` with ``e = exp(-|z|)``, ``z - max - log(sum(exp(z -
+    max)))`` or the identity.  The statistics are read in spec order,
+    (mean, var) per batchnorm layer."""
     spec = net.spec
     span = {label: slice(start, stop) for label, start, stop in spec.param_layout()}
     at = 0
     h = np.asarray(X, dtype=np.float64)
-    for i, width in enumerate(spec.layer_widths[1:]):
+    for i in range(spec.n_layers if n_layers is None else n_layers):
+        width = spec.layer_widths[i + 1]
         W = net.params[span[f"layer{i}.W"]].reshape(-1, width)
         z = h @ W + net.params[span[f"layer{i}.b"]]
         if spec.batchnorm[i]:
@@ -216,8 +225,19 @@ def reference_inference(net: MlpNetwork, X: np.ndarray) -> np.ndarray:
             at += 2 * width
             z = (net.params[span[f"layer{i}.gamma"]] * ((z - mean) * (1.0 / np.sqrt(var + BN_EPS)))
                  + net.params[span[f"layer{i}.beta"]])
-        assert spec.activations[i] in ("relu", "identity"), spec.activations[i]
-        h = np.maximum(z, 0.0) if spec.activations[i] == "relu" else z
+        kind, slope = parse_activation(spec.activations[i])
+        if kind == "relu":
+            h = np.maximum(z, 0.0)
+        elif kind == "leaky_relu":
+            h = np.where(z > 0, z, slope * z)
+        elif kind == "sigmoid":
+            e = np.exp(-np.abs(z))
+            h = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        elif kind == "log_softmax":
+            zs = z - z.max(axis=1, keepdims=True)
+            h = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
+        else:
+            h = z
     return h
 
 

@@ -23,13 +23,15 @@ from zslada.ada import (
     load_ada_state,
     map_prototypes,
     save_ada_state,
+    transformed_draws,
 )
 import zslada.base_model
 from zslada.base_model import class_params_matrix, pseudo_labels, sample_stream
 from zslada.errors import ConfigError, DataError, NumericalDivergence
 from zslada.metrics import lacks_metric, m2_accuracy
 from zslada.nn.checkpoint import load_container, save_container
-from zslada.nn.mlp import MlpNetwork, MlpSpec, forward_eval, param_grads
+from zslada.nn.mlp import (MlpNetwork, MlpSpec, forward_eval, init_network, mean_forward_eval,
+                           param_grads)
 from zslada.rng import named_seed
 from zslada.synthetic import make_synthetic_world
 
@@ -741,12 +743,17 @@ def test_map_prototypes_streams_chunks_to_the_one_shot_bits(monkeypatch, n):
     model, state = streaming_setup()
     rows = []
 
-    def recorded(net, X):
-        if net.params is state.g_t.params:
-            rows.append(X.shape[0])
-        return forward_eval(net, X)
+    def recorded(net, chunks):
+        assert net is state.g_t
 
-    monkeypatch.setattr(zslada.ada, "forward_eval", recorded)
+        def counted():
+            for X in chunks:
+                rows.append(X.shape[0])
+                yield X
+
+        return mean_forward_eval(net, counted())
+
+    monkeypatch.setattr(zslada.ada, "mean_forward_eval", recorded)
     table = class_params_matrix(model, state.unseen_ids)
     for seed in (0, 1):
         rows.clear()
@@ -776,14 +783,43 @@ def test_map_prototypes_reads_the_given_table_and_runs_no_head(monkeypatch):
     table = class_params_matrix(model, state.unseen_ids)
     calls = count_class_params_matrix(monkeypatch, zslada.ada, zslada.base_model)
     nets = []
+    for name, run in (("forward_eval", forward_eval), ("mean_forward_eval", mean_forward_eval)):
+        def recorded(net, X, run=run):
+            nets.append(net)
+            return run(net, X)
 
-    def recorded(net, X):
-        nets.append(net)
-        return forward_eval(net, X)
-
-    monkeypatch.setattr(zslada.ada, "forward_eval", recorded)
+        monkeypatch.setattr(zslada.ada, name, recorded)
     map_prototypes(state, table, 2 * DRAW_CHUNK + 1, seed=0)
     assert calls == [] and nets and all(net is state.g_t for net in nets)
+
+
+def test_map_prototypes_is_the_mean_of_g_t_outputs_up_to_rounding():
+    # a batchnorm + dropout G_T: the mean taken before its affine output
+    # layer is the mean of its outputs but for rounding
+    model, state = streaming_setup(seed=6)
+    table = class_params_matrix(model, state.unseen_ids)
+    n = 2 * DRAW_CHUNK + 1
+    protos = map_prototypes(state, table, n, seed=2)
+    for j, cid in enumerate(state.unseen_ids):
+        old = np.vstack([moved for _, moved in
+                         transformed_draws(state, table, j, n, named_seed(2, "proto"))]
+                        ).mean(axis=0)
+        assert np.max(np.abs(protos[cid] - old)) <= 1e-12 * np.max(np.abs(old)), cid
+
+
+@pytest.mark.parametrize("out_activation, batchnorm", [("relu", False), ("sigmoid", False),
+                                                       ("leaky_relu", False),
+                                                       ("identity", True)])
+def test_map_prototypes_refuses_a_g_t_whose_output_layer_is_not_affine(out_activation,
+                                                                      batchnorm):
+    model, state = streaming_setup()
+    spec = state.g_t.spec
+    last = spec.n_layers - 1
+    spec = MlpSpec(spec.layer_widths, spec.activations[:last] + (out_activation,),
+                   spec.batchnorm[:last] + (batchnorm,), spec.dropout)
+    state.nets["g_t"] = init_network(spec, seed=1)
+    with pytest.raises(ConfigError, match="affine last layer"):
+        map_prototypes(state, class_params_matrix(model, state.unseen_ids), 8, seed=0)
 
 
 def test_map_prototypes_memory_does_not_grow_with_n_samples():

@@ -470,6 +470,36 @@ def test_zero_eval_draws_are_refused_before_any_work(pipeline, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [2.7, True, "7"])
+@pytest.mark.parametrize("command, key", [("adapt", "n_samples"), ("eval", "n_samples"),
+                                          ("export", "n_samples"), ("eval", "seed")])
+def test_a_non_integer_eval_value_is_refused_before_any_work(pipeline, tmp_path, capsys,
+                                                             command, key, value):
+    cfg = _write_json(tmp_path / "typed.json",
+                      {"ada": {"n_steps": 5}, "eval": {"n_samples": 50, key: value}})
+    ada = ["--ada", str(pipeline["ada"] / "ada_state.ckpt")] if command != "adapt" else []
+    assert main([command, "--config", cfg, "--data", str(pipeline["world"]),
+                 "--base", str(pipeline["pre"] / "base_model.ckpt"),
+                 "--out", str(tmp_path / "out")] + ada) == 2
+    assert f"eval key '{key}' must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_export_refuses_a_state_without_a_trained_generator(pipeline, tmp_path, capsys):
+    # std_da trains no G_T, so it has no transformed rows, as it has no M2
+    cfg = _write_json(tmp_path / "std.json", {"ada": {"n_steps": 5}})
+    base = ["--data", str(pipeline["world"]), "--base", str(pipeline["pre"] / "base_model.ckpt")]
+    assert main(["adapt", "--config", cfg, *base, "--variant", "std-da",
+                 "--out", str(tmp_path / "std_da")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "export"
+    assert main(["export", *base, "--ada", str(tmp_path / "std_da" / "ada_state.ckpt"),
+                 "--out", str(out)]) == 2
+    assert "std_da state, which trains no G_T" in capsys.readouterr().err
+    assert not (out / "embeddings.csv").exists()
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["adapt", "eval", "export"])
 def test_an_unknown_eval_key_is_refused_before_any_work(pipeline, tmp_path, capsys, command):
     cfg = _write_json(tmp_path / "typo.json", {"ada": {"n_steps": 5}, "eval": {"n_sample": 1}})

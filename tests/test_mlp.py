@@ -325,6 +325,43 @@ def test_inference_pass_writes_nothing_and_leaves_caches_live():
     param_grads(net, [cache], np.empty_like(net.params))
 
 
+@pytest.mark.parametrize("batchnorm", [False, True])
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu", "leaky_relu:0", "leaky_relu:-0.5",
+                                        "leaky_relu:1.5", "sigmoid", "log_softmax", "identity"])
+def test_inference_pass_in_place_has_the_bits_of_the_out_of_place_pass(activation, batchnorm):
+    widths = (4, 6, 5, 3)
+    spec = MlpSpec(widths, (activation,) * 3, (batchnorm,) * 3, (0.0, 0.5, 0.0))
+    rng = np.random.default_rng(8)
+    net = MlpNetwork(spec, rng.standard_normal(spec.n_params()),
+                     rng.uniform(0.5, 1.5, spec.n_stats()))
+    # unit 0 of layer 0 is exactly zero before batchnorm (zero weights and
+    # bias); batchnorm with mean 0, gamma -1 and beta -0.0 flips its sign,
+    # so the activation sees +0.0 without batchnorm and -0.0 with it
+    net.weight(0)[:, 0] = 0.0
+    net.bias(0)[0] = 0.0
+    first = MlpSpec(widths[:2], ("identity",), (batchnorm,), (0.0,))
+    if batchnorm:
+        span = {label: start for label, start, _ in first.param_layout()}
+        net.params[span["layer0.gamma"]] = -1.0
+        net.params[span["layer0.beta"]] = -0.0
+        net.stats[0] = 0.0
+    X = rng.standard_normal((9, 4))
+    X[0] = 0.0
+    X[1] = -0.0
+    X[2, :2] = (0.0, -0.0)
+    X[3, 1] = np.nan
+    before = X.copy(), net.params.copy(), net.stats.copy()
+    out = forward_eval(net, X)
+    assert out.tobytes() == reference_inference(net, X).tobytes()
+    assert X.tobytes() == before[0].tobytes()
+    assert net.params.tobytes() == before[1].tobytes()
+    assert net.stats.tobytes() == before[2].tobytes()
+    pre = reference_inference(MlpNetwork(first, net.params[:first.n_params()],
+                                         net.stats[:first.n_stats()]), X)[:, 0]
+    pre = np.delete(pre, 3)
+    assert np.all(pre == 0.0) and np.all(np.signbit(pre) == batchnorm)
+
+
 def test_glorot_init_bounds_and_zero_biases():
     spec = MlpSpec.dense((5, 7, 2), activation="relu")
     net = init_network(spec, seed=13)
