@@ -116,7 +116,8 @@ class AdaConfig:
     use_batchnorm: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.cycle_weight, self.identity_weight, self.classifier_weight) < 0:
+        if min(self.cycle_weight, self.identity_weight, self.classifier_weight,
+               self.mismatched_weight) < 0:
             raise ConfigError("loss weights must be >= 0")
         if self.n_critic < 1:
             raise ConfigError("n_critic must be >= 1")
@@ -415,7 +416,8 @@ def _chunk_rows(n: int) -> list[int]:
     """Row counts of the chunks ``n`` draws stream in: ``DRAW_CHUNK`` rows
     each, then the rest.  No chunk has one row when ``n > 1``: a one-row
     product takes BLAS's matrix-vector path, whose bits differ, so a
-    one-row rest joins the chunk before it."""
+    one-row rest joins the chunk before it.  (A block of
+    ``_class_blocks`` has one row only when one class is drawn once.)"""
     if n < 1:
         raise ConfigError(f"need n >= 1 draws, got {n}")
     chunks = [DRAW_CHUNK] * (n // DRAW_CHUNK)
@@ -427,58 +429,76 @@ def _chunk_rows(n: int) -> list[int]:
     return chunks
 
 
-def draw_chunks(mean: np.ndarray, precision: np.ndarray, n: int,
-                stream: np.random.Generator):
-    """``n`` draws from N(mean, diag(1/precision)) read from ``stream``,
-    yielded in the chunks of ``_chunk_rows(n)`` so memory does not grow
-    with ``n``.  Each chunk is a view of one buffer that the next chunk
-    overwrites.  The chunks have the bits of one ``draw_gaussian`` batch
-    of all ``n`` draws: they read the stream in turn, which numpy fills
-    exactly as it fills one ``standard_normal`` batch of ``n`` rows."""
+def _class_blocks(n_classes: int, n: int) -> list[list[tuple[int, int]]]:
+    """The blocks ``n`` draws of each class stream in, each a list of
+    ``(j, rows)`` with class indices ``j`` in order.  When ``n <=
+    DRAW_CHUNK`` a block holds ``DRAW_CHUNK // n`` whole classes, and a
+    one-row last block (``n = 1``) joins the one before it; otherwise a
+    block is one of a class's ``_chunk_rows(n)`` chunks.  So a block has
+    at most ``DRAW_CHUNK + 1`` rows, and one only when ``n_classes * n = 1``."""
     chunks = _chunk_rows(n)
-    buffer = np.empty((max(chunks), mean.shape[0]))
-    for rows in chunks:
-        buffer[:rows] = draw_gaussian(mean, precision, rows, stream)
-        yield buffer[:rows]
+    if n > DRAW_CHUNK:
+        return [[(j, rows)] for j in range(n_classes) for rows in chunks]
+    per = DRAW_CHUNK // n
+    blocks = [[(j, n) for j in range(lo, min(lo + per, n_classes))]
+              for lo in range(0, n_classes, per)]
+    if len(blocks) > 1 and n == len(blocks[-1]) == 1:
+        blocks[-2:] = [blocks[-2] + blocks[-1]]
+    return blocks
 
 
-def _augmented_draws(state: AdaState, table: GaussianTable, j: int, n: int,
-                     seed: int):
-    """``n`` draws from unseen class index ``j``'s row of ``table`` (the base
-    model's Gaussians of ``state.unseen_ids``, in that order) with the
-    class's one-hot appended, G_T's input, yielded in the chunks
-    ``draw_chunks`` yields.  Each chunk is a view of one buffer that the
-    next chunk overwrites."""
-    mean, precision = table[0][j], table[1][j]
-    d = mean.shape[0]
-    block = np.zeros((max(_chunk_rows(n)), d + state.n_unseen))
-    block[:, d + j] = 1.0
-    for draws in draw_chunks(mean, precision, n, sample_stream(seed, state.unseen_ids[j])):
-        rows = draws.shape[0]
-        block[:rows, :d] = draws
-        yield block[:rows]
+def _augmented_draws(class_ids: list[int], table: GaussianTable, n: int, seed: int):
+    """``n`` draws of each class of ``class_ids`` from its row of ``table``
+    with its one-hot appended, G_T's input, in the blocks of
+    ``_class_blocks``, so memory grows with neither ``n`` nor the class
+    count, and a block has one row only when ``len(class_ids) * n = 1``.
+    Yields ``(block, segments)``: a view of one buffer that the
+    next block overwrites, and the ``(j, lo, hi)`` saying rows ``lo:hi``
+    are draws of class index ``j`` (continued in the next block when ``n
+    > DRAW_CHUNK``).  A class's draws read its sample stream in turn, so
+    they have the bits of one ``draw_gaussian`` batch of all ``n``: numpy
+    fills successive ``standard_normal`` batches as it fills one."""
+    means, precisions = table
+    d, n_classes = means.shape[1], len(class_ids)
+    blocks = _class_blocks(n_classes, n)
+    buffer = np.empty((max(sum(rows for _, rows in block) for block in blocks),
+                       d + n_classes))
+    streams = [sample_stream(seed, cid) for cid in class_ids]
+    for block in blocks:
+        segments, lo = [], 0
+        for j, rows in block:
+            hi = lo + rows
+            buffer[lo:hi, :d] = draw_gaussian(means[j], precisions[j], rows, streams[j])
+            buffer[lo:hi, d:] = 0.0
+            buffer[lo:hi, d + j] = 1.0
+            segments.append((j, lo, hi))
+            lo = hi
+        yield buffer[:lo], segments
 
 
-def transformed_draws(state: AdaState, table: GaussianTable, j: int, n: int,
-                      seed: int):
-    """The chunks of ``_augmented_draws`` yielded as ``(draws, moved)``:
-    the draws, a view the next chunk overwrites, and G_T of the chunk."""
+def transformed_draws(class_ids: list[int], table: GaussianTable, n: int, seed: int,
+                      g_t: MlpNetwork | None):
+    """The blocks of ``_augmented_draws`` yielded as ``(draws, moved,
+    segments)``: the draws, a view the next block overwrites, ``g_t`` of
+    the block (``None`` without ``g_t``), and the class segments.  A row
+    of G_T has the same bits in any block of two or more rows."""
     d = table[0].shape[1]
-    for block in _augmented_draws(state, table, j, n, seed):
-        yield block[:, :d], forward_eval(state.g_t, block)
+    for block, segments in _augmented_draws(class_ids, table, n, seed):
+        yield block[:, :d], None if g_t is None else forward_eval(g_t, block), segments
 
 
 def _crossover_accuracy(state: AdaState, table: GaussianTable,
                         config: AdaConfig, iteration: int) -> float:
-    """C_T accuracy on freshly generated, G_T-transformed labeled draws."""
+    """C_T accuracy on freshly generated, G_T-transformed labeled draws,
+    averaged over the unseen classes."""
     n = config.crossover_samples
     seed = named_seed(config.seed, "xover", iteration)
-    correct = []
-    for j, cid in enumerate(state.unseen_ids):
-        hits = sum(int(np.count_nonzero(classify(state, moved) == cid))
-                   for _, moved in transformed_draws(state, table, j, n, seed))
-        correct.append(hits / n)
-    return float(np.mean(correct))
+    hits = np.zeros(state.n_unseen, dtype=np.int64)
+    for _, moved, segments in transformed_draws(state.unseen_ids, table, n, seed, state.g_t):
+        picks = classify(state, moved)
+        for j, lo, hi in segments:
+            hits[j] += np.count_nonzero(picks[lo:hi] == state.unseen_ids[j])
+    return float(np.mean(hits / n))
 
 
 def _maybe_switch_phase(state: AdaState, table: GaussianTable,
@@ -613,16 +633,17 @@ def map_prototypes(state: AdaState, table: GaussianTable, n_samples: int,
     Covariances are deliberately left at the base model's values; only
     the class means move.  G_T's output layer is affine (``MlpSpec.dense``
     puts no batchnorm, dropout or activation on it), and the mean of
-    ``h @ W + b`` over rows is ``mean(h) @ W + b``, so the output layer
-    runs once per class (``mean_forward_eval``).  A prototype has the bits
-    of ``.mean(axis=0)`` over G_T's last hidden activations of all
-    ``n_samples`` draws in one batch, then the output layer; it differs
+    ``h @ W + b`` over rows is ``mean(h) @ W + b``, so the hidden layers
+    run once per block of ``_augmented_draws`` and the output layer once
+    per class (``mean_forward_eval``).  A prototype has the bits of
+    ``.mean(axis=0)`` over the class's rows of G_T's last hidden
+    activations of every class's draws in one batch, then the output
+    layer, unless one class is drawn once (a one-row product); it differs
     from the mean of G_T's outputs only in rounding.
     """
-    proto_seed = named_seed(seed, "proto")
-    return {cid: mean_forward_eval(state.g_t, _augmented_draws(state, table, j, n_samples,
-                                                                proto_seed))
-            for j, cid in enumerate(state.unseen_ids)}
+    means = mean_forward_eval(state.g_t, _augmented_draws(state.unseen_ids, table, n_samples,
+                                                          named_seed(seed, "proto")))
+    return {state.unseen_ids[j]: mean for j, mean in means.items()}
 
 
 def save_ada_state(path: str | Path, state: AdaState, config: AdaConfig) -> None:

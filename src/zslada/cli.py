@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .ada import (LOG_COLUMNS, VARIANTS, AdaConfig, adapt, draw_chunks, load_ada_state,
-                  save_ada_state, transformed_draws)
+from .ada import (LOG_COLUMNS, VARIANTS, AdaConfig, adapt, load_ada_state, save_ada_state,
+                  transformed_draws)
 from .base_model import (PretrainConfig, class_params_matrix, load_base_model, pretrain,
-                         pseudo_labels, sample_stream, save_base_model)
+                         pseudo_labels, save_base_model)
 from .data import DatasetBundle, export_embeddings, load_dataset, write_csv
 from .errors import ConfigError, DataError, NonFiniteGradient, NumericalDivergence, ZsladaError
 from .metrics import (eval_workers, inductive_accuracy, lacks_metric, m1_accuracy,
@@ -295,22 +295,18 @@ def cmd_export(args, cfg: dict) -> int:
     if state is not None:
         matrices["transformed"] = transformed = np.empty_like(generated)
         label_map["transformed"] = gen_labels
-    # each unseen class in table order; its draws, and their G_T rows when
-    # a state is given, stream into the preallocated matrices chunk by chunk
-    for k, cid in enumerate(unseen):
-        j = ids.index(cid)
-        if state is None:
-            chunks = ((draws, None) for draws in
-                      draw_chunks(table[0][j], table[1][j], n, sample_stream(seed, cid)))
-        else:
-            chunks = transformed_draws(state, table, j, n, seed)
-        start = k * n
-        for draws, moved in chunks:
-            stop = start + draws.shape[0]
-            generated[start:stop] = draws
+    # the draws, and their G_T rows when a state is given, stream into the
+    # preallocated matrices block by block; class index j's rows start at
+    # its place in the attribute table's order
+    blocks = transformed_draws(ids, table, n, seed, None if state is None else state.g_t)
+    start = [unseen.index(cid) * n for cid in ids]
+    for draws, moved, segments in blocks:
+        for j, lo, hi in segments:
+            stop = start[j] + hi - lo
+            generated[start[j]:stop] = draws[lo:hi]
             if moved is not None:
-                transformed[start:stop] = moved
-            start = stop
+                transformed[start[j]:stop] = moved[lo:hi]
+            start[j] = stop
     out.mkdir(parents=True, exist_ok=True)
     path = out / "embeddings.csv"
     export_embeddings(matrices, label_map, path)

@@ -14,8 +14,8 @@ batch's statistics (and moves the running ones), dropout draws masks, and
 the returned cache is what :func:`mlp_backward` reads.  :func:`forward_eval`
 is the inference pass: batchnorm reads the running statistics, dropout is
 the identity, nothing is cached and nothing is written.
-:func:`mean_forward_eval` is the inference pass averaged over many rows,
-with the affine last layer applied once, to the mean.
+:func:`mean_forward_eval` is the inference pass averaged over groups of
+rows, with the affine last layer applied once per group, to its mean.
 
 Backward materialises no parameter gradient: a :class:`GradientTape`
 builds it from backpropagated caches one window at a time, a weight
@@ -344,31 +344,37 @@ def forward_eval(net: MlpNetwork, batch: np.ndarray) -> np.ndarray:
     return _layers(net, batch, None)
 
 
-def mean_forward_eval(net: MlpNetwork, chunks) -> np.ndarray:
-    """Row mean of the inference pass over the rows of ``chunks``, an
-    iterable of input batches.  The last layer must be affine, so it runs
-    once, on the mean of its inputs; the other layers run on each chunk,
-    and memory is that of one chunk.  The mean has the bits of
-    ``.mean(axis=0)`` over one batch of all the rows: numpy sums a
-    C-contiguous matrix down axis 0 row by row, so the running sum rides
-    as the leading row of the next chunk's sum.  (A one-column matrix is
-    summed pairwise instead, and its last bits can differ.)
+def mean_forward_eval(net: MlpNetwork, blocks) -> dict:
+    """Row means of the inference pass over groups of rows, ``{key: mean}``.
+    ``blocks`` yields ``(batch, segments)``, each ``(key, lo, hi)`` putting
+    rows ``lo:hi`` of ``batch`` in group ``key``; a group may run on into
+    later blocks.  The last layer must be affine, so it runs once per
+    group, on the mean of its inputs; the other layers run once per
+    block, and memory is that of one block.  A mean has the bits of
+    ``.mean(axis=0)`` over one batch of the group's rows: numpy sums a
+    C-contiguous matrix down axis 0 row by row, so a group's running sum
+    rides as the leading row of its next segment's sum.  (A one-column
+    matrix is summed pairwise instead, and its last bits can differ.)
     """
     spec = net.spec
     last = spec.n_layers - 1
     if spec.batchnorm[last] or spec._acts[last][0] != "identity":
         raise ConfigError(f"the mean passes through an affine last layer only, got "
                           f"{spec.activations[last]!r} with batchnorm {spec.batchnorm[last]}")
-    total, n_rows = None, 0
-    for chunk in chunks:
-        hidden = _layers(net, chunk, None, n_layers=last)
-        n_rows += hidden.shape[0]
-        if total is not None:
-            hidden = np.concatenate([total[None], hidden])
-        total = np.add.reduce(hidden, axis=0)
-    if total is None:
+    totals, n_rows = {}, {}
+    for batch, segments in blocks:
+        hidden = _layers(net, batch, None, n_layers=last)
+        for key, lo, hi in segments:
+            rows = hidden[lo:hi]
+            if key in totals:
+                rows = np.concatenate([totals[key][None], rows])
+            totals[key] = np.add.reduce(rows, axis=0)
+            n_rows[key] = n_rows.get(key, 0) + hi - lo
+        hidden = rows = None  # the next block's layers run beside none of these
+    if not totals:
         raise ConfigError("need at least one row to average")
-    return (total / n_rows) @ net.weight(last) + net.bias(last)
+    return {key: (total / n_rows[key]) @ net.weight(last) + net.bias(last)
+            for key, total in totals.items()}
 
 
 def _layers(net: MlpNetwork, batch: np.ndarray, layers: list | None,
@@ -450,8 +456,13 @@ def _infer_in_place(net: MlpNetwork, i: int, z: np.ndarray) -> None:
     if kind == "relu":
         np.maximum(z, 0.0, out=z)
     elif kind == "leaky_relu":
-        # np.where(z > 0, z, slope * z) for every slope, signed zero and NaN
-        np.multiply(z, slope, out=z, where=~(z > 0))
+        # np.where(z > 0, z, slope * z) for every slope, signed zero and NaN;
+        # for 0 <= slope <= 1 that is max(z, slope * z), and numpy's plain
+        # loop runs several times faster than its masked one
+        if 0 <= slope <= 1:
+            np.maximum(z, z * slope, out=z)
+        else:
+            np.multiply(z, slope, out=z, where=~(z > 0))
     elif kind == "sigmoid":
         stable_sigmoid(z, out=z)
     elif kind == "log_softmax":

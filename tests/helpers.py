@@ -155,21 +155,22 @@ def reference_export_draws(model: BaseZslModel, state: AdaState | None, n: int,
 
 def reference_map_prototypes(state: AdaState, base_model: BaseZslModel, n_samples: int,
                              seed: int) -> dict[int, np.ndarray]:
-    """Per-class prototypes in one shot: all ``n_samples`` draws of a
-    class from its row of the unseen classes' Gaussian table, augmented
-    and run through G_T's hidden layers in one batch, averaged with
-    ``.mean(axis=0)``, then G_T's affine output layer."""
+    """Per-class prototypes in one shot: ``n_samples`` draws of every
+    unseen class from its row of the unseen classes' Gaussian table,
+    stacked in class order, augmented and run through G_T's hidden layers
+    in one batch; each class's rows averaged with ``.mean(axis=0)``, then
+    G_T's affine output layer."""
     means, precisions = class_params_matrix(base_model, state.unseen_ids)
     last = state.g_t.spec.n_layers - 1
-    out = {}
-    for j, cid in enumerate(state.unseen_ids):
-        draws = reference_draw_gaussian(means[j], precisions[j], n_samples,
-                                        sample_stream(named_seed(seed, "proto"), cid))
-        labels = np.full(n_samples, j, dtype=np.int64)
-        hidden = reference_inference(state.g_t, augment_batch(draws, labels, state.n_unseen),
-                                     n_layers=last)
-        out[cid] = hidden.mean(axis=0) @ state.g_t.weight(last) + state.g_t.bias(last)
-    return out
+    draws = np.vstack([reference_draw_gaussian(means[j], precisions[j], n_samples,
+                                               sample_stream(named_seed(seed, "proto"), cid))
+                       for j, cid in enumerate(state.unseen_ids)])
+    labels = np.repeat(np.arange(state.n_unseen), n_samples)
+    hidden = reference_inference(state.g_t, augment_batch(draws, labels, state.n_unseen),
+                                 n_layers=last)
+    return {cid: hidden[j * n_samples:(j + 1) * n_samples].mean(axis=0) @ state.g_t.weight(last)
+            + state.g_t.bias(last)
+            for j, cid in enumerate(state.unseen_ids)}
 
 
 def count_class_params_matrix(monkeypatch, *modules) -> list[list[int]]:
@@ -362,12 +363,12 @@ def linear_model(table: ClassAttributeTable, d: int, seed: int = 11,
     )
 
 
-def streaming_setup(d: int = 16, seed: int = 4, reverse_table: bool = False):
-    """A linear base model with three unseen classes, and a state whose
+def streaming_setup(d: int = 16, seed: int = 4, reverse_table: bool = False, U: int = 3):
+    """A linear base model with ``U`` unseen classes, and a state whose
     batchnorm + dropout G_T has running stats that are not the identity.
     ``reverse_table`` lists the classes in descending id order, so the
     table's unseen order differs from the state's sorted one."""
-    world = make_synthetic_world(bench_spec(seed=3, S=2, U=3, d=d, attr_dim=4,
+    world = make_synthetic_world(bench_spec(seed=3, S=2, U=U, d=d, attr_dim=4,
                                             samples_per_class=8))
     table = world.attributes
     if reverse_table:

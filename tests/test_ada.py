@@ -15,8 +15,12 @@ from zslada.ada import (
     AdaConfig,
     AlignedBatch,
     _abort_if_nonfinite,
+    _chunk_rows,
+    _class_blocks,
+    _crossover_accuracy,
     adapt,
     augment_batch,
+    classify,
     critic_objective,
     generator_objective,
     init_ada_state,
@@ -455,7 +459,8 @@ def test_ada_config_validation():
     for bad in (dict(n_critic=0), dict(clip_c=0.0), dict(cycle_weight=-1.0),
                 dict(recovery_trigger="never"), dict(variant="dann"),
                 dict(cycle_form="loop"), dict(recovery_fraction=0.0),
-                dict(gen_dropout=1.0), dict(relabel_interval=-1)):
+                dict(gen_dropout=1.0), dict(relabel_interval=-1),
+                dict(mismatched_weight=-3.0)):
         with pytest.raises(ConfigError):
             AdaConfig(**bad)
 
@@ -737,36 +742,78 @@ def test_map_prototypes_seeded_and_single_draw():
         map_prototypes(state, table, 0, seed=7)
 
 
-@pytest.mark.parametrize("n", [1, 2, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1,
-                               2 * DRAW_CHUNK + 1])
+def _check_blocks(blocks, n_classes: int, n: int) -> None:
+    """The block contract of ``_augmented_draws``: blocks of at most
+    ``DRAW_CHUNK + 1`` rows whose segments tile them; classes in index
+    order with ``n`` rows each, whole in one block when ``n <= DRAW_CHUNK``
+    and in ``_chunk_rows(n)`` chunks of one block each otherwise; and no
+    one-row block unless one class is drawn once."""
+    per_class = {}
+    for rows, segments in blocks:
+        assert 0 < rows <= DRAW_CHUNK + 1
+        assert rows >= 2 or n_classes * n == 1, (n_classes, n, rows)
+        assert [lo for _, lo, _ in segments] == [0] + [hi for _, _, hi in segments[:-1]]
+        assert segments[-1][2] == rows
+        if n <= DRAW_CHUNK:
+            assert all(hi - lo == n for _, lo, hi in segments)
+        else:
+            assert len(segments) == 1
+        for j, lo, hi in segments:
+            per_class.setdefault(j, []).append(hi - lo)
+    assert list(per_class) == list(range(n_classes))
+    want = [n] if n <= DRAW_CHUNK else _chunk_rows(n)
+    assert all(rows == want for rows in per_class.values()), per_class
+
+
+@pytest.mark.parametrize("n_classes, n", [
+    (1, 1), (2, 1), (5, 1), (DRAW_CHUNK, 1), (DRAW_CHUNK + 1, 1), (2 * DRAW_CHUNK + 1, 1),
+    (3, 2), (1, 3), (DRAW_CHUNK // 2 + 1, 2), (4, DRAW_CHUNK // 3), (3, DRAW_CHUNK // 2 + 1),
+    (2, DRAW_CHUNK), (2, DRAW_CHUNK + 1), (3, 2 * DRAW_CHUNK + 1)])
+def test_class_blocks_pack_whole_classes_within_the_chunk_bound(n_classes, n):
+    blocks = []
+    for block in _class_blocks(n_classes, n):
+        segments, lo = [], 0
+        for j, rows in block:
+            segments.append((j, lo, lo + rows))
+            lo += rows
+        blocks.append((lo, segments))
+    _check_blocks(blocks, n_classes, n)
+    if n <= DRAW_CHUNK:
+        # every block but the last is full; a one-row rest joined the last
+        sizes = [len(segments) for _, segments in blocks]
+        per = DRAW_CHUNK // n
+        assert all(size == per for size in sizes[:-1])
+        assert 1 <= sizes[-1] <= per + (n == 1), sizes
+
+
+# five classes leave the last block partial: 1, 2 and 3 draws pack all five
+# into one block, DRAW_CHUNK // 3 packs three, then two
+@pytest.mark.parametrize("n", [1, 2, 3, DRAW_CHUNK // 3, DRAW_CHUNK // 2 + 1, DRAW_CHUNK - 1,
+                               DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 1])
 def test_map_prototypes_streams_chunks_to_the_one_shot_bits(monkeypatch, n):
-    model, state = streaming_setup()
-    rows = []
+    model, state = streaming_setup(U=5)
+    blocks = []
 
     def recorded(net, chunks):
         assert net is state.g_t
 
         def counted():
-            for X in chunks:
-                rows.append(X.shape[0])
-                yield X
+            for X, segments in chunks:
+                blocks.append((X.shape[0], list(segments)))
+                yield X, segments
 
         return mean_forward_eval(net, counted())
 
     monkeypatch.setattr(zslada.ada, "mean_forward_eval", recorded)
     table = class_params_matrix(model, state.unseen_ids)
     for seed in (0, 1):
-        rows.clear()
+        blocks.clear()
         streamed = map_prototypes(state, table, n, seed=seed)
         expected = reference_map_prototypes(state, model, n, seed=seed)
         assert list(streamed) == list(expected) == state.unseen_ids
         for cid in expected:
             assert streamed[cid].tobytes() == expected[cid].tobytes(), (n, seed, cid)
-        per_class = len(rows) // len(state.unseen_ids)
-        assert rows == rows[:per_class] * len(state.unseen_ids)
-        assert sum(rows[:per_class]) == n
-        assert max(rows) <= DRAW_CHUNK + 1
-        assert n == 1 or min(rows) >= 2, rows
+        _check_blocks(blocks, state.n_unseen, n)
 
 
 def test_chunked_standard_normal_continues_the_one_shot_draw():
@@ -776,6 +823,22 @@ def test_chunked_standard_normal_continues_the_one_shot_draw():
     stream = np.random.default_rng(11)
     parts = [stream.standard_normal((rows, 7)) for rows in (1, 3, DRAW_CHUNK, DRAW_CHUNK - 3)]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def test_an_inference_row_has_the_same_bits_in_any_batch_of_two_or_more_rows():
+    # packing classes into blocks rests on this: with OpenBLAS a row of
+    # h @ W has the same bits in every batch of >= 2 rows, at any offset
+    # (a one-row batch runs through gemv).  It holds for one BLAS build
+    # and thread count; across thread counts the bits of long products
+    # can move (ROADMAP item 4).
+    model, state = streaming_setup()
+    X = np.random.default_rng(12).standard_normal((DRAW_CHUNK, state.g_t.spec.in_dim))
+    whole = forward_eval(state.g_t, X)
+    for rows in (2, 3, 64, DRAW_CHUNK):
+        for start in sorted({0, 1, 7, DRAW_CHUNK // 2 - 1, DRAW_CHUNK - rows}):
+            if start + rows <= DRAW_CHUNK:
+                part = forward_eval(state.g_t, X[start:start + rows])
+                assert part.tobytes() == whole[start:start + rows].tobytes(), (rows, start)
 
 
 def test_map_prototypes_reads_the_given_table_and_runs_no_head(monkeypatch):
@@ -800,10 +863,13 @@ def test_map_prototypes_is_the_mean_of_g_t_outputs_up_to_rounding():
     table = class_params_matrix(model, state.unseen_ids)
     n = 2 * DRAW_CHUNK + 1
     protos = map_prototypes(state, table, n, seed=2)
+    moved_rows = {j: [] for j in range(state.n_unseen)}
+    seed = named_seed(2, "proto")
+    for _, moved, segments in transformed_draws(state.unseen_ids, table, n, seed, state.g_t):
+        for j, lo, hi in segments:
+            moved_rows[j].append(moved[lo:hi])
     for j, cid in enumerate(state.unseen_ids):
-        old = np.vstack([moved for _, moved in
-                         transformed_draws(state, table, j, n, named_seed(2, "proto"))]
-                        ).mean(axis=0)
+        old = np.vstack(moved_rows[j]).mean(axis=0)
         assert np.max(np.abs(protos[cid] - old)) <= 1e-12 * np.max(np.abs(old)), cid
 
 
@@ -830,6 +896,36 @@ def test_map_prototypes_memory_does_not_grow_with_n_samples():
     one = peak_traced_bytes(lambda: map_prototypes(state, table, DRAW_CHUNK, seed=0))
     eight = peak_traced_bytes(lambda: map_prototypes(state, table, 8 * DRAW_CHUNK, seed=0))
     assert eight <= 1.25 * one, (eight, one)
+
+
+def test_map_prototypes_memory_does_not_grow_with_the_class_count():
+    # at DRAW_CHUNK // 8 draws a block packs eight classes, so eight times
+    # the classes keep the peak of one block (its one-hot columns grow,
+    # hence the wide draws); one batch of all draws grows about 8x
+    n = DRAW_CHUNK // 8
+
+    def peak(n_classes: int) -> int:
+        model, state = streaming_setup(d=512, U=n_classes)
+        table = class_params_matrix(model, state.unseen_ids)
+        return peak_traced_bytes(lambda: map_prototypes(state, table, n, seed=0))
+
+    one, eight = peak(8), peak(64)
+    assert eight <= 1.25 * one, (eight, one)
+
+
+@pytest.mark.parametrize("n", [2, 3, 37, DRAW_CHUNK + 1])
+def test_crossover_accuracy_is_the_per_class_mean_of_c_t_hits(n):
+    model, state = streaming_setup(U=5)
+    table = means, precisions = class_params_matrix(model, state.unseen_ids)
+    config = AdaConfig(crossover_samples=n, seed=8)
+    seed = named_seed(config.seed, "xover", 6)
+    shares = []
+    for j, cid in enumerate(state.unseen_ids):
+        draws = reference_draw_gaussian(means[j], precisions[j], n, sample_stream(seed, cid))
+        moved = forward_eval(state.g_t, augment_batch(draws, np.full(n, j), state.n_unseen))
+        shares.append(np.count_nonzero(classify(state, moved) == cid) / n)
+    assert 0 < np.mean(shares) < 1
+    assert _crossover_accuracy(state, table, config, 6) == float(np.mean(shares))
 
 
 # ---------------------------------------------------------------- checkpoints

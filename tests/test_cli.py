@@ -325,7 +325,7 @@ def _export_run(tmp_path: Path, monkeypatch, model, state, n: int, seed: int):
 
 
 @pytest.mark.parametrize("reverse_table", [False, True])
-@pytest.mark.parametrize("n", [2, 3, DRAW_CHUNK + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, DRAW_CHUNK + 1])
 def test_export_streams_to_the_one_batch_bits(tmp_path, monkeypatch, n, reverse_table):
     model, state = streaming_setup(reverse_table=reverse_table)
     table_order = state.unseen_ids[::-1] if reverse_table else state.unseen_ids

@@ -326,8 +326,9 @@ def test_inference_pass_writes_nothing_and_leaves_caches_live():
 
 
 @pytest.mark.parametrize("batchnorm", [False, True])
-@pytest.mark.parametrize("activation", ["relu", "leaky_relu", "leaky_relu:0", "leaky_relu:-0.5",
-                                        "leaky_relu:1.5", "sigmoid", "log_softmax", "identity"])
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu", "leaky_relu:0", "leaky_relu:1",
+                                        "leaky_relu:-0.5", "leaky_relu:1.5", "sigmoid",
+                                        "log_softmax", "identity"])
 def test_inference_pass_in_place_has_the_bits_of_the_out_of_place_pass(activation, batchnorm):
     widths = (4, 6, 5, 3)
     spec = MlpSpec(widths, (activation,) * 3, (batchnorm,) * 3, (0.0, 0.5, 0.0))
