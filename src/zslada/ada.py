@@ -1,12 +1,13 @@
 """Cycle-consistent adversarial adaptation of unseen-class features.
 
-Six networks: G_T maps generated (source) samples into the real test
-(target) domain, G_S maps the other way, D_T / D_S are Wasserstein
-critics with weight clipping, and C_T / C_S are classifiers over the
-unseen classes.  Generator inputs carry the class label as a one-hot
-appended to the feature vector.  Minibatches are class-aligned: each
-``AlignedBatch`` draws one pseudo-class and pairs real rows of that
-class with fresh class-conditional draws of the same class.
+Up to six networks, those its variant trains: G_T maps generated
+(source) samples into the real test (target) domain, G_S maps the other
+way, D_T / D_S are Wasserstein critics with weight clipping, and C_T /
+C_S are classifiers over the unseen classes.  Generator inputs carry the
+class label as a one-hot appended to the feature vector.  Minibatches
+are class-aligned: each ``AlignedBatch`` draws one pseudo-class and
+pairs real rows of that class with fresh class-conditional draws of the
+same class.
 
 The reported total objective is the weighted sum
 ``L_adv_T + L_adv_S + chi * L_cyc + xi * L_clf_T + xi * L_clf_S`` with
@@ -20,7 +21,7 @@ objectives are separated exactly as in standard adversarial training.
 The T and S sides mirror each other; ``_SIDES`` describes each side
 once and both objectives loop over it.  ``VARIANT_ROLES`` says which
 networks each ablation variant trains, and every other variant rule
-derives from it.
+derives from it; ``trained_roles`` is what a state holds, steps and saves.
 
 Classifier terms follow a two-phase schedule: during warmup only the
 real-data terms train the classifiers; after the recovery trigger
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,9 +47,9 @@ from .nn.optim import OptimizerHyper, role_stepper
 from .rng import named_seed, named_stream
 from .settings import from_dict
 
-# The roles each variant trains besides the critics, in the order the
+# The generators and classifiers each variant trains, in the order the
 # ablation reports them: a side plays the game when its generator trains,
-# and its critic trains with it.
+# and its critic trains with it (trained_roles adds it).
 VARIANT_ROLES = {
     "std_da": ("c_t",),
     "vanilla_ada": ("g_t", "c_t"),
@@ -147,6 +148,9 @@ class AdaConfig:
 
 @dataclass
 class AdaState:
+    """Exactly the networks of ``trained_roles(variant)``, in ``ROLES``
+    order, and the pseudo-labels and phase the adaptation loop reads."""
+
     nets: dict[str, MlpNetwork]
     unseen_ids: list[int]
     variant: str
@@ -159,13 +163,13 @@ class AdaState:
     empty_pseudo_ids: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        missing = set(ROLES) - set(self.nets)
-        if missing:
-            raise ConfigError(f"state is missing networks: {sorted(missing)}")
+        roles = trained_roles(self.variant)
+        if set(self.nets) != set(roles):
+            raise ConfigError(f"a {self.variant} state holds {list(roles)}, "
+                              f"not {sorted(self.nets)}")
+        self.nets = {role: self.nets[role] for role in roles}
         if self.phase not in PHASES:
             raise ConfigError(f"phase must be one of {PHASES}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}")
         self.unseen_ids = sorted(int(c) for c in self.unseen_ids)
 
     @property
@@ -174,11 +178,16 @@ class AdaState:
 
     @property
     def g_t(self) -> MlpNetwork:
-        return self.nets["g_t"]
+        return self._net("g_t")
 
     @property
     def c_t(self) -> MlpNetwork:
-        return self.nets["c_t"]
+        return self._net("c_t")
+
+    def _net(self, role: str) -> MlpNetwork:
+        if role not in self.nets:
+            raise ConfigError(f"a {self.variant} state has no {role}: it does not train one")
+        return self.nets[role]
 
 
 def augment_batch(X: np.ndarray, labels: np.ndarray, n_unseen: int) -> np.ndarray:
@@ -239,8 +248,19 @@ def _sides(variant: str) -> tuple[_Side, ...]:
     return sides
 
 
+def trained_roles(variant: str) -> tuple[str, ...]:
+    """The networks ``variant`` trains, in ``ROLES`` order: those
+    ``VARIANT_ROLES`` names and the critic of each side whose generator trains."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"variant must be one of {VARIANTS}")
+    named = VARIANT_ROLES[variant]
+    critics = {side.d for side in _SIDES if side.g in named}
+    return tuple(role for role in ROLES if role in named or role in critics)
+
+
 def init_ada_state(base_model: BaseZslModel, config: AdaConfig) -> AdaState:
-    """Fresh networks sized from the base model."""
+    """Fresh ``trained_roles(config.variant)`` sized from the base model,
+    each seeded by its role alone, so it has the same bits in every variant."""
     d = base_model.dim
     unseen = base_model.attribute_table.unseen_ids
     if not unseen:
@@ -254,7 +274,7 @@ def init_ada_state(base_model: BaseZslModel, config: AdaConfig) -> AdaState:
         "c": MlpSpec.dense((d, u), out_activation="log_softmax"),
     }
     nets = {role: init_network(specs[role[0]], seed=named_seed(config.seed, "init", role))
-            for role in ROLES}
+            for role in trained_roles(config.variant)}
     return AdaState(nets=nets, unseen_ids=list(unseen), variant=config.variant)
 
 
@@ -503,7 +523,7 @@ def _crossover_accuracy(state: AdaState, table: GaussianTable,
 
 def _maybe_switch_phase(state: AdaState, table: GaussianTable,
                         config: AdaConfig) -> None:
-    if state.phase == "recovery" or "c_t" not in VARIANT_ROLES[state.variant]:
+    if state.phase == "recovery" or "c_t" not in state.nets:
         return
     it = state.iteration
     if it + 1 >= int(config.recovery_fraction * config.n_steps):
@@ -518,19 +538,22 @@ def _maybe_switch_phase(state: AdaState, table: GaussianTable,
 
 
 def _setup(base_model: BaseZslModel, test_data: FeatureDataset, config: AdaConfig,
-           ) -> tuple[AdaState, np.ndarray, GaussianTable, list[np.ndarray]]:
+           ) -> tuple[AdaState, np.ndarray, GaussianTable, list[np.ndarray], Callable]:
     """What every adaptation loop starts from: a fresh state holding the
     base model's pseudo-labels, the test rows, the unseen classes' one
     Gaussian table, which the pseudo-labels are scored against and every
-    draw reads, and each class's pool of pseudo-labelled rows.  Refuses a
-    split with no test rows before any of it is built."""
+    draw reads, each class's pool of pseudo-labelled rows, and one RMSprop
+    stepper of all the state's networks.  Refuses a split with no test
+    rows before any of it is built."""
     test_X, _ = test_data.test_rows()
     if test_X.shape[0] == 0:
         raise DataError("EMPTY_SPLIT", "adaptation needs test rows, the split has none")
     state = init_ada_state(base_model, config)
     table = class_params_matrix(base_model, state.unseen_ids)
     state.pseudo, state.agreement_estimate = pseudo_labels(base_model, test_data, table)
-    return state, test_X, table, _class_pools(state)
+    step = role_stepper("rmsprop", state.nets, dict.fromkeys(
+        state.nets, OptimizerHyper(learning_rate=config.learning_rate)))
+    return state, test_X, table, _class_pools(state), step
 
 
 def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
@@ -545,11 +568,8 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
     """
     if config.variant == "std_da":
         return train_std_da(base_model, test_data, config)
-    state, test_X, table, pools = _setup(base_model, test_data, config)
+    state, test_X, table, pools, step = _setup(base_model, test_data, config)
     log: list[tuple] = []
-    roles = VARIANT_ROLES[state.variant] + tuple(side.d for side in _sides(state.variant))
-    hyper = OptimizerHyper(learning_rate=config.learning_rate)
-    step = role_stepper("rmsprop", state.nets, dict.fromkeys(roles, hyper))
 
     for it in range(config.n_steps):
         state.iteration = it
@@ -570,7 +590,7 @@ def adapt(base_model: BaseZslModel, test_data: FeatureDataset,
             step(tapes, clip=config.clip_c)
 
         if config.relabel_interval and (it + 1) % config.relabel_interval == 0 \
-                and "c_t" in roles:
+                and "c_t" in state.nets:
             state.pseudo = classify(state, test_X)
             pools = _class_pools(state)
 
@@ -594,13 +614,11 @@ def _abort_if_nonfinite(value: float, breakdown: dict[str, float],
 def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
                  config: AdaConfig) -> tuple[AdaState, list[tuple]]:
     """No-adversary baseline: trains C_T on class-conditional draws plus
-    pseudo-labeled test rows.  Other networks stay at initialization."""
+    pseudo-labeled test rows; C_T is the one network its state holds."""
     config = replace(config, variant="std_da")
-    state, test_X, table, pools = _setup(base_model, test_data, config)
+    state, test_X, table, pools, step = _setup(base_model, test_data, config)
     log: list[tuple] = []
     half = max(1, config.batch_size // 2)
-    step = role_stepper("rmsprop", state.nets,
-                        {"c_t": OptimizerHyper(learning_rate=config.learning_rate)})
     for it in range(config.n_steps):
         state.iteration = it
         stream = named_stream(config.seed, "batch", "std", it)
@@ -647,6 +665,9 @@ def map_prototypes(state: AdaState, table: GaussianTable, n_samples: int,
 
 
 def save_ada_state(path: str | Path, state: AdaState, config: AdaConfig) -> None:
+    if config.variant != state.variant:
+        raise ConfigError(f"a {state.variant} state cannot be saved with a "
+                          f"{config.variant} config")
     meta = {
         "kind": "ada_state",
         "config": asdict(config),
@@ -656,32 +677,36 @@ def save_ada_state(path: str | Path, state: AdaState, config: AdaConfig) -> None
         "unseen_ids": list(state.unseen_ids),
         "agreement_estimate": state.agreement_estimate,
         "empty_pseudo_ids": list(state.empty_pseudo_ids),
-        "specs": {role: asdict(state.nets[role].spec) for role in ROLES},
-        "seeds": {role: state.nets[role].seed for role in ROLES},
+        "specs": {role: asdict(net.spec) for role, net in state.nets.items()},
+        "seeds": {role: net.seed for role, net in state.nets.items()},
     }
     arrays = {}
-    for role in ROLES:
-        arrays[f"{role}_params"] = state.nets[role].params
-        arrays[f"{role}_stats"] = state.nets[role].stats
+    for role, net in state.nets.items():
+        arrays[f"{role}_params"] = net.params
+        arrays[f"{role}_stats"] = net.stats
     if state.pseudo is not None:
         arrays["pseudo"] = state.pseudo.astype(np.float64)
     save_container(path, meta, arrays)
 
 
 def load_ada_state(path: str | Path) -> tuple[AdaState, AdaConfig]:
-    """Rebuilds an adapted state for evaluation.  Optimizer moments are
-    not persisted: ``adapt`` always starts from fresh ones."""
+    """Rebuilds an adapted state for evaluation from its variant's networks
+    (an older checkpoint holds all six).  Optimizer moments are not
+    persisted: ``adapt`` always starts from fresh ones."""
     meta, arrays = load_container(path)
     if meta.get("kind") != "ada_state":
         raise DataError("BAD_CHECKPOINT",
                         f"expected an adaptation checkpoint, found {meta.get('kind')!r}")
     config = from_dict(AdaConfig, meta["config"], "adaptation config")
     nets = {}
-    for role in ROLES:
-        spec = MlpSpec.from_dict(meta["specs"][role])
-        nets[role] = MlpNetwork(spec=spec, params=arrays[f"{role}_params"],
-                                stats=arrays[f"{role}_stats"],
-                                seed=meta["seeds"][role])
+    for role in trained_roles(meta["variant"]):
+        try:
+            nets[role] = MlpNetwork(spec=MlpSpec.from_dict(meta["specs"][role]),
+                                    params=arrays[f"{role}_params"],
+                                    stats=arrays[f"{role}_stats"], seed=meta["seeds"][role])
+        except KeyError as exc:
+            raise DataError("BAD_CHECKPOINT", f"{path} holds no {exc.args[0]!r} entry for "
+                            f"the {meta['variant']} network {role}") from None
     state = AdaState(nets=nets, unseen_ids=meta["unseen_ids"], variant=meta["variant"],
                      phase=meta["phase"], iteration=int(meta["iteration"]),
                      agreement_estimate=meta.get("agreement_estimate"),

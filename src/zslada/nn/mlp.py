@@ -58,6 +58,14 @@ def parse_activation(name: str) -> tuple[str, float]:
     return name, 0.0
 
 
+def _leaky_relu(z: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The bits of ``np.where(z > 0, z, slope * z)`` into ``out`` (``z`` itself, say), by
+    numpy's faster ``max(z, slope * z)`` when 0 < slope <= 1 (slope 0 maps +inf to NaN)."""
+    if 0 < slope <= 1:
+        return np.maximum(z, z * slope, out=out)
+    return np.multiply(z, slope, out=z.copy() if out is None else out, where=~(z > 0))
+
+
 def stable_sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sigmoid without overflow at either tail: one ``exp`` of ``-|z|``,
     which never exceeds 1, then ``1 / (1 + e)`` where ``z >= 0`` and
@@ -419,7 +427,7 @@ def _layers(net: MlpNetwork, batch: np.ndarray, layers: list | None,
             a = np.maximum(z, 0.0)
             rec["z"] = z
         elif kind == "leaky_relu":
-            a = np.where(z > 0, z, slope * z)
+            a = _leaky_relu(z, slope)
             rec["z"] = z
         elif kind == "sigmoid":
             a = stable_sigmoid(z)
@@ -456,13 +464,7 @@ def _infer_in_place(net: MlpNetwork, i: int, z: np.ndarray) -> None:
     if kind == "relu":
         np.maximum(z, 0.0, out=z)
     elif kind == "leaky_relu":
-        # np.where(z > 0, z, slope * z) for every slope, signed zero and NaN;
-        # for 0 <= slope <= 1 that is max(z, slope * z), and numpy's plain
-        # loop runs several times faster than its masked one
-        if 0 <= slope <= 1:
-            np.maximum(z, z * slope, out=z)
-        else:
-            np.multiply(z, slope, out=z, where=~(z > 0))
+        _leaky_relu(z, slope, out=z)
     elif kind == "sigmoid":
         stable_sigmoid(z, out=z)
     elif kind == "log_softmax":

@@ -226,20 +226,25 @@ def reference_inference(net: MlpNetwork, X: np.ndarray,
             at += 2 * width
             z = (net.params[span[f"layer{i}.gamma"]] * ((z - mean) * (1.0 / np.sqrt(var + BN_EPS)))
                  + net.params[span[f"layer{i}.beta"]])
-        kind, slope = parse_activation(spec.activations[i])
-        if kind == "relu":
-            h = np.maximum(z, 0.0)
-        elif kind == "leaky_relu":
-            h = np.where(z > 0, z, slope * z)
-        elif kind == "sigmoid":
-            e = np.exp(-np.abs(z))
-            h = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        elif kind == "log_softmax":
-            zs = z - z.max(axis=1, keepdims=True)
-            h = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
-        else:
-            h = z
+        h = reference_activation(spec.activations[i], z)
     return h
+
+
+def reference_activation(activation: str, z: np.ndarray) -> np.ndarray:
+    """``activation`` of ``z`` as one out-of-place expression, the rule of
+    :func:`reference_inference`."""
+    kind, slope = parse_activation(activation)
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    if kind == "leaky_relu":
+        return np.where(z > 0, z, slope * z)
+    if kind == "sigmoid":
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    if kind == "log_softmax":
+        zs = z - z.max(axis=1, keepdims=True)
+        return zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
+    return z
 
 
 def zero_param_model(table: ClassAttributeTable, d: int,

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import zslada.ada
 from zslada.ada import (
     DRAW_CHUNK,
-    VARIANT_ROLES,
     VARIANTS,
     AdaConfig,
+    AdaState,
     AlignedBatch,
     _abort_if_nonfinite,
     _chunk_rows,
@@ -27,12 +27,13 @@ from zslada.ada import (
     load_ada_state,
     map_prototypes,
     save_ada_state,
+    trained_roles,
     transformed_draws,
 )
 import zslada.base_model
 from zslada.base_model import class_params_matrix, pseudo_labels, sample_stream
 from zslada.errors import ConfigError, DataError, NumericalDivergence
-from zslada.metrics import lacks_metric, m2_accuracy
+from zslada.metrics import lacks_metric, m1_accuracy, m2_accuracy
 from zslada.nn.checkpoint import load_container, save_container
 from zslada.nn.mlp import (MlpNetwork, MlpSpec, forward_eval, init_network, mean_forward_eval,
                            param_grads)
@@ -130,17 +131,17 @@ def test_aligned_batch_validation():
 
 def _exact_state(d, u, config, base_seed=0, **nets):
     """State on exact toy nets: identity generators, zero critics and
-    classifiers sure of index 0, with any role replaced by ``nets``."""
+    classifiers sure of index 0, with any role replaced by ``nets``; each
+    of the roles the state holds, and only those."""
     table = toy_table(S=2, U=u, attr_dim=3, seed=base_seed)
     model = linear_model(table, d=d, seed=base_seed)
     state = init_ada_state(model, config)
-    state.nets["g_t"] = identity_generator(d, u)
-    state.nets["g_s"] = identity_generator(d, u)
-    state.nets["d_t"] = constant_critic(d, 0.0)
-    state.nets["d_s"] = constant_critic(d, 0.0)
-    state.nets["c_t"] = biased_classifier(d, u, favored=0)
-    state.nets["c_s"] = biased_classifier(d, u, favored=0)
-    state.nets.update(nets)
+    exact = {"g_t": identity_generator(d, u), "g_s": identity_generator(d, u),
+             "d_t": constant_critic(d, 0.0), "d_s": constant_critic(d, 0.0),
+             "c_t": biased_classifier(d, u, favored=0),
+             "c_s": biased_classifier(d, u, favored=0), **nets}
+    assert set(nets) <= set(state.nets), f"a {config.variant} state holds no {set(nets)}"
+    state.nets.update({role: exact[role] for role in state.nets})
     return state
 
 
@@ -637,43 +638,84 @@ def test_std_da_trains_only_the_target_classifier(small_adapted):
     config = AdaConfig(variant="std_da", **ADAPT_CONFIG)
     state, log = adapt(model, world.dataset, config)
     fresh = init_ada_state(model, config)
+    assert list(state.nets) == list(fresh.nets) == ["c_t"]
     assert not np.array_equal(state.c_t.params, fresh.c_t.params)
-    for role in ("g_t", "g_s", "d_t", "d_s", "c_s"):
-        assert np.array_equal(state.nets[role].params, fresh.nets[role].params)
+    with pytest.raises(ConfigError, match="std_da state has no g_t"):
+        state.g_t
     for row in log:
         assert row[1] == row[2] == row[3] == row[5] == 0.0
         assert np.isfinite(row[4])
         assert row[6] == "warmup"
 
 
-# the networks each variant moves: its generators and classifiers, plus
-# the critic of each side whose generator trains
-MOVED_ROLES = {
-    "full": {"g_t", "g_s", "d_t", "d_s", "c_t", "c_s"},
-    "vanilla_ada": {"g_t", "d_t", "c_t"},
-    "cyclegan_wo": {"g_t", "g_s", "d_t", "d_s"},
-    "std_da": {"c_t"},
+# the networks each variant holds and trains, in ROLES order: its
+# generators and classifiers, plus the critic of each side whose
+# generator trains
+VARIANT_NETS = {
+    "full": ("g_t", "g_s", "d_t", "d_s", "c_t", "c_s"),
+    "vanilla_ada": ("g_t", "d_t", "c_t"),
+    "cyclegan_wo": ("g_t", "g_s", "d_t", "d_s"),
+    "std_da": ("c_t",),
 }
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_a_variant_trains_exactly_the_networks_its_table_names(small_adapted, variant):
+def test_a_variant_trains_exactly_the_networks_its_table_names(small_adapted, tmp_path,
+                                                               variant):
     world, model, _, _, _, _ = small_adapted
     config = AdaConfig(**{**ADAPT_CONFIG, "n_steps": 4, "variant": variant,
                           "relabel_interval": 1})
+    roles = VARIANT_NETS[variant]
+    assert trained_roles(variant) == roles
     state, log = adapt(model, world.dataset, config)
     fresh = init_ada_state(model, config)
-    moved = {role for role in fresh.nets
-             if not np.array_equal(state.nets[role].params, fresh.nets[role].params)}
-    assert moved == MOVED_ROLES[variant]
-    critics = {"d" + role[1:] for role in VARIANT_ROLES[variant] if role[0] == "g"}
-    assert moved == set(VARIANT_ROLES[variant]) | critics
-    assert lacks_metric(variant, "m1") == ("c_t" not in moved)
-    assert lacks_metric(variant, "m2") == ("g_t" not in moved)
+    assert tuple(state.nets) == tuple(fresh.nets) == roles
+    assert all(not np.array_equal(state.nets[role].params, fresh.nets[role].params)
+               for role in roles)
+    # a network has its init bits in every variant that holds it
+    full = init_ada_state(model, dataclasses.replace(config, variant="full")).nets
+    assert all(fresh.nets[role].params.tobytes() == full[role].params.tobytes()
+               for role in roles)
+    assert lacks_metric(variant, "m1") == ("c_t" not in roles)
+    assert lacks_metric(variant, "m2") == ("g_t" not in roles)
+    # the checkpoint and its reload hold the same roles, in the same order
+    path = tmp_path / "ada.ckpt"
+    save_ada_state(path, state, config)
+    meta, arrays = load_container(path)
+    assert tuple(meta["specs"]) == tuple(meta["seeds"]) == roles
+    assert list(arrays) == [f"{role}_{part}" for role in roles
+                            for part in ("params", "stats")] + ["pseudo"]
+    loaded = load_ada_state(path)[0]
+    assert tuple(loaded.nets) == roles
+    assert all(loaded.nets[role].params.tobytes() == state.nets[role].params.tobytes()
+               for role in roles)
     if variant == "cyclegan_wo":
         # no classifier: the phase never switches and nothing relabels
         assert [row[6] for row in log] == ["warmup"] * 4
         assert np.array_equal(state.pseudo, pseudo_labels(model, world.dataset)[0])
+
+
+def test_a_state_refuses_networks_its_variant_does_not_train():
+    table = toy_table(S=2, U=2, attr_dim=3)
+    model = linear_model(table, d=3, seed=2)
+    nets = init_ada_state(model, AdaConfig(**TOY_CONFIG)).nets
+    for variant, roles in VARIANT_NETS.items():
+        # any order in, ROLES order kept
+        state = AdaState(nets={role: nets[role] for role in reversed(roles)},
+                         unseen_ids=[2, 3], variant=variant)
+        assert tuple(state.nets) == roles
+        # one network short, or one over
+        wrongs = [dict(list(state.nets.items())[1:])]
+        wrongs += [{**state.nets, role: net} for role, net in nets.items() if role not in roles]
+        for wrong in wrongs:
+            with pytest.raises(ConfigError, match=rf"a {variant} state holds \['"):
+                AdaState(nets=wrong, unseen_ids=[2, 3], variant=variant)
+    with pytest.raises(ConfigError, match="variant must be one of"):
+        AdaState(nets=nets, unseen_ids=[2, 3], variant="dann")
+    wo = AdaState(nets={role: nets[role] for role in VARIANT_NETS["cyclegan_wo"]},
+                  unseen_ids=[2, 3], variant="cyclegan_wo")
+    with pytest.raises(ConfigError, match="cyclegan_wo state has no c_t"):
+        classify(wo, np.zeros((1, 3)))
 
 
 def test_adapt_names_unseen_classes_without_pseudo_labelled_rows(small_adapted, monkeypatch):
@@ -942,6 +984,55 @@ def test_checkpoint_carries_the_classes_without_pseudo_labelled_rows(tmp_path, s
     del meta["empty_pseudo_ids"]
     save_container(path, meta, arrays)
     assert load_ada_state(path)[0].empty_pseudo_ids == []
+
+
+def test_an_older_six_network_checkpoint_loads_its_variants_networks(tmp_path, small_adapted):
+    world, model, _, _, _, _ = small_adapted
+    config = AdaConfig(**{**ADAPT_CONFIG, "variant": "std_da"})
+    state, _ = adapt(model, world.dataset, config)
+    path = tmp_path / "ada.ckpt"
+    save_ada_state(path, state, config)
+    meta, arrays = load_container(path)
+    # the layout of a checkpoint from when every state held all six networks
+    six = {**init_ada_state(model, dataclasses.replace(config, variant="full")).nets,
+           "c_t": state.c_t}
+    meta["specs"] = {role: dataclasses.asdict(net.spec) for role, net in six.items()}
+    meta["seeds"] = {role: net.seed for role, net in six.items()}
+    old = {}
+    for role, net in six.items():
+        old[f"{role}_params"], old[f"{role}_stats"] = net.params, net.stats
+    save_container(path, meta, {**old, "pseudo": arrays["pseudo"]})
+    loaded, loaded_config = load_ada_state(path)
+    assert loaded_config == config
+    assert list(loaded.nets) == ["c_t"]
+    assert m1_accuracy(loaded, world.dataset) == m1_accuracy(state, world.dataset)
+
+
+@pytest.mark.parametrize("entry", ["c_s_params", "c_t_stats", "spec", "seed"])
+def test_a_checkpoint_without_one_of_its_networks_names_it(tmp_path, small_adapted, entry):
+    _, _, _, config, state, _ = small_adapted
+    path = tmp_path / "ada.ckpt"
+    save_ada_state(path, state, config)
+    meta, arrays = load_container(path)
+    if entry == "spec":
+        del meta["specs"]["g_s"]
+    elif entry == "seed":
+        del meta["seeds"]["d_t"]
+    else:
+        del arrays[entry]
+    save_container(path, meta, arrays)
+    role = {"spec": "g_s", "seed": "d_t"}.get(entry, entry[:3])
+    with pytest.raises(DataError, match=f"for the full network {role}$") as err:
+        load_ada_state(path)
+    assert err.value.code == "BAD_CHECKPOINT"
+
+
+def test_save_refuses_a_config_of_another_variant(tmp_path, small_adapted):
+    _, _, _, config, state, _ = small_adapted
+    path = tmp_path / "ada.ckpt"
+    with pytest.raises(ConfigError, match="a full state cannot be saved with a std_da config"):
+        save_ada_state(path, state, dataclasses.replace(config, variant="std_da"))
+    assert not path.exists()
 
 
 def test_ada_state_checkpoint_round_trip(tmp_path, small_adapted):

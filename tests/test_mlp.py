@@ -24,8 +24,8 @@ from zslada.nn.mlp import (
 from zslada.profiles import ada_profile, preset
 from zslada.rng import named_seed, named_stream
 
-from .helpers import (exact_net, max_rel_err, numeric_grad, reference_inference,
-                      reference_param_grads, reference_stable_sigmoid)
+from .helpers import (exact_net, max_rel_err, numeric_grad, reference_activation,
+                      reference_inference, reference_param_grads, reference_stable_sigmoid)
 
 # kink guard: central differences at h=1e-5 are meaningless when a relu /
 # leaky pre-activation sits closer to zero than this
@@ -329,6 +329,7 @@ def test_inference_pass_writes_nothing_and_leaves_caches_live():
 @pytest.mark.parametrize("activation", ["relu", "leaky_relu", "leaky_relu:0", "leaky_relu:1",
                                         "leaky_relu:-0.5", "leaky_relu:1.5", "sigmoid",
                                         "log_softmax", "identity"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
 def test_inference_pass_in_place_has_the_bits_of_the_out_of_place_pass(activation, batchnorm):
     widths = (4, 6, 5, 3)
     spec = MlpSpec(widths, (activation,) * 3, (batchnorm,) * 3, (0.0, 0.5, 0.0))
@@ -351,6 +352,7 @@ def test_inference_pass_in_place_has_the_bits_of_the_out_of_place_pass(activatio
     X[1] = -0.0
     X[2, :2] = (0.0, -0.0)
     X[3, 1] = np.nan
+    X[4, 2] = np.inf  # +inf and -inf, by the signs of the weights
     before = X.copy(), net.params.copy(), net.stats.copy()
     out = forward_eval(net, X)
     assert out.tobytes() == reference_inference(net, X).tobytes()
@@ -359,8 +361,19 @@ def test_inference_pass_in_place_has_the_bits_of_the_out_of_place_pass(activatio
     assert net.stats.tobytes() == before[2].tobytes()
     pre = reference_inference(MlpNetwork(first, net.params[:first.n_params()],
                                          net.stats[:first.n_stats()]), X)[:, 0]
-    pre = np.delete(pre, 3)
+    pre = np.delete(pre, [3, 4])
     assert np.all(pre == 0.0) and np.all(np.signbit(pre) == batchnorm)
+    # the training pass applies the same rule to the pre-activations it
+    # keeps; batch statistics spread a non-finite row over the whole batch,
+    # so it also runs without those rows
+    for rows in (X, np.delete(X, [3, 4], axis=0)):
+        out, cache = mlp_forward(net, rows, rng_seed=5)
+        after = [rec["h_in"] for rec in cache.layers[1:]] + [out]
+        checked = [(rec["z"], a) for rec, a in zip(cache.layers, after)
+                   if "z" in rec and "mask" not in rec]
+        assert len(checked) == 2 * activation.startswith(("relu", "leaky_relu"))
+        for z, a in checked:
+            assert a.tobytes() == reference_activation(activation, z).tobytes()
 
 
 def test_glorot_init_bounds_and_zero_biases():
