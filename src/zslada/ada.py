@@ -142,8 +142,6 @@ class AdaConfig:
             raise ConfigError("relabel_interval must be >= 0")
         if not 0 <= self.gen_dropout < 1:
             raise ConfigError("gen_dropout must lie in [0, 1)")
-        object.__setattr__(self, "gen_hidden", tuple(int(w) for w in self.gen_hidden))
-        object.__setattr__(self, "disc_hidden", tuple(int(w) for w in self.disc_hidden))
 
 
 @dataclass
@@ -692,23 +690,27 @@ def save_ada_state(path: str | Path, state: AdaState, config: AdaConfig) -> None
 def load_ada_state(path: str | Path) -> tuple[AdaState, AdaConfig]:
     """Rebuilds an adapted state for evaluation from its variant's networks
     (an older checkpoint holds all six).  Optimizer moments are not
-    persisted: ``adapt`` always starts from fresh ones."""
+    persisted: ``adapt`` always starts from fresh ones.  A missing meta
+    entry or array is a ``BAD_CHECKPOINT`` naming the path and the key."""
     meta, arrays = load_container(path)
     if meta.get("kind") != "ada_state":
-        raise DataError("BAD_CHECKPOINT",
-                        f"expected an adaptation checkpoint, found {meta.get('kind')!r}")
-    config = from_dict(AdaConfig, meta["config"], "adaptation config")
-    nets = {}
-    for role in trained_roles(meta["variant"]):
-        try:
-            nets[role] = MlpNetwork(spec=MlpSpec.from_dict(meta["specs"][role]),
+        raise DataError("BAD_CHECKPOINT", f"{path} is not an adaptation checkpoint: "
+                        f"its 'kind' is {meta.get('kind')!r}")
+    role = None
+    try:
+        config = from_dict(AdaConfig, meta["config"], "adaptation config")
+        recorded = dict(unseen_ids=meta["unseen_ids"], variant=meta["variant"],
+                        phase=meta["phase"], iteration=int(meta["iteration"]))
+        nets = {}
+        for role in trained_roles(recorded["variant"]):
+            nets[role] = MlpNetwork(spec=from_dict(MlpSpec, meta["specs"][role], "network spec"),
                                     params=arrays[f"{role}_params"],
                                     stats=arrays[f"{role}_stats"], seed=meta["seeds"][role])
-        except KeyError as exc:
-            raise DataError("BAD_CHECKPOINT", f"{path} holds no {exc.args[0]!r} entry for "
-                            f"the {meta['variant']} network {role}") from None
-    state = AdaState(nets=nets, unseen_ids=meta["unseen_ids"], variant=meta["variant"],
-                     phase=meta["phase"], iteration=int(meta["iteration"]),
+    except KeyError as exc:
+        network = f" for the {meta['variant']} network {role}" if role else ""
+        raise DataError("BAD_CHECKPOINT",
+                        f"{path} holds no {exc.args[0]!r} entry{network}") from None
+    state = AdaState(nets=nets, **recorded,
                      agreement_estimate=meta.get("agreement_estimate"),
                      empty_pseudo_ids=meta.get("empty_pseudo_ids", []))
     if "pseudo" in arrays:

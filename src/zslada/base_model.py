@@ -28,6 +28,7 @@ from .nn.mlp import (MlpCache, MlpNetwork, MlpSpec, dropout_seed, forward_eval, 
                      mlp_forward, stable_sigmoid)
 from .nn.optim import OptimizerHyper, role_stepper
 from .rng import named_seed, named_stream
+from .settings import from_dict
 
 PRECISION_FLOOR = 0.5
 PRECISION_SPAN = 1.0
@@ -404,29 +405,32 @@ def load_base_model(path: str | Path, attribute_table: ClassAttributeTable,
                     pretrain: PretrainConfig | None = None) -> BaseZslModel:
     """The checkpoint's model.  When ``pretrain`` is given, refuses a
     checkpoint that records no pretrain settings or other ones, naming
-    each key that differs."""
+    each key that differs.  A missing meta entry or array is a
+    ``BAD_CHECKPOINT`` naming the path and the key."""
     meta, arrays = load_container(path)
     if meta.get("kind") != "base_model":
-        raise DataError("BAD_CHECKPOINT",
-                        f"expected a base-model checkpoint, found {meta.get('kind')!r}")
-    if meta["attr_table_hash"] != attribute_table.table_hash():
-        raise DataError("BAD_CHECKPOINT",
-                        "checkpoint was trained against a different attribute table")
-    if pretrain is not None:
-        recorded, asked = meta.get("pretrain"), asdict(pretrain)
-        if recorded is None:
-            raise DataError("BAD_CHECKPOINT", f"{path} records no pretrain settings")
-        differ = [f"{k} {recorded.get(k)!r} (asked {v!r})" for k, v in asked.items()
-                  if recorded.get(k) != v]
-        if differ:
+        raise DataError("BAD_CHECKPOINT", f"{path} is not a base-model checkpoint: "
+                        f"its 'kind' is {meta.get('kind')!r}")
+    try:
+        if meta["attr_table_hash"] != attribute_table.table_hash():
             raise DataError("BAD_CHECKPOINT",
-                            f"{path} was pretrained with other settings: {', '.join(differ)}")
-    mean_net = MlpNetwork(spec=MlpSpec.from_dict(meta["mean_spec"]),
-                          params=arrays["mean_params"], stats=arrays["mean_stats"],
-                          seed=meta.get("mean_seed"))
-    prec_net = MlpNetwork(spec=MlpSpec.from_dict(meta["prec_spec"]),
-                          params=arrays["prec_params"], stats=arrays["prec_stats"],
-                          seed=meta.get("prec_seed"))
-    return BaseZslModel(mean_net=mean_net, prec_net=prec_net,
-                        attribute_table=attribute_table,
-                        include_logdet=bool(meta["include_logdet"]))
+                            "checkpoint was trained against a different attribute table")
+        if pretrain is not None:
+            recorded, asked = meta.get("pretrain"), asdict(pretrain)
+            if recorded is None:
+                raise DataError("BAD_CHECKPOINT", f"{path} records no pretrain settings")
+            differ = [f"{k} {recorded.get(k)!r} (asked {v!r})" for k, v in asked.items()
+                      if recorded.get(k) != v]
+            if differ:
+                raise DataError("BAD_CHECKPOINT", f"{path} was pretrained with other "
+                                f"settings: {', '.join(differ)}")
+        mean_net, prec_net = (
+            MlpNetwork(spec=from_dict(MlpSpec, meta[f"{head}_spec"], "network spec"),
+                       params=arrays[f"{head}_params"], stats=arrays[f"{head}_stats"],
+                       seed=meta[f"{head}_seed"])
+            for head in ("mean", "prec"))
+        return BaseZslModel(mean_net=mean_net, prec_net=prec_net,
+                            attribute_table=attribute_table,
+                            include_logdet=bool(meta["include_logdet"]))
+    except KeyError as exc:
+        raise DataError("BAD_CHECKPOINT", f"{path} holds no {exc.args[0]!r} entry") from None

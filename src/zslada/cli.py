@@ -1,8 +1,12 @@
 """Subcommand front-end: synthesize worlds, pretrain, adapt, evaluate, export.
 
 Precedence for every setting is profile defaults, then the ``--config``
-JSON file, then explicit flags.  Each run writes a resolved-config
-snapshot next to its outputs so it can be replayed byte-for-byte.
+JSON file, then explicit flags.  Each command's top-level ``--config``
+keys are the fields of its class in :data:`RUNS`, and the other stages'
+blocks, which it lets through unread: an unknown key, or a value of
+another type, is refused by name before any work, as an unknown flag is.
+Each run writes a resolved-config snapshot of the same class next to its
+outputs, so it can be replayed byte-for-byte.
 Exit codes: 0 success, 2 user/config error, 3 numerical failure.
 """
 from __future__ import annotations
@@ -34,11 +38,10 @@ _VARIANT_FLAGS = {v.replace("_", "-"): v for v in VARIANTS}
 
 
 def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise DataError("MISSING_FILE", f"no such file: {path}")
     try:
-        payload = json.loads(p.read_text())
+        payload = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise DataError("MISSING_FILE", f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict):
@@ -46,52 +49,84 @@ def _load_json(path: str) -> dict:
     return payload
 
 
-def _out_dir(args, cfg: dict, command: str) -> Path:
+# Every top-level --config key: its type and default.  A block (world,
+# pretrain, ada, eval) is an object that the command using it reads into
+# its own settings class, against the profile's defaults.
+_RUN_KEYS = {**dict.fromkeys(("command", "out", "data", "base", "ada_state"), (str | None, None)),
+             **dict.fromkeys(("world", "pretrain", "ada", "eval"), (dict | None, None)),
+             "profile": (str, "synth-small"), "seed": (int, 0), "metric": (str, "all"),
+             "reports": (tuple[str, ...], ())}
+# Each command's run settings: the keys its --config takes and its
+# snapshot records, read through the settings codec.
+RUNS = {command: dataclasses.make_dataclass(
+            f"{command.capitalize()}Run",
+            [(key, _RUN_KEYS[key][0], dataclasses.field(default=_RUN_KEYS[key][1]))
+             for key in ("command", "out", "world", *keys)], frozen=True)
+        for command, keys in (
+            ("synth", ()), ("pretrain", ("data", "profile", "seed", "pretrain")),
+            ("adapt", ("data", "profile", "base", "ada", "eval")),
+            ("eval", ("data", "base", "ada_state", "eval", "metric", "reports")),
+            ("export", ("data", "base", "ada_state", "eval")))}
+
+
+def _read_run(args, cfg: dict):
+    """The ``--config`` object read as the command's run, past the stage
+    blocks it does not read, then each flag given over its key.  A bare
+    world spec stands for a ``synth`` config's ``world`` ("seed" included)."""
+    if args.command == "synth" and "world" not in cfg:
+        world = {f.name for f in dataclasses.fields(SyntheticWorldSpec)}
+        cfg = {**{k: v for k, v in cfg.items() if k not in world},
+               "world": {k: v for k, v in cfg.items() if k in world} or None}
+    own = {f.name for f in dataclasses.fields(RUNS[args.command])}
+    # one run config may hold the block of every stage; a command reads its own
+    cfg = {k: v for k, v in cfg.items() if k in own or k not in ("pretrain", "ada", "eval")}
+    run = from_dict(RUNS[args.command], cfg, f"{args.command} --config")
+    # each flag's dest is the key it sets
+    return dataclasses.replace(run, **{k: v for k, v in vars(args).items()
+                                       if k in own and v is not None})
+
+
+def _out_dir(run) -> Path:
     # Path("") renders as "." and would pass a truthiness check on the Path
-    raw = args.out or cfg.get("out")
-    if not raw:
-        raise ConfigError(f"{command} needs --out DIR")
-    return Path(raw)
+    if not run.out:
+        raise ConfigError(f"{run.command} needs --out DIR")
+    return Path(run.out)
 
 
-def _write_snapshot(out_dir: Path, resolved: dict) -> None:
+def _write_snapshot(out_dir: Path, run, **resolved) -> None:
+    """``run`` and the settings the command resolved, as ``--config`` JSON."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    snapshot = dataclasses.asdict(dataclasses.replace(run, out=str(out_dir), **resolved))
     (out_dir / "resolved_config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+        json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
 
-def _load_bundle(args, cfg: dict) -> tuple[str | None, DatasetBundle]:
-    """The dataset: ``--data`` over the config's ``data``, else its world.
-    Returns the directory it loaded (``None`` for a world) with it, so the
-    snapshot records the data the run used."""
-    data = args.data or cfg.get("data")
-    if data:
-        return data, load_dataset(data)
-    if cfg.get("world"):
-        spec = from_dict(SyntheticWorldSpec, cfg["world"], "synthetic-world")
-        world = make_synthetic_world(spec)
-        return None, world.bundle
+def _load_bundle(run) -> DatasetBundle:
+    """The dataset: ``--data`` over the config's ``data``, else its world."""
+    if run.data:
+        return load_dataset(run.data)
+    if run.world:
+        return make_synthetic_world(from_dict(SyntheticWorldSpec, run.world,
+                                              "synthetic-world")).bundle
     raise ConfigError("need a dataset: pass --data DIR or a 'world' spec in --config")
 
 
-def _load_base(args, cfg: dict, bundle: DatasetBundle, command: str):
-    """The required ``--base`` checkpoint: its path and the model."""
-    path = args.base or cfg.get("base")
-    if not path:
-        raise ConfigError(f"{command} needs --base PATH to a pretrained checkpoint")
-    return path, load_base_model(path, bundle.attributes)
-
-
-def _load_ada(args, cfg: dict, bundle: DatasetBundle):
-    """The optional ``--ada`` checkpoint: its path and state, or two Nones.
-    Refuses a state adapted on other unseen classes than the dataset's."""
-    path = args.ada or cfg.get("ada_state")
+def _load_inputs(run):
+    """The dataset, the required ``--base`` checkpoint's model and the
+    optional ``--ada`` checkpoint's state (``None`` without one; ``adapt``
+    takes none).  Refuses a state adapted on other unseen classes than the
+    dataset's."""
+    bundle = _load_bundle(run)
+    if not run.base:
+        raise ConfigError(f"{run.command} needs --base PATH to a pretrained checkpoint")
+    model = load_base_model(run.base, bundle.attributes)
+    path = getattr(run, "ada_state", None)
     state = load_ada_state(path)[0] if path else None
     unseen = sorted(bundle.attributes.unseen_ids)
     if state is not None and state.unseen_ids != unseen:
         raise DataError("BAD_CHECKPOINT", f"{path} was adapted on unseen classes "
                         f"{state.unseen_ids}, the dataset's are {unseen}")
-    return path, state
+    return bundle, model, state
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,57 +138,29 @@ class EvalSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for key in ("n_samples", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"eval key {key!r} must be an integer, got {value!r}")
         if self.n_samples < 1:
             raise ConfigError(f"need n >= 1 draws, got {self.n_samples}")
 
 
-def _world_spec(cfg: dict, seed: int | None) -> SyntheticWorldSpec:
-    payload = cfg.get("world")
-    if payload is None:
-        # bare spec file: drop run-level keys, keep world keys ("seed" is both,
-        # and in a bare spec it belongs to the world)
-        payload = {k: v for k, v in cfg.items()
-                   if k not in ("data", "profile", "out", "ada", "pretrain",
-                                "eval", "base", "ada_state", "metric")}
-    if not payload:
+def cmd_synth(args, run) -> int:
+    if not run.world:
         raise ConfigError("synth needs a world spec in --config")
-    spec = from_dict(SyntheticWorldSpec, payload, "synthetic-world")
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
-    return spec
-
-
-def cmd_synth(args, cfg: dict) -> int:
-    spec = _world_spec(cfg, args.seed)
-    out = _out_dir(args, cfg, "synth")
-    world = make_synthetic_world(spec)
-    save_synthetic_world(out, world)
-    _write_snapshot(out, {"command": "synth", "world": dataclasses.asdict(spec),
-                          "out": str(out)})
+    spec = from_dict(SyntheticWorldSpec, run.world, "synthetic-world")
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
+    out = _out_dir(run)
+    save_synthetic_world(out, make_synthetic_world(spec))
+    _write_snapshot(out, run, world=dataclasses.asdict(spec))
     print(f"world written to {out} "
           f"({spec.n_classes} classes, {spec.samples_per_class} samples/class)")
     return 0
 
 
-def _report_lines(report) -> list[str]:
-    lines = []
-    for cid, acc in sorted(report.per_class_acc.items()):
-        lines.append(f"  class {cid}: {acc:.4f} (n={report.n_per_class[cid]})")
-    lines.append(f"  mean per-class: {report.mean_per_class_acc:.4f}")
-    return lines
-
-
-def cmd_pretrain(args, cfg: dict) -> int:
-    profile = args.profile or cfg.get("profile") or "synth-small"
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    out = _out_dir(args, cfg, "pretrain")
-    data, bundle = _load_bundle(args, cfg)
-    train_cfg = from_dict(PretrainConfig, cfg.get("pretrain") or {}, "pretrain config",
-                          base=pretrain_config(profile, seed=seed))
+def cmd_pretrain(args, run) -> int:
+    out = _out_dir(run)
+    train_cfg = from_dict(PretrainConfig, run.pretrain or {}, "pretrain config",
+                          base=pretrain_config(run.profile, seed=run.seed))
+    bundle = _load_bundle(run)
 
     ckpt = out / "base_model.ckpt"
     if ckpt.exists():
@@ -161,42 +168,29 @@ def cmd_pretrain(args, cfg: dict) -> int:
         print(f"loaded existing checkpoint {ckpt}")
     else:
         model = build_base_model(bundle.attributes, bundle.dataset.dim,
-                                 profile=profile, seed=seed)
+                                 profile=run.profile, seed=run.seed)
         model, trace = pretrain(model, bundle.dataset, train_cfg)
         out.mkdir(parents=True, exist_ok=True)
         save_base_model(ckpt, model, pretrain=train_cfg)
         write_csv(out / "loss_trace.csv", ("epoch", "train_loglik", "heldout_loglik"), trace)
     report = inductive_accuracy(model, bundle.dataset)
     write_report_csv(report, out / "report_inductive.csv")
-    _write_snapshot(out, {"command": "pretrain", "profile": profile,
-                          "seed": seed, "data": data,
-                          "world": cfg.get("world"),
-                          "pretrain": dataclasses.asdict(train_cfg),
-                          "out": str(out)})
+    _write_snapshot(out, run, pretrain=dataclasses.asdict(train_cfg))
     print("inductive per-class unseen accuracy:")
-    print("\n".join(_report_lines(report)))
+    for cid, acc in sorted(report.per_class_acc.items()):
+        print(f"  class {cid}: {acc:.4f} (n={report.n_per_class[cid]})")
+    print(f"  mean per-class: {report.mean_per_class_acc:.4f}")
     return 0
 
 
-def _fmt_metric(value) -> str:
-    return "NA" if value is None else f"{value:.4f}"
-
-
-def cmd_adapt(args, cfg: dict) -> int:
-    profile = args.profile or cfg.get("profile") or "synth-small"
-    out = _out_dir(args, cfg, "adapt")
-    data, bundle = _load_bundle(args, cfg)
-    base_path, model = _load_base(args, cfg, bundle, "adapt")
-
-    ada_cfg = from_dict(AdaConfig, cfg.get("ada") or {}, "adaptation config",
-                        base=ada_profile(profile))
-    if args.variant:
-        ada_cfg = dataclasses.replace(ada_cfg, variant=_VARIANT_FLAGS[args.variant])
-    if args.seed is not None:
-        # default stays the config/profile seed (100) when the flag is unset
-        ada_cfg = dataclasses.replace(ada_cfg, seed=args.seed)
-    evals = from_dict(EvalSettings, cfg.get("eval") or {}, "eval",
-                      base=EvalSettings(10_000))
+def cmd_adapt(args, run) -> int:
+    out = _out_dir(run)
+    ada_cfg = from_dict(AdaConfig, run.ada or {}, "adaptation config",
+                        base=ada_profile(run.profile))
+    flags = {"variant": _VARIANT_FLAGS.get(args.variant), "seed": args.seed}
+    ada_cfg = dataclasses.replace(ada_cfg, **{k: v for k, v in flags.items() if v is not None})
+    evals = from_dict(EvalSettings, run.eval or {}, "eval", base=EvalSettings(10_000))
+    bundle, model, _ = _load_inputs(run)
 
     state, log = adapt(model, bundle.dataset, ada_cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -212,33 +206,23 @@ def cmd_adapt(args, cfg: dict) -> int:
     agreement = state.agreement_estimate
     write_csv(out / "summary.csv", ("metric", "value"),
               [("pseudo_label_agreement", agreement), ("M1", m1), ("M2", m2)])
-    _write_snapshot(out, {"command": "adapt", "profile": profile,
-                          "data": data,
-                          "world": cfg.get("world"), "base": str(base_path),
-                          "ada": dataclasses.asdict(ada_cfg), "out": str(out),
-                          "eval": dataclasses.asdict(evals)})
-    agree_s = "NA" if agreement is None else f"{agreement:.4f}"
+    _write_snapshot(out, run, ada=dataclasses.asdict(ada_cfg), eval=dataclasses.asdict(evals))
     print(f"variant {state.variant}, final phase {state.phase}")
     if state.empty_pseudo_ids:
         print(f"unseen classes with no pseudo-labelled test row: {state.empty_pseudo_ids}")
-    print(f"pseudo-label agreement: {agree_s}")
-    print(f"M1: {_fmt_metric(m1)}")
-    print(f"M2: {_fmt_metric(m2)}")
+    for name, value in (("pseudo-label agreement", agreement), ("M1", m1), ("M2", m2)):
+        print(f"{name}: {'NA' if value is None else f'{value:.4f}'}")
     return 0
 
 
-def cmd_eval(args, cfg: dict) -> int:
-    out = _out_dir(args, cfg, "eval")
-    metric = args.metric or cfg.get("metric") or "all"
-    if metric not in METRIC_CHOICES:
-        raise ConfigError(f"unknown metric {metric!r}, expected one of {METRIC_CHOICES}")
-    data, bundle = _load_bundle(args, cfg)
-    base_path, model = _load_base(args, cfg, bundle, "eval")
-    ada_path, state = _load_ada(args, cfg, bundle)
-    evals = from_dict(EvalSettings, cfg.get("eval") or {}, "eval",
-                      base=EvalSettings(10_000))
+def cmd_eval(args, run) -> int:
+    out = _out_dir(run)
+    if run.metric not in METRIC_CHOICES:
+        raise ConfigError(f"unknown metric {run.metric!r}, expected one of {METRIC_CHOICES}")
+    evals = from_dict(EvalSettings, run.eval or {}, "eval", base=EvalSettings(10_000))
+    bundle, model, state = _load_inputs(run)
 
-    wanted = ("inductive", "m1", "m2") if metric == "all" else (metric,)
+    wanted = ("inductive", "m1", "m2") if run.metric == "all" else (run.metric,)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for name in wanted:
@@ -246,11 +230,11 @@ def cmd_eval(args, cfg: dict) -> int:
             report = inductive_accuracy(model, bundle.dataset)
         else:
             if state is None:
-                if metric == "all":
+                if run.metric == "all":
                     print(f"{name}: NA (no adapted checkpoint given)")
                     continue
                 raise ConfigError(f"--metric {name} needs --ada PATH")
-            if metric == "all" and lacks_metric(state.variant, name):
+            if run.metric == "all" and lacks_metric(state.variant, name):
                 print(f"{name}: NA (variant {state.variant})")
                 continue
             if name == "m1":
@@ -262,24 +246,17 @@ def cmd_eval(args, cfg: dict) -> int:
         write_report_csv(report, path)
         written.append(path.name)
         print(f"{name} mean per-class: {report.mean_per_class_acc:.4f}")
-    _write_snapshot(out, {"command": "eval", "metric": metric,
-                          "data": data,
-                          "world": cfg.get("world"), "base": str(base_path),
-                          "ada_state": str(ada_path) if ada_path else None,
-                          "eval": dataclasses.asdict(evals),
-                          "out": str(out), "reports": written})
+    _write_snapshot(out, run, eval=dataclasses.asdict(evals), reports=tuple(written))
     return 0
 
 
-def cmd_export(args, cfg: dict) -> int:
-    out = _out_dir(args, cfg, "export")
-    data, bundle = _load_bundle(args, cfg)
-    base_path, model = _load_base(args, cfg, bundle, "export")
-    ada_path, state = _load_ada(args, cfg, bundle)
+def cmd_export(args, run) -> int:
+    out = _out_dir(run)
+    evals = from_dict(EvalSettings, run.eval or {}, "eval", base=EvalSettings(200))
+    bundle, model, state = _load_inputs(run)
     if state is not None and lacks_metric(state.variant, "m2"):
-        raise ConfigError(f"{ada_path} holds a {state.variant} state, which trains no G_T: "
+        raise ConfigError(f"{run.ada_state} holds a {state.variant} state, which trains no G_T: "
                           f"it has no transformed rows to export")
-    evals = from_dict(EvalSettings, cfg.get("eval") or {}, "eval", base=EvalSettings(200))
     n, seed = evals.n_samples, evals.seed
     X, labels = bundle.dataset.test_rows()
     unseen = model.attribute_table.unseen_ids
@@ -310,10 +287,7 @@ def cmd_export(args, cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "embeddings.csv"
     export_embeddings(matrices, label_map, path)
-    _write_snapshot(out, {"command": "export", "data": data,
-                          "world": cfg.get("world"), "base": str(base_path),
-                          "ada_state": str(ada_path) if ada_path else None,
-                          "eval": dataclasses.asdict(evals), "out": str(out)})
+    _write_snapshot(out, run, eval=dataclasses.asdict(evals))
     print(f"embeddings written to {path}")
     return 0
 
@@ -331,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile": dict(choices=PROFILE_NAMES),
         "--data": dict(help="dataset directory"),
         "--base": dict(help="pretrained base-model checkpoint"),
-        "--ada": dict(help="adapted-state checkpoint"),
+        "--ada": dict(dest="ada_state", help="adapted-state checkpoint"),
         "--variant": dict(choices=sorted(_VARIANT_FLAGS)),
         "--metric": dict(choices=METRIC_CHOICES),
     }
@@ -355,18 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         eval_workers()  # fail fast on a bad ZSLADA_THREADS value
-        return args.fn(args, _load_json(args.config) if args.config else {})
+        return args.fn(args, _read_run(args, _load_json(args.config) if args.config else {}))
     except (NumericalDivergence, NonFiniteGradient) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ZsladaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ZsladaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # contract: never panic to the shell

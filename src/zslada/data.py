@@ -34,7 +34,8 @@ def _as_int_list(values: Iterable, what: str) -> list[int]:
     out = []
     for v in values:
         iv = int(v)
-        if iv != v:
+        # a bool (numpy's too) is not an integer here; only 0 and 1 can be one
+        if iv != v or iv in (0, 1) and isinstance(v, (bool, np.bool_)):
             raise DataError("BAD_VALUE", f"{what} contains non-integer {v!r}")
         out.append(iv)
     return out

@@ -33,7 +33,6 @@ import numpy as np
 
 from zslada.errors import ConfigError, DimensionMismatch, StaleCache
 from zslada.rng import named_seed, named_stream
-from zslada.settings import from_dict
 
 BN_EPS = 1e-5
 # weight of the batch's statistics in each running-average update
@@ -92,16 +91,11 @@ class MlpSpec:
     dropout: tuple[float, ...]
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths)
-        object.__setattr__(self, "layer_widths", widths)
-        object.__setattr__(self, "activations", tuple(self.activations))
-        object.__setattr__(self, "batchnorm", tuple(bool(b) for b in self.batchnorm))
-        object.__setattr__(self, "dropout", tuple(float(p) for p in self.dropout))
         n = self.n_layers
         if n < 1:
             raise ConfigError("need at least one layer (two widths)")
-        if any(w <= 0 for w in widths):
-            raise ConfigError(f"layer widths must be positive, got {widths}")
+        if any(w <= 0 for w in self.layer_widths):
+            raise ConfigError(f"layer widths must be positive, got {self.layer_widths}")
         for seq, label in ((self.activations, "activations"),
                            (self.batchnorm, "batchnorm"),
                            (self.dropout, "dropout")):
@@ -143,17 +137,6 @@ class MlpSpec:
         bn = tuple([bool(batchnorm)] * (n - 1) + [False])
         dp = tuple([float(dropout)] * (n - 1) + [0.0])
         return cls(widths, acts, bn, dp)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpSpec":
-        """The spec ``dataclasses.asdict`` wrote, read by
-        :func:`zslada.settings.from_dict`.  Older checkpoints also carry
-        ``bn_momentum``, which must be :data:`BN_MOMENTUM`."""
-        d = dict(d)
-        momentum = d.pop("bn_momentum", BN_MOMENTUM)
-        if float(momentum) != BN_MOMENTUM:
-            raise ConfigError(f"bn_momentum {momentum!r} is not the supported {BN_MOMENTUM}")
-        return from_dict(cls, d, "network spec")
 
     def n_params(self) -> int:
         return self._layout[1]

@@ -56,8 +56,6 @@ class SyntheticWorldSpec:
             raise ConfigError(f"precision_range must satisfy 0 < lo < hi, got {self.precision_range}")
         if self.shift_magnitude < 0:
             raise ConfigError("shift_magnitude must be >= 0")
-        object.__setattr__(self, "map_hidden", tuple(int(w) for w in self.map_hidden))
-        object.__setattr__(self, "precision_range", tuple(self.precision_range))
 
     @property
     def n_classes(self) -> int:

@@ -11,8 +11,9 @@ import zslada.base_model
 import zslada.cli
 from zslada.ada import DRAW_CHUNK, AdaConfig, load_ada_state, save_ada_state
 from zslada.base_model import load_base_model, pseudo_labels, save_base_model
-from zslada.cli import main
+from zslada.cli import RUNS, main
 from zslada.data import FeatureDataset, SplitSpec, export_embeddings, load_dataset, save_dataset
+from zslada.nn.checkpoint import load_container, save_container
 from zslada.profiles import build_base_model
 
 from .helpers import (count_class_params_matrix, peak_traced_bytes, reference_export_draws,
@@ -483,6 +484,83 @@ def test_a_non_integer_eval_value_is_refused_before_any_work(pipeline, tmp_path,
                  "--out", str(tmp_path / "out")] + ada) == 2
     assert f"eval key '{key}' must be an integer, got {value!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("adapt", {"ada": {"use_batchnorm": "false"}},
+     "adaptation config key 'use_batchnorm' must be true or false, got 'false'"),
+    ("adapt", {"ada": {"mismatched_pairs": "no"}},
+     "adaptation config key 'mismatched_pairs' must be true or false, got 'no'"),
+    ("adapt", {"ada": {"gen_hidden": [48.7]}},
+     "adaptation config key 'gen_hidden' must be a list of integers, got [48.7]"),
+    ("adapt", {"ada": {"seed": 1.9}}, "adaptation config key 'seed' must be an integer, got 1.9"),
+    ("adapt", {"ada": {"n_steps": 2.5}},
+     "adaptation config key 'n_steps' must be an integer, got 2.5"),
+    ("pretrain", {"pretrain": {"seed": "7"}},
+     "pretrain config key 'seed' must be an integer, got '7'"),
+    ("pretrain", {"pretrian": {"max_epochs": 1}, "profil": "awa"},
+     "unknown pretrain --config keys: ['pretrian', 'profil']"),
+    ("synth", {**WORLD_SPEC, "precision_range": [0.6, 1.0, 1.4]},
+     "synthetic-world key 'precision_range' must be a list of 2 numbers, got [0.6, 1.0, 1.4]"),
+    ("synth", {**WORLD_SPEC, "S": 3.0}, "synthetic-world key 'S' must be an integer, got 3.0"),
+], ids=["use_batchnorm", "mismatched_pairs", "gen_hidden", "ada_seed", "n_steps", "pretrain_seed",
+        "top_level_typos", "precision_range", "S"])
+def test_a_mistyped_config_is_refused_by_name_before_any_work(pipeline, tmp_path, capsys,
+                                                              command, payload, message):
+    cfg = _write_json(tmp_path / "typed.json", payload)
+    data = ["--data", str(pipeline["world"])]
+    args = {"synth": [], "pretrain": data,
+            "adapt": [*data, "--base", str(pipeline["pre"] / "base_model.ckpt")]}[command]
+    assert main([command, "--config", cfg, *args, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, run in sorted(RUNS.items())
+    for key in ("ouut", "metric", "profile") if key not in {f.name for f in dataclasses.fields(run)}])
+def test_a_top_level_key_the_command_does_not_take_is_refused(tmp_path, capsys, command, key):
+    # a misspelling, or a key another command takes
+    cfg = _write_json(tmp_path / "typo.json", {"world": WORLD_SPEC, key: "m1"})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: unknown {command} --config keys: [{key!r}]\n"
+    assert not (tmp_path / "out").exists()
+
+
+# meta entries older checkpoints lack, which load with a default until the
+# typed checkpoint reader (ROADMAP item 10), and the pseudo-labels, which a
+# state saved before set-up does not hold
+READ_WITH_A_DEFAULT = {"agreement_estimate", "empty_pseudo_ids", "pseudo"}
+
+
+@pytest.mark.parametrize("kind", ["base_model", "ada_state"])
+def test_a_checkpoint_without_one_of_its_entries_names_the_path_and_the_key(
+        pipeline, tmp_path, capsys, kind):
+    source = pipeline["pre" if kind == "base_model" else "ada"] / f"{kind}.ckpt"
+    header = json.loads(source.read_bytes().split(b"\n", 1)[0])
+    entries = [*header["meta"], *(name for name, _ in header["arrays"])]
+    assert header["meta"]["kind"] == kind
+    for key in sorted(set(entries) - READ_WITH_A_DEFAULT):
+        meta, arrays = load_container(source)
+        if key in arrays:
+            del arrays[key]
+        else:
+            del meta[key]
+        out = tmp_path / key
+        out.mkdir()
+        path = out / f"{kind}.ckpt"
+        save_container(path, meta, arrays)
+        data = ["--data", str(pipeline["world"]), "--out", str(out)]
+        if kind == "base_model":
+            # a rerun of pretrain reads every entry, its settings included
+            argv = ["pretrain", *data, "--profile", "synth-small", "--seed", "0"]
+        else:
+            argv = ["eval", *data, "--base", str(pipeline["pre"] / "base_model.ckpt"),
+                    "--ada", str(path), "--metric", "m1"]
+        assert main(argv) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} ") and key in err, (key, err)
+        assert sorted(p.name for p in out.iterdir()) == [path.name], key
 
 
 def test_export_refuses_a_state_without_a_trained_generator(pipeline, tmp_path, capsys):

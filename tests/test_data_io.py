@@ -53,6 +53,21 @@ def test_split_spec_validation():
     assert SplitSpec.from_dict(spec.to_dict()) == spec
 
 
+@pytest.mark.parametrize("key, what", [("seen", "seen class list"),
+                                       ("unseen", "unseen class list"),
+                                       ("train_rows", "train rows"),
+                                       ("test_rows", "test rows")])
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_split_lists_refuse_booleans(key, what, flag):
+    # an integer is not a bool, as in the settings codec
+    payload = {"seen": [0, 1], "unseen": [2], "train_rows": [0, 1], "test_rows": [2]}
+    payload[key] = [*payload[key], flag]
+    with pytest.raises(DataError) as err:
+        SplitSpec.from_dict(payload)
+    assert err.value.code == "BAD_VALUE"
+    assert f"{what} contains non-integer {flag!r}" in str(err.value)
+
+
 def test_attribute_table_validation():
     with pytest.raises(DataError) as err:
         ClassAttributeTable(np.zeros((2, 3)), [5, 5], np.array([True, False]))

@@ -23,6 +23,7 @@ from zslada.nn.mlp import (
 )
 from zslada.profiles import ada_profile, preset
 from zslada.rng import named_seed, named_stream
+from zslada.settings import from_dict
 
 from .helpers import (exact_net, max_rel_err, numeric_grad, reference_activation,
                       reference_inference, reference_param_grads, reference_stable_sigmoid)
@@ -245,15 +246,14 @@ def test_upstream_row_count_must_match_cache():
         mlp_backward(net, cache, np.ones((4, 1)))
 
 
-def test_spec_dict_drops_bn_momentum_and_still_loads_older_specs():
+def test_spec_dict_drops_bn_momentum_and_refuses_it_by_name():
     spec = MlpSpec.dense((3, 4, 2), batchnorm=True, dropout=0.25)
     saved = dataclasses.asdict(spec)
     assert "bn_momentum" not in saved
-    assert MlpSpec.from_dict(saved) == spec
-    # every spec written before the constant carried the one value in use
-    assert MlpSpec.from_dict({**saved, "bn_momentum": 0.1}) == spec
-    with pytest.raises(ConfigError, match="bn_momentum"):
-        MlpSpec.from_dict({**saved, "bn_momentum": 0.2})
+    assert from_dict(MlpSpec, saved, "network spec") == spec
+    # a spec written before the constant carried the key: it is read no more
+    with pytest.raises(ConfigError, match=r"unknown network spec keys: \['bn_momentum'\]"):
+        from_dict(MlpSpec, {**saved, "bn_momentum": 0.1}, "network spec")
 
 
 def test_spec_validation():

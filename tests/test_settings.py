@@ -1,11 +1,14 @@
 """The settings codec: every settings object comes back from its JSON."""
 import dataclasses
 import json
+import types
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
 
 from zslada.ada import AdaConfig
 from zslada.base_model import PretrainConfig
+from zslada.cli import RUNS, EvalSettings
 from zslada.errors import ConfigError
 from zslada.nn.mlp import MlpSpec
 from zslada.settings import from_dict
@@ -21,12 +24,15 @@ SETTINGS = {
     "SyntheticWorldSpec": bench_spec(seed=13, shift_magnitude=2.0, map_hidden=(5, 3),
                                      precision_range=(0.5, 2.0)),
     "MlpSpec": MlpSpec.dense((3, 4, 2), batchnorm=True, dropout=0.25),
+    "EvalSettings": EvalSettings(n_samples=7, seed=3),
+    "EvalRun": RUNS["eval"](world={"S": 2}, data="d", base="b.ckpt", eval={"seed": 1},
+                            reports=("report_m1.csv", "report_m2.csv")),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SETTINGS))
 def test_json_round_trip(name):
-    # JSON hands tuples back as lists; __post_init__ turns them into tuples
+    # JSON hands tuples back as lists; the codec turns them back into tuples
     value = SETTINGS[name]
     payload = json.loads(json.dumps(dataclasses.asdict(value)))
     assert from_dict(type(value), payload, name) == value
@@ -43,7 +49,7 @@ def test_unknown_and_missing_keys_are_named():
         from_dict(AdaConfig, {"gamma": 1.0}, "adaptation config")
     spec = dataclasses.asdict(SETTINGS["MlpSpec"])
     with pytest.raises(ConfigError, match="bn_eps"):
-        MlpSpec.from_dict({**spec, "bn_eps": 1e-5})
+        from_dict(MlpSpec, {**spec, "bn_eps": 1e-5}, "network spec")
 
 
 def test_base_replaces_only_the_given_fields():
@@ -57,3 +63,41 @@ def test_base_replaces_only_the_given_fields():
         from_dict(AdaConfig, {"gamma": 1.0}, "adaptation config", base=base)
     with pytest.raises(ConfigError, match="n_critic"):
         from_dict(AdaConfig, {"n_critic": 0}, "adaptation config", base=base)
+
+
+# Every class the command line reads through the codec, each with a valid
+# instance for the refused values to replace a field of.
+TYPED = {name: SETTINGS[name] for name in
+         ("AdaConfig", "PretrainConfig", "SyntheticWorldSpec", "MlpSpec", "EvalSettings")}
+TYPED.update({cls.__name__: cls() for cls in RUNS.values()})
+# per scalar annotation, one JSON value of another type and one of its own
+WRONG = {bool: "true", int: 1.5, float: True, str: 1, dict: []}
+RIGHT = {bool: True, int: 1, float: 1.0, str: "a", dict: {}}
+
+
+def _wrong_values(hint) -> list:
+    """JSON values the codec must refuse for a field annotated ``hint``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType) and type(None) in args and len(args) == 2:
+        return _wrong_values(next(a for a in args if a is not type(None)))
+    if origin is tuple and args[-1] is Ellipsis and args[0] in WRONG:
+        return [[WRONG[args[0]]], "x"]
+    if origin is tuple and set(args) == {args[0]} and args[0] in WRONG:
+        return [[WRONG[args[0]]] * len(args), [RIGHT[args[0]]] * (len(args) + 1), "x"]
+    if hint in WRONG:
+        return [WRONG[hint]]
+    pytest.fail(f"no wrong value for {hint!r}: teach the settings codec and this grid "
+                f"the annotation")
+
+
+GRID = [(name, f.name) for name, value in TYPED.items() for f in dataclasses.fields(value)]
+
+
+@pytest.mark.parametrize("name, key", GRID, ids=[f"{n}.{k}" for n, k in GRID])
+def test_a_wrongly_typed_value_of_any_field_is_refused_by_name(name, key):
+    base = TYPED[name]
+    for value in _wrong_values(get_type_hints(type(base))[key]):
+        with pytest.raises(ConfigError) as err:
+            from_dict(type(base), {key: value}, name, base=base)
+        assert f"{name} key {key!r} must be " in str(err.value), value
+        assert str(err.value).endswith(f", got {value!r}"), value
