@@ -40,12 +40,11 @@ from .base_model import (BaseZslModel, GaussianTable, class_params_matrix, draw_
                          pseudo_labels, sample_stream)
 from .data import FeatureDataset
 from .errors import ConfigError, DataError, NumericalDivergence
-from .nn.checkpoint import load_container, save_container
+from .nn.checkpoint import read_record, save_container, stored_networks
 from .nn.mlp import (MlpCache, MlpNetwork, MlpSpec, dropout_seed, forward_eval,
                      init_network, mean_forward_eval, mlp_backward, mlp_forward)
 from .nn.optim import OptimizerHyper, role_stepper
 from .rng import named_seed, named_stream
-from .settings import from_dict
 
 # The generators and classifiers each variant trains, in the order the
 # ablation reports them: a side plays the game when its generator trains,
@@ -662,57 +661,55 @@ def map_prototypes(state: AdaState, table: GaussianTable, n_samples: int,
     return {state.unseen_ids[j]: mean for j, mean in means.items()}
 
 
+@dataclass(frozen=True, kw_only=True)
+class AdaStateMeta:
+    """An ``ada_state`` checkpoint's meta, in the order it is written."""
+
+    kind: str = "ada_state"
+    config: AdaConfig
+    variant: str
+    phase: str
+    iteration: int
+    unseen_ids: tuple[int, ...]
+    agreement_estimate: float | None
+    empty_pseudo_ids: tuple[int, ...]
+    specs: dict[str, MlpSpec]
+    seeds: dict[str, int]
+
+
 def save_ada_state(path: str | Path, state: AdaState, config: AdaConfig) -> None:
     if config.variant != state.variant:
         raise ConfigError(f"a {state.variant} state cannot be saved with a "
                           f"{config.variant} config")
-    meta = {
-        "kind": "ada_state",
-        "config": asdict(config),
-        "variant": state.variant,
-        "phase": state.phase,
-        "iteration": state.iteration,
-        "unseen_ids": list(state.unseen_ids),
-        "agreement_estimate": state.agreement_estimate,
-        "empty_pseudo_ids": list(state.empty_pseudo_ids),
-        "specs": {role: asdict(net.spec) for role, net in state.nets.items()},
-        "seeds": {role: net.seed for role, net in state.nets.items()},
-    }
-    arrays = {}
-    for role, net in state.nets.items():
-        arrays[f"{role}_params"] = net.params
-        arrays[f"{role}_stats"] = net.stats
+    meta = AdaStateMeta(config=config, variant=state.variant, phase=state.phase,
+                        iteration=state.iteration, unseen_ids=tuple(state.unseen_ids),
+                        agreement_estimate=state.agreement_estimate,
+                        empty_pseudo_ids=tuple(state.empty_pseudo_ids),
+                        specs={role: net.spec for role, net in state.nets.items()},
+                        seeds={role: net.seed for role, net in state.nets.items()})
+    arrays = {f"{role}_{part}": getattr(net, part)
+              for role, net in state.nets.items() for part in ("params", "stats")}
     if state.pseudo is not None:
         arrays["pseudo"] = state.pseudo.astype(np.float64)
-    save_container(path, meta, arrays)
+    save_container(path, asdict(meta), arrays)
 
 
 def load_ada_state(path: str | Path) -> tuple[AdaState, AdaConfig]:
-    """Rebuilds an adapted state for evaluation from its variant's networks
-    (an older checkpoint holds all six).  Optimizer moments are not
-    persisted: ``adapt`` always starts from fresh ones.  A missing meta
-    entry or array is a ``BAD_CHECKPOINT`` naming the path and the key."""
-    meta, arrays = load_container(path)
-    if meta.get("kind") != "ada_state":
-        raise DataError("BAD_CHECKPOINT", f"{path} is not an adaptation checkpoint: "
-                        f"its 'kind' is {meta.get('kind')!r}")
-    role = None
-    try:
-        config = from_dict(AdaConfig, meta["config"], "adaptation config")
-        recorded = dict(unseen_ids=meta["unseen_ids"], variant=meta["variant"],
-                        phase=meta["phase"], iteration=int(meta["iteration"]))
-        nets = {}
-        for role in trained_roles(recorded["variant"]):
-            nets[role] = MlpNetwork(spec=from_dict(MlpSpec, meta["specs"][role], "network spec"),
-                                    params=arrays[f"{role}_params"],
-                                    stats=arrays[f"{role}_stats"], seed=meta["seeds"][role])
-    except KeyError as exc:
-        network = f" for the {meta['variant']} network {role}" if role else ""
-        raise DataError("BAD_CHECKPOINT",
-                        f"{path} holds no {exc.args[0]!r} entry{network}") from None
-    state = AdaState(nets=nets, **recorded,
-                     agreement_estimate=meta.get("agreement_estimate"),
-                     empty_pseudo_ids=meta.get("empty_pseudo_ids", []))
-    if "pseudo" in arrays:
-        state.pseudo = arrays["pseudo"].astype(np.int64)
-    return state, config
+    """Rebuilds an adapted state for evaluation from its variant's
+    networks.  Optimizer moments are not persisted: ``adapt`` always starts
+    from fresh ones.  Any refusal is a ``BAD_CHECKPOINT`` naming the path
+    and the key: meta that is not an ``AdaStateMeta``, an array, spec or
+    seed that ``stored_networks`` refuses (a non-finite entry included), or
+    pseudo-labels that are not unseen class ids."""
+    with read_record(path, AdaStateMeta, "an adaptation checkpoint") as (meta, arrays):
+        pseudo = arrays.pop("pseudo", None)
+        nets = stored_networks(arrays, trained_roles(meta.variant), meta.specs, meta.seeds,
+                               f"the {meta.variant} network", finite=True)
+        if pseudo is not None and not np.isin(pseudo, meta.unseen_ids).all():
+            raise ConfigError("array 'pseudo' holds entries that are not unseen_ids")
+        state = AdaState(nets=nets, unseen_ids=meta.unseen_ids, variant=meta.variant,
+                         phase=meta.phase, iteration=meta.iteration,
+                         pseudo=None if pseudo is None else pseudo.astype(np.int64),
+                         agreement_estimate=meta.agreement_estimate,
+                         empty_pseudo_ids=list(meta.empty_pseudo_ids))
+    return state, meta.config

@@ -23,12 +23,11 @@ from .errors import (
     DimensionMismatch,
     NumericalDivergence,
 )
-from .nn.checkpoint import load_container, save_container
+from .nn.checkpoint import read_record, save_container, stored_networks
 from .nn.mlp import (MlpCache, MlpNetwork, MlpSpec, dropout_seed, forward_eval, mlp_backward,
                      mlp_forward, stable_sigmoid)
 from .nn.optim import OptimizerHyper, role_stepper
 from .rng import named_seed, named_stream
-from .settings import from_dict
 
 PRECISION_FLOOR = 0.5
 PRECISION_SPAN = 1.0
@@ -378,59 +377,57 @@ def pretrain(model: BaseZslModel, seen_data: FeatureDataset,
     return model, trace
 
 
+@dataclass(frozen=True, kw_only=True)
+class BaseModelMeta:
+    """A ``base_model`` checkpoint's meta, in the order it is written;
+    ``pretrain``, the settings that trained the heads, only when known."""
+
+    kind: str = "base_model"
+    mean_spec: MlpSpec
+    prec_spec: MlpSpec
+    mean_seed: int
+    prec_seed: int
+    include_logdet: bool
+    attr_table_hash: str
+    pretrain: PretrainConfig | None = None
+
+
 def save_base_model(path: str | Path, model: BaseZslModel,
                     pretrain: PretrainConfig | None = None) -> None:
     """Writes the heads and, when given, the ``pretrain`` settings that
     trained them, which ``load_base_model`` can hold a rerun to."""
-    meta = {
-        "kind": "base_model",
-        "mean_spec": asdict(model.mean_net.spec),
-        "prec_spec": asdict(model.prec_net.spec),
-        "mean_seed": model.mean_net.seed,
-        "prec_seed": model.prec_net.seed,
-        "include_logdet": bool(model.include_logdet),
-        "attr_table_hash": model.attribute_table.table_hash(),
-    }
-    if pretrain is not None:
-        meta["pretrain"] = asdict(pretrain)
-    save_container(path, meta, {
-        "mean_params": model.mean_net.params,
-        "mean_stats": model.mean_net.stats,
-        "prec_params": model.prec_net.params,
-        "prec_stats": model.prec_net.stats,
-    })
+    meta = asdict(BaseModelMeta(
+        mean_spec=model.mean_net.spec, prec_spec=model.prec_net.spec,
+        mean_seed=model.mean_net.seed, prec_seed=model.prec_net.seed,
+        include_logdet=bool(model.include_logdet),
+        attr_table_hash=model.attribute_table.table_hash(), pretrain=pretrain))
+    if pretrain is None:
+        del meta["pretrain"]
+    nets = {"mean": model.mean_net, "prec": model.prec_net}
+    save_container(path, meta, {f"{head}_{part}": getattr(net, part)
+                                for head, net in nets.items() for part in ("params", "stats")})
 
 
 def load_base_model(path: str | Path, attribute_table: ClassAttributeTable,
                     pretrain: PretrainConfig | None = None) -> BaseZslModel:
-    """The checkpoint's model.  When ``pretrain`` is given, refuses a
-    checkpoint that records no pretrain settings or other ones, naming
-    each key that differs.  A missing meta entry or array is a
-    ``BAD_CHECKPOINT`` naming the path and the key."""
-    meta, arrays = load_container(path)
-    if meta.get("kind") != "base_model":
-        raise DataError("BAD_CHECKPOINT", f"{path} is not a base-model checkpoint: "
-                        f"its 'kind' is {meta.get('kind')!r}")
-    try:
-        if meta["attr_table_hash"] != attribute_table.table_hash():
-            raise DataError("BAD_CHECKPOINT",
-                            "checkpoint was trained against a different attribute table")
-        if pretrain is not None:
-            recorded, asked = meta.get("pretrain"), asdict(pretrain)
-            if recorded is None:
-                raise DataError("BAD_CHECKPOINT", f"{path} records no pretrain settings")
-            differ = [f"{k} {recorded.get(k)!r} (asked {v!r})" for k, v in asked.items()
-                      if recorded.get(k) != v]
-            if differ:
-                raise DataError("BAD_CHECKPOINT", f"{path} was pretrained with other "
-                                f"settings: {', '.join(differ)}")
-        mean_net, prec_net = (
-            MlpNetwork(spec=from_dict(MlpSpec, meta[f"{head}_spec"], "network spec"),
-                       params=arrays[f"{head}_params"], stats=arrays[f"{head}_stats"],
-                       seed=meta[f"{head}_seed"])
-            for head in ("mean", "prec"))
-        return BaseZslModel(mean_net=mean_net, prec_net=prec_net,
-                            attribute_table=attribute_table,
-                            include_logdet=bool(meta["include_logdet"]))
-    except KeyError as exc:
-        raise DataError("BAD_CHECKPOINT", f"{path} holds no {exc.args[0]!r} entry") from None
+    """The checkpoint's model.  Any refusal is a ``BAD_CHECKPOINT`` naming
+    the path and the key: meta that is not a ``BaseModelMeta``, another
+    attribute table's hash, an array that ``stored_networks`` refuses and,
+    when ``pretrain`` is given, no recorded pretrain settings or other
+    ones, naming each key that differs."""
+    with read_record(path, BaseModelMeta, "a base-model checkpoint") as (meta, arrays):
+        if meta.attr_table_hash != attribute_table.table_hash():
+            raise ConfigError("its 'attr_table_hash' is not the attribute table's: "
+                              "it was trained against another one")
+        if pretrain is not None and meta.pretrain != pretrain:
+            if meta.pretrain is None:
+                raise ConfigError("records no pretrain settings")
+            differ = [f"{k} {getattr(meta.pretrain, k)!r} (asked {v!r})"
+                      for k, v in asdict(pretrain).items() if getattr(meta.pretrain, k) != v]
+            raise ConfigError(f"was pretrained with other settings: {', '.join(differ)}")
+        nets = stored_networks(arrays, ("mean", "prec"),
+                               {"mean": meta.mean_spec, "prec": meta.prec_spec},
+                               {"mean": meta.mean_seed, "prec": meta.prec_seed},
+                               "the base model's head", finite=False)
+        return BaseZslModel(mean_net=nets["mean"], prec_net=nets["prec"],
+                            attribute_table=attribute_table, include_logdet=meta.include_logdet)

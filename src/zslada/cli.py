@@ -219,8 +219,13 @@ def cmd_eval(args, run) -> int:
     out = _out_dir(run)
     if run.metric not in METRIC_CHOICES:
         raise ConfigError(f"unknown metric {run.metric!r}, expected one of {METRIC_CHOICES}")
+    if run.metric in ("m1", "m2") and not run.ada_state:
+        raise ConfigError(f"--metric {run.metric} needs --ada PATH")
     evals = from_dict(EvalSettings, run.eval or {}, "eval", base=EvalSettings(10_000))
     bundle, model, state = _load_inputs(run)
+    if state is not None and run.metric != "all" and lacks_metric(state.variant, run.metric):
+        raise ConfigError(f"--metric {run.metric}: a {state.variant} state has no "
+                          f"{run.metric.upper()}")
 
     wanted = ("inductive", "m1", "m2") if run.metric == "all" else (run.metric,)
     out.mkdir(parents=True, exist_ok=True)
@@ -228,20 +233,15 @@ def cmd_eval(args, run) -> int:
     for name in wanted:
         if name == "inductive":
             report = inductive_accuracy(model, bundle.dataset)
+        elif state is None or lacks_metric(state.variant, name):
+            why = "no adapted checkpoint given" if state is None else f"variant {state.variant}"
+            print(f"{name}: NA ({why})")
+            continue
+        elif name == "m1":
+            report = m1_accuracy(state, bundle.dataset)
         else:
-            if state is None:
-                if run.metric == "all":
-                    print(f"{name}: NA (no adapted checkpoint given)")
-                    continue
-                raise ConfigError(f"--metric {name} needs --ada PATH")
-            if run.metric == "all" and lacks_metric(state.variant, name):
-                print(f"{name}: NA (variant {state.variant})")
-                continue
-            if name == "m1":
-                report = m1_accuracy(state, bundle.dataset)
-            else:
-                report = m2_accuracy(state, model, bundle.dataset,
-                                     n_samples=evals.n_samples, seed=evals.seed)
+            report = m2_accuracy(state, model, bundle.dataset,
+                                 n_samples=evals.n_samples, seed=evals.seed)
         path = out / f"report_{name}.csv"
         write_report_csv(report, path)
         written.append(path.name)

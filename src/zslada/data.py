@@ -33,11 +33,10 @@ ORIGIN_TAGS = ("generated", "real", "transformed")
 def _as_int_list(values: Iterable, what: str) -> list[int]:
     out = []
     for v in values:
-        iv = int(v)
-        # a bool (numpy's too) is not an integer here; only 0 and 1 can be one
-        if iv != v or iv in (0, 1) and isinstance(v, (bool, np.bool_)):
+        # an int, Python's or numpy's, as in the settings codec: not a bool or a float
+        if type(v) is not int and not isinstance(v, np.integer):
             raise DataError("BAD_VALUE", f"{what} contains non-integer {v!r}")
-        out.append(iv)
+        out.append(int(v))
     return out
 
 

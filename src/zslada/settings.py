@@ -6,6 +6,8 @@ typed field: it checks each value against its field's annotation, read
 with ``typing.get_type_hints``.  A ``bool`` takes only ``true`` or
 ``false``; an ``int`` an integer and a ``float`` an int or a float (kept
 as given), neither a bool; a ``str`` a string; a ``dict`` an object;
+``dict[str, T]`` an object of ``T`` values; a settings dataclass an
+object holding every one of its fields, read by :func:`from_dict`;
 ``tuple[T, ...]`` or ``tuple[T, T]`` a list of ``T`` of that length,
 returned as a tuple; and ``T | None`` also ``null``.  Range and choice
 checks stay in each class's ``__post_init__``, which runs on typed values.
@@ -31,6 +33,19 @@ def _read(hint: Any, value: Any, what: str, key: str) -> Any:
     args = get_args(hint)
     nullable = type(None) in args and len(args) == 2
     one = next(a for a in args if a is not type(None)) if nullable else hint
+    if value is None and nullable:
+        return value
+    if dataclasses.is_dataclass(one) or get_origin(one) is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{what} key {key!r} must be {'null or ' * nullable}"
+                              f"a JSON object, got {value!r}")
+        inner = f"{what} {key}"
+        if get_origin(one) is dict:
+            return {k: _read(get_args(one)[1], v, inner, k) for k, v in value.items()}
+        missing = sorted({f.name for f in dataclasses.fields(one)} - set(value))
+        if missing:  # a nested record is read whole: asdict wrote every field
+            raise ConfigError(f"missing {inner} keys: {missing}")
+        return from_dict(one, value, inner)
     items = get_args(one) if get_origin(one) is tuple else ()
     scalar = items[0] if items else one
     if scalar not in _SCALARS or set(items) - {..., scalar}:
@@ -41,7 +56,7 @@ def _read(hint: Any, value: Any, what: str, key: str) -> Any:
         return isinstance(v, accepted) and (scalar is bool or not isinstance(v, bool))
 
     size = len(items) if items and items[-1] is not ... else None
-    if value is None and nullable or not items and typed(value):
+    if not items and typed(value):
         return value
     if (items and isinstance(value, (list, tuple)) and size in (None, len(value))
             and all(map(typed, value))):

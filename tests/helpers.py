@@ -6,9 +6,13 @@ the library with its own machinery.
 """
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
+import types
+from typing import Union, get_args, get_origin
 
 import numpy as np
+import pytest
 
 from zslada.ada import AdaConfig, AdaState, AlignedBatch, augment_batch, init_ada_state
 from zslada.base_model import (BaseZslModel, PretrainConfig, class_params_matrix, pretrain,
@@ -437,3 +441,30 @@ def calibrate_shift(world_seed: int, model_seed: int = 11,
             return w, model, a
     raise AssertionError(
         f"could not place agreement in {band} for world seed {world_seed}")
+
+
+# per scalar annotation, JSON values of other types, and one of its own
+WRONG = {bool: ["true"], int: [1.5, "x"], float: [True, "x"], str: [1], dict: [[], "x"]}
+RIGHT = {bool: True, int: 1, float: 1.0, str: "a", dict: {}}
+
+
+def wrong_values(hint) -> list:
+    """JSON values the settings codec must refuse for a field annotated
+    ``hint``; for an object of ``T`` values, ``{"k": v}`` with each ``v``
+    it must refuse for ``T``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType) and type(None) in args and len(args) == 2:
+        return wrong_values(next(a for a in args if a is not type(None)))
+    if dataclasses.is_dataclass(hint):
+        return [[], "x"]
+    if origin is dict and args[0] is str:
+        return [[], "x", *({"k": v} for v in wrong_values(args[1]))]
+    if origin is tuple and args[-1] is Ellipsis and args[0] in WRONG:
+        return [*([v] for v in WRONG[args[0]]), "x"]
+    if origin is tuple and set(args) == {args[0]} and args[0] in WRONG:
+        return [*([v] * len(args) for v in WRONG[args[0]]), [RIGHT[args[0]]] * (len(args) + 1),
+                "x"]
+    if hint in WRONG:
+        return WRONG[hint]
+    pytest.fail(f"no wrong value for {hint!r}: teach the settings codec and this grid "
+                f"the annotation")

@@ -33,7 +33,7 @@ from zslada.ada import (
 import zslada.base_model
 from zslada.base_model import class_params_matrix, pseudo_labels, sample_stream
 from zslada.errors import ConfigError, DataError, NumericalDivergence
-from zslada.metrics import lacks_metric, m1_accuracy, m2_accuracy
+from zslada.metrics import lacks_metric, m2_accuracy
 from zslada.nn.checkpoint import load_container, save_container
 from zslada.nn.mlp import (MlpNetwork, MlpSpec, forward_eval, init_network, mean_forward_eval,
                            param_grads)
@@ -979,14 +979,18 @@ def test_checkpoint_carries_the_classes_without_pseudo_labelled_rows(tmp_path, s
     save_ada_state(path, dataclasses.replace(state, empty_pseudo_ids=[state.unseen_ids[1]]),
                    config)
     assert load_ada_state(path)[0].empty_pseudo_ids == [state.unseen_ids[1]]
-    # a checkpoint written before the key existed loads with none
+    # a checkpoint written before the key existed is refused by name
     meta, arrays = load_container(path)
     del meta["empty_pseudo_ids"]
     save_container(path, meta, arrays)
-    assert load_ada_state(path)[0].empty_pseudo_ids == []
+    with pytest.raises(DataError) as err:
+        load_ada_state(path)
+    assert err.value.code == "BAD_CHECKPOINT"
+    assert str(err.value) == f"{path}: missing ada_state checkpoint keys: ['empty_pseudo_ids']"
 
 
-def test_an_older_six_network_checkpoint_loads_its_variants_networks(tmp_path, small_adapted):
+def test_an_older_six_network_checkpoint_is_refused_naming_the_arrays_it_does_not_expect(
+        tmp_path, small_adapted):
     world, model, _, _, _, _ = small_adapted
     config = AdaConfig(**{**ADAPT_CONFIG, "variant": "std_da"})
     state, _ = adapt(model, world.dataset, config)
@@ -1002,10 +1006,12 @@ def test_an_older_six_network_checkpoint_loads_its_variants_networks(tmp_path, s
     for role, net in six.items():
         old[f"{role}_params"], old[f"{role}_stats"] = net.params, net.stats
     save_container(path, meta, {**old, "pseudo": arrays["pseudo"]})
-    loaded, loaded_config = load_ada_state(path)
-    assert loaded_config == config
-    assert list(loaded.nets) == ["c_t"]
-    assert m1_accuracy(loaded, world.dataset) == m1_accuracy(state, world.dataset)
+    with pytest.raises(DataError) as err:
+        load_ada_state(path)
+    assert err.value.code == "BAD_CHECKPOINT"
+    unexpected = sorted(f"{role}_{part}" for role in ("g_t", "g_s", "d_t", "d_s", "c_s")
+                        for part in ("params", "stats"))
+    assert str(err.value) == f"{path}: holds arrays it does not expect: {unexpected}"
 
 
 @pytest.mark.parametrize("entry", ["c_s_params", "c_t_stats", "spec", "seed"])

@@ -3,21 +3,22 @@ import dataclasses
 import json
 import shutil
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 import zslada.base_model
 import zslada.cli
-from zslada.ada import DRAW_CHUNK, AdaConfig, load_ada_state, save_ada_state
-from zslada.base_model import load_base_model, pseudo_labels, save_base_model
+from zslada.ada import DRAW_CHUNK, AdaConfig, AdaStateMeta, load_ada_state, save_ada_state
+from zslada.base_model import BaseModelMeta, load_base_model, pseudo_labels, save_base_model
 from zslada.cli import RUNS, main
 from zslada.data import FeatureDataset, SplitSpec, export_embeddings, load_dataset, save_dataset
 from zslada.nn.checkpoint import load_container, save_container
 from zslada.profiles import build_base_model
 
 from .helpers import (count_class_params_matrix, peak_traced_bytes, reference_export_draws,
-                      streaming_setup)
+                      streaming_setup, wrong_values)
 
 WORLD_SPEC = {"S": 4, "U": 3, "d": 8, "attr_dim": 3,
               "samples_per_class": 150, "seed": 100}
@@ -527,39 +528,58 @@ def test_a_top_level_key_the_command_does_not_take_is_refused(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
-# meta entries older checkpoints lack, which load with a default until the
-# typed checkpoint reader (ROADMAP item 10), and the pseudo-labels, which a
-# state saved before set-up does not hold
-READ_WITH_A_DEFAULT = {"agreement_estimate", "empty_pseudo_ids", "pseudo"}
+# the pseudo-labels, which a state saved before set-up does not hold
+READ_WITH_A_DEFAULT = {"pseudo"}
+RECORDS = {"base_model": BaseModelMeta, "ada_state": AdaStateMeta}
+
+
+def _mutations(kind: str, meta: dict, arrays: dict) -> list:
+    """``(key, meta, arrays)``: one refused change each to a checkpoint's
+    entries, and the key that names it."""
+    cases = [(key, meta, {k: v for k, v in arrays.items() if k != key})
+             if key in arrays else (key, {k: v for k, v in meta.items() if k != key}, arrays)
+             for key in sorted({*meta, *arrays} - READ_WITH_A_DEFAULT)]
+    cases += [(key, {**meta, key: value}, arrays)
+              for key, hint in get_type_hints(RECORDS[kind]).items()
+              for value in wrong_values(hint)]
+    # one entry off; no spec gives the length of the pseudo-labels, one per test row
+    cases += [(name, meta, {**arrays, name: a[:-1] if a.size else np.zeros(1)})
+              for name, a in arrays.items() if name != "pseudo"]
+    cases.append(("unexpected", meta, {**arrays, "unexpected": np.zeros(1)}))
+    if kind == "base_model":
+        return cases + [("attr_table_hash", {**meta, "attr_table_hash": "0" * 64}, arrays)]
+    cases += [(name, meta, {**arrays, name: np.where(np.arange(a.size) == a.size // 2, bad, a)})
+              for name, a in arrays.items() if a.size for bad in (np.nan, np.inf)]
+    return cases + [
+        ("phase", {**meta, "phase": "x"}, arrays), ("variant", {**meta, "variant": "x"}, arrays),
+        ("config", {**meta, "config": {**meta["config"], "n_steps": 2.5}}, arrays),
+        ("pseudo", meta, {**arrays, "pseudo": arrays["pseudo"] + 0.5})]
 
 
 @pytest.mark.parametrize("kind", ["base_model", "ada_state"])
 def test_a_checkpoint_without_one_of_its_entries_names_the_path_and_the_key(
         pipeline, tmp_path, capsys, kind):
+    # and with one of another type, length or value: every case is refused
+    # before any work, by a message naming the file and the key
     source = pipeline["pre" if kind == "base_model" else "ada"] / f"{kind}.ckpt"
-    header = json.loads(source.read_bytes().split(b"\n", 1)[0])
-    entries = [*header["meta"], *(name for name, _ in header["arrays"])]
-    assert header["meta"]["kind"] == kind
-    for key in sorted(set(entries) - READ_WITH_A_DEFAULT):
-        meta, arrays = load_container(source)
-        if key in arrays:
-            del arrays[key]
-        else:
-            del meta[key]
-        out = tmp_path / key
+    meta, arrays = load_container(source)
+    # the pipeline's base model records the settings that trained it
+    assert meta["kind"] == kind and (kind == "ada_state" or "pretrain" in meta)
+    for i, (key, changed, changed_arrays) in enumerate(_mutations(kind, meta, arrays)):
+        out = tmp_path / f"{i}-{key}"
         out.mkdir()
         path = out / f"{kind}.ckpt"
-        save_container(path, meta, arrays)
+        save_container(path, changed, changed_arrays)
         data = ["--data", str(pipeline["world"]), "--out", str(out)]
         if kind == "base_model":
             # a rerun of pretrain reads every entry, its settings included
             argv = ["pretrain", *data, "--profile", "synth-small", "--seed", "0"]
         else:
             argv = ["eval", *data, "--base", str(pipeline["pre"] / "base_model.ckpt"),
-                    "--ada", str(path), "--metric", "m1"]
+                    "--ada", str(path), "--metric", "all"]
         assert main(argv) == 2, key
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path} ") and key in err, (key, err)
+        assert err.startswith(f"error: {path}: ") and key in err, (key, err)
         assert sorted(p.name for p in out.iterdir()) == [path.name], key
 
 
@@ -633,6 +653,25 @@ def test_ada_adapted_on_other_unseen_classes_is_refused(pipeline, other_world, t
     err = capsys.readouterr().err
     assert "[4, 5, 6]" in err and "[5, 6]" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("metric, variant, message", [
+    ("m1", None, "--metric m1 needs --ada PATH"),
+    ("m2", "std-da", "--metric m2: a std_da state has no M2")])
+def test_eval_refuses_a_metric_it_cannot_score_before_creating_out(
+        pipeline, tmp_path, capsys, metric, variant, message):
+    base = ["--data", str(pipeline["world"]), "--base", str(pipeline["pre"] / "base_model.ckpt")]
+    ada = []
+    if variant:
+        cfg = _write_json(tmp_path / "short.json", {"ada": {"n_steps": 5}})
+        assert main(["adapt", "--config", cfg, *base, "--variant", variant,
+                     "--out", str(tmp_path / variant)]) == 0
+        ada = ["--ada", str(tmp_path / variant / "ada_state.ckpt")]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["eval", *base, *ada, "--metric", metric, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_eval_metric_needs_matching_checkpoint(pipeline, tmp_path, capsys):

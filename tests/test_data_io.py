@@ -57,9 +57,9 @@ def test_split_spec_validation():
                                        ("unseen", "unseen class list"),
                                        ("train_rows", "train rows"),
                                        ("test_rows", "test rows")])
-@pytest.mark.parametrize("flag", [True, False, np.True_])
+@pytest.mark.parametrize("flag", [True, False, np.True_, 1.0])
 def test_split_lists_refuse_booleans(key, what, flag):
-    # an integer is not a bool, as in the settings codec
+    # an integer is not a bool or a float, as in the settings codec
     payload = {"seen": [0, 1], "unseen": [2], "train_rows": [0, 1], "test_rows": [2]}
     payload[key] = [*payload[key], flag]
     with pytest.raises(DataError) as err:

@@ -1,20 +1,19 @@
 """The settings codec: every settings object comes back from its JSON."""
 import dataclasses
 import json
-import types
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import pytest
 
-from zslada.ada import AdaConfig
-from zslada.base_model import PretrainConfig
+from zslada.ada import AdaConfig, AdaStateMeta
+from zslada.base_model import BaseModelMeta, PretrainConfig
 from zslada.cli import RUNS, EvalSettings
 from zslada.errors import ConfigError
 from zslada.nn.mlp import MlpSpec
 from zslada.settings import from_dict
 from zslada.synthetic import SyntheticWorldSpec
 
-from .helpers import bench_spec
+from .helpers import bench_spec, wrong_values
 
 SETTINGS = {
     "AdaConfig": AdaConfig(gen_hidden=(12, 7), disc_hidden=(9,), n_critic=3,
@@ -28,6 +27,17 @@ SETTINGS = {
     "EvalRun": RUNS["eval"](world={"S": 2}, data="d", base="b.ckpt", eval={"seed": 1},
                             reports=("report_m1.csv", "report_m2.csv")),
 }
+# the checkpoint records, whose nested settings the codec reads too
+SETTINGS.update({
+    "AdaStateMeta": AdaStateMeta(config=SETTINGS["AdaConfig"], variant="std_da", phase="recovery",
+                                 iteration=12, unseen_ids=(4, 5), agreement_estimate=0.5,
+                                 empty_pseudo_ids=(5,), specs={"c_t": SETTINGS["MlpSpec"]},
+                                 seeds={"c_t": 7}),
+    "BaseModelMeta": BaseModelMeta(mean_spec=SETTINGS["MlpSpec"],
+                                   prec_spec=MlpSpec.dense((3, 2)), mean_seed=1, prec_seed=2,
+                                   include_logdet=False, attr_table_hash="0f",
+                                   pretrain=SETTINGS["PretrainConfig"]),
+})
 
 
 @pytest.mark.parametrize("name", sorted(SETTINGS))
@@ -65,30 +75,12 @@ def test_base_replaces_only_the_given_fields():
         from_dict(AdaConfig, {"n_critic": 0}, "adaptation config", base=base)
 
 
-# Every class the command line reads through the codec, each with a valid
-# instance for the refused values to replace a field of.
+# Every class the command line and the checkpoint loaders read through the
+# codec, each with a valid instance for the refused values to replace a field of.
 TYPED = {name: SETTINGS[name] for name in
-         ("AdaConfig", "PretrainConfig", "SyntheticWorldSpec", "MlpSpec", "EvalSettings")}
+         ("AdaConfig", "PretrainConfig", "SyntheticWorldSpec", "MlpSpec", "EvalSettings",
+          "AdaStateMeta", "BaseModelMeta")}
 TYPED.update({cls.__name__: cls() for cls in RUNS.values()})
-# per scalar annotation, one JSON value of another type and one of its own
-WRONG = {bool: "true", int: 1.5, float: True, str: 1, dict: []}
-RIGHT = {bool: True, int: 1, float: 1.0, str: "a", dict: {}}
-
-
-def _wrong_values(hint) -> list:
-    """JSON values the codec must refuse for a field annotated ``hint``."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, types.UnionType) and type(None) in args and len(args) == 2:
-        return _wrong_values(next(a for a in args if a is not type(None)))
-    if origin is tuple and args[-1] is Ellipsis and args[0] in WRONG:
-        return [[WRONG[args[0]]], "x"]
-    if origin is tuple and set(args) == {args[0]} and args[0] in WRONG:
-        return [[WRONG[args[0]]] * len(args), [RIGHT[args[0]]] * (len(args) + 1), "x"]
-    if hint in WRONG:
-        return [WRONG[hint]]
-    pytest.fail(f"no wrong value for {hint!r}: teach the settings codec and this grid "
-                f"the annotation")
-
 
 GRID = [(name, f.name) for name, value in TYPED.items() for f in dataclasses.fields(value)]
 
@@ -96,8 +88,11 @@ GRID = [(name, f.name) for name, value in TYPED.items() for f in dataclasses.fie
 @pytest.mark.parametrize("name, key", GRID, ids=[f"{n}.{k}" for n, k in GRID])
 def test_a_wrongly_typed_value_of_any_field_is_refused_by_name(name, key):
     base = TYPED[name]
-    for value in _wrong_values(get_type_hints(type(base))[key]):
+    for value in wrong_values(get_type_hints(type(base))[key]):
         with pytest.raises(ConfigError) as err:
             from_dict(type(base), {key: value}, name, base=base)
-        assert f"{name} key {key!r} must be " in str(err.value), value
-        assert str(err.value).endswith(f", got {value!r}"), value
+        # a {"k": item} object is refused for its item
+        item = isinstance(value, dict)
+        where = f"{name} {key} key 'k'" if item else f"{name} key {key!r}"
+        assert f"{where} must be " in str(err.value), value
+        assert str(err.value).endswith(f", got {value['k'] if item else value!r}"), value
