@@ -61,9 +61,10 @@ TRIGGERS = ("accuracy_crossover", "fixed_fraction")
 PHASES = ("warmup", "recovery")
 ROLES = ("g_t", "g_s", "d_t", "d_s", "c_t", "c_s")
 LOG_COLUMNS = ("iter", "L_adv_T", "L_adv_S", "L_cyc", "L_clf_T", "L_clf_S", "phase")
-# Most class-conditional draws G_T takes in one batch when prototypes,
-# crossover checks or exports stream their draws (_augmented_draws), so
-# their memory does not grow with the number of draws.
+# Rows per block when prototypes, crossover checks or exports stream
+# their class-conditional draws (augmented_draws): every block but the
+# last has this many, cut across the classes, and the last at most one
+# more, so memory grows with neither the draws nor the class count.
 DRAW_CHUNK = 1024
 
 
@@ -429,79 +430,38 @@ def classify(state: AdaState, X: np.ndarray) -> np.ndarray:
     return np.asarray(state.unseen_ids, dtype=np.int64)[np.argmax(log_probs, axis=1)]
 
 
-def _chunk_rows(n: int) -> list[int]:
-    """Row counts of the chunks ``n`` draws stream in: ``DRAW_CHUNK`` rows
-    each, then the rest.  No chunk has one row when ``n > 1``: a one-row
-    product takes BLAS's matrix-vector path, whose bits differ, so a
-    one-row rest joins the chunk before it.  (A block of
-    ``_class_blocks`` has one row only when one class is drawn once.)"""
+def augmented_draws(class_ids: list[int], table: GaussianTable, n: int, seed: int):
+    """``n`` draws of each class of ``class_ids`` from its row of ``table``
+    with its one-hot appended, G_T's input, all classes' rows in class
+    order cut into blocks of ``DRAW_CHUNK`` rows, so memory grows with
+    neither ``n`` nor the class count.  A one-row last block joins the one
+    before it (a one-row product takes BLAS's matrix-vector path), so a
+    block has one row only when ``len(class_ids) * n = 1``.
+    Yields ``(block, segments)``: a view of one buffer that the next block
+    overwrites, and the ``(j, lo, hi)`` saying rows ``lo:hi`` are draws of
+    class index ``j``, which may continue in the next block.  A class's
+    draws read its sample stream in turn, so they have the bits of one
+    ``draw_gaussian`` batch of all ``n``: numpy fills successive
+    ``standard_normal`` batches as it fills one."""
     if n < 1:
         raise ConfigError(f"need n >= 1 draws, got {n}")
-    chunks = [DRAW_CHUNK] * (n // DRAW_CHUNK)
-    rest = n % DRAW_CHUNK
-    if rest == 1 and chunks:
-        chunks[-1] += 1
-    elif rest:
-        chunks.append(rest)
-    return chunks
-
-
-def _class_blocks(n_classes: int, n: int) -> list[list[tuple[int, int]]]:
-    """The blocks ``n`` draws of each class stream in, each a list of
-    ``(j, rows)`` with class indices ``j`` in order.  When ``n <=
-    DRAW_CHUNK`` a block holds ``DRAW_CHUNK // n`` whole classes, and a
-    one-row last block (``n = 1``) joins the one before it; otherwise a
-    block is one of a class's ``_chunk_rows(n)`` chunks.  So a block has
-    at most ``DRAW_CHUNK + 1`` rows, and one only when ``n_classes * n = 1``."""
-    chunks = _chunk_rows(n)
-    if n > DRAW_CHUNK:
-        return [[(j, rows)] for j in range(n_classes) for rows in chunks]
-    per = DRAW_CHUNK // n
-    blocks = [[(j, n) for j in range(lo, min(lo + per, n_classes))]
-              for lo in range(0, n_classes, per)]
-    if len(blocks) > 1 and n == len(blocks[-1]) == 1:
-        blocks[-2:] = [blocks[-2] + blocks[-1]]
-    return blocks
-
-
-def _augmented_draws(class_ids: list[int], table: GaussianTable, n: int, seed: int):
-    """``n`` draws of each class of ``class_ids`` from its row of ``table``
-    with its one-hot appended, G_T's input, in the blocks of
-    ``_class_blocks``, so memory grows with neither ``n`` nor the class
-    count, and a block has one row only when ``len(class_ids) * n = 1``.
-    Yields ``(block, segments)``: a view of one buffer that the
-    next block overwrites, and the ``(j, lo, hi)`` saying rows ``lo:hi``
-    are draws of class index ``j`` (continued in the next block when ``n
-    > DRAW_CHUNK``).  A class's draws read its sample stream in turn, so
-    they have the bits of one ``draw_gaussian`` batch of all ``n``: numpy
-    fills successive ``standard_normal`` batches as it fills one."""
     means, precisions = table
     d, n_classes = means.shape[1], len(class_ids)
-    blocks = _class_blocks(n_classes, n)
-    buffer = np.empty((max(sum(rows for _, rows in block) for block in blocks),
-                       d + n_classes))
+    total = n_classes * n
+    cuts = [*range(0, total, DRAW_CHUNK), total]
+    if len(cuts) > 2 and total - cuts[-2] == 1:
+        del cuts[-2]
+    buffer = np.empty((min(total, DRAW_CHUNK + 1), d + n_classes))
     streams = [sample_stream(seed, cid) for cid in class_ids]
-    for block in blocks:
-        segments, lo = [], 0
-        for j, rows in block:
-            hi = lo + rows
-            buffer[lo:hi, :d] = draw_gaussian(means[j], precisions[j], rows, streams[j])
-            buffer[lo:hi, d:] = 0.0
-            buffer[lo:hi, d + j] = 1.0
+    for start, stop in zip(cuts, cuts[1:]):
+        block, segments = buffer[:stop - start], []
+        block[:, d:] = 0.0
+        for j in range(start // n, (stop - 1) // n + 1):
+            lo, hi = max(start, j * n) - start, min(stop, (j + 1) * n) - start
+            block[lo:hi, :d] = draw_gaussian(means[j], precisions[j], hi - lo, streams[j])
+            block[lo:hi, d + j] = 1.0
             segments.append((j, lo, hi))
-            lo = hi
-        yield buffer[:lo], segments
-
-
-def transformed_draws(class_ids: list[int], table: GaussianTable, n: int, seed: int,
-                      g_t: MlpNetwork | None):
-    """The blocks of ``_augmented_draws`` yielded as ``(draws, moved,
-    segments)``: the draws, a view the next block overwrites, ``g_t`` of
-    the block (``None`` without ``g_t``), and the class segments.  A row
-    of G_T has the same bits in any block of two or more rows."""
-    d = table[0].shape[1]
-    for block, segments in _augmented_draws(class_ids, table, n, seed):
-        yield block[:, :d], None if g_t is None else forward_eval(g_t, block), segments
+        yield block, segments
 
 
 def _crossover_accuracy(state: AdaState, table: GaussianTable,
@@ -511,8 +471,8 @@ def _crossover_accuracy(state: AdaState, table: GaussianTable,
     n = config.crossover_samples
     seed = named_seed(config.seed, "xover", iteration)
     hits = np.zeros(state.n_unseen, dtype=np.int64)
-    for _, moved, segments in transformed_draws(state.unseen_ids, table, n, seed, state.g_t):
-        picks = classify(state, moved)
+    for block, segments in augmented_draws(state.unseen_ids, table, n, seed):
+        picks = classify(state, forward_eval(state.g_t, block))
         for j, lo, hi in segments:
             hits[j] += np.count_nonzero(picks[lo:hi] == state.unseen_ids[j])
     return float(np.mean(hits / n))
@@ -643,21 +603,23 @@ def train_std_da(base_model: BaseZslModel, test_data: FeatureDataset,
 def map_prototypes(state: AdaState, table: GaussianTable, n_samples: int,
                    seed: int) -> dict[int, np.ndarray]:
     """Per-class mean of G_T over label-augmented class-conditional draws,
-    each class drawn from its row of ``table`` as in ``transformed_draws``.
+    each class drawn from its row of ``table`` as in ``augmented_draws``.
 
     Covariances are deliberately left at the base model's values; only
     the class means move.  G_T's output layer is affine (``MlpSpec.dense``
     puts no batchnorm, dropout or activation on it), and the mean of
     ``h @ W + b`` over rows is ``mean(h) @ W + b``, so the hidden layers
-    run once per block of ``_augmented_draws`` and the output layer once
-    per class (``mean_forward_eval``).  A prototype has the bits of
+    run once per block of ``augmented_draws`` and the output layer once
+    per class (``mean_forward_eval``), whose running sum carries a class
+    across the blocks it spans.  A prototype has the bits of
     ``.mean(axis=0)`` over the class's rows of G_T's last hidden
     activations of every class's draws in one batch, then the output
-    layer, unless one class is drawn once (a one-row product); it differs
+    layer, wherever a row of those activations has the same bits in its
+    block as in that one batch (see ``mean_forward_eval``); it differs
     from the mean of G_T's outputs only in rounding.
     """
-    means = mean_forward_eval(state.g_t, _augmented_draws(state.unseen_ids, table, n_samples,
-                                                          named_seed(seed, "proto")))
+    means = mean_forward_eval(state.g_t, augmented_draws(state.unseen_ids, table, n_samples,
+                                                         named_seed(seed, "proto")))
     return {state.unseen_ids[j]: mean for j, mean in means.items()}
 
 

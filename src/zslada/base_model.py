@@ -242,14 +242,11 @@ def pretrain_objective(model: BaseZslModel, X: np.ndarray, y: np.ndarray,
     k = classes.shape[0]
     loss, diff, counts = _own_class_nll(X, idx, mean_out, p, model.include_logdet)
 
+    # each class's sums of (x_i - mu_j) and (x_i - mu_j)^2, by one indicator product
+    accum, sq = np.hsplit((idx == np.arange(k)[:, None]) @ np.hstack([diff, diff * diff]), 2)
     # d loss / d mean_out[j] = -(2 p_j / n) * sum_{i in j} (x_i - mu_j)
-    accum = np.zeros((k, X.shape[1]))
-    np.add.at(accum, idx, diff)
     grad_mean_out = -(2.0 / n) * p * accum
-
     # d loss / d p[j] = (1/n) * (sum_{i in j} (x_i - mu_j)^2 - n_j / p_j)
-    sq = np.zeros((k, X.shape[1]))
-    np.add.at(sq, idx, diff * diff)
     grad_p = sq / n
     if model.include_logdet:
         grad_p -= counts[:, None] / (n * p)

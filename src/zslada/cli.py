@@ -19,14 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .ada import (LOG_COLUMNS, VARIANTS, AdaConfig, adapt, load_ada_state, save_ada_state,
-                  transformed_draws)
+from .ada import (LOG_COLUMNS, VARIANTS, AdaConfig, adapt, augmented_draws, load_ada_state,
+                  save_ada_state)
 from .base_model import (PretrainConfig, class_params_matrix, load_base_model, pretrain,
                          pseudo_labels, save_base_model)
 from .data import DatasetBundle, export_embeddings, load_dataset, write_csv
 from .errors import ConfigError, DataError, NonFiniteGradient, NumericalDivergence, ZsladaError
 from .metrics import (eval_workers, inductive_accuracy, lacks_metric, m1_accuracy,
                       m2_accuracy, write_report_csv)
+from .nn.mlp import forward_eval
 from .profiles import PROFILE_NAMES, ada_profile, build_base_model, pretrain_config
 from .settings import from_dict
 from .synthetic import SyntheticWorldSpec, make_synthetic_world, save_synthetic_world
@@ -115,7 +116,7 @@ def _load_inputs(run):
     """The dataset, the required ``--base`` checkpoint's model and the
     optional ``--ada`` checkpoint's state (``None`` without one; ``adapt``
     takes none).  Refuses a state adapted on other unseen classes than the
-    dataset's."""
+    dataset's, or whose pseudo-labels are not one per test row."""
     bundle = _load_bundle(run)
     if not run.base:
         raise ConfigError(f"{run.command} needs --base PATH to a pretrained checkpoint")
@@ -126,6 +127,10 @@ def _load_inputs(run):
     if state is not None and state.unseen_ids != unseen:
         raise DataError("BAD_CHECKPOINT", f"{path} was adapted on unseen classes "
                         f"{state.unseen_ids}, the dataset's are {unseen}")
+    n_test = len(bundle.dataset.split.test_row_indices)
+    if state is not None and state.pseudo is not None and state.pseudo.size != n_test:
+        raise DataError("BAD_CHECKPOINT", f"{path}: array 'pseudo' holds {state.pseudo.size} "
+                        f"entries, not one for each of the dataset's {n_test} test rows")
     return bundle, model, state
 
 
@@ -228,25 +233,25 @@ def cmd_eval(args, run) -> int:
                           f"{run.metric.upper()}")
 
     wanted = ("inductive", "m1", "m2") if run.metric == "all" else (run.metric,)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    # every report is computed, and any refusal raised, before --out is made
+    reports = {}
     for name in wanted:
         if name == "inductive":
-            report = inductive_accuracy(model, bundle.dataset)
+            reports[name] = inductive_accuracy(model, bundle.dataset)
         elif state is None or lacks_metric(state.variant, name):
             why = "no adapted checkpoint given" if state is None else f"variant {state.variant}"
             print(f"{name}: NA ({why})")
-            continue
         elif name == "m1":
-            report = m1_accuracy(state, bundle.dataset)
+            reports[name] = m1_accuracy(state, bundle.dataset)
         else:
-            report = m2_accuracy(state, model, bundle.dataset,
-                                 n_samples=evals.n_samples, seed=evals.seed)
-        path = out / f"report_{name}.csv"
-        write_report_csv(report, path)
-        written.append(path.name)
+            reports[name] = m2_accuracy(state, model, bundle.dataset,
+                                        n_samples=evals.n_samples, seed=evals.seed)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, report in reports.items():
+        write_report_csv(report, out / f"report_{name}.csv")
         print(f"{name} mean per-class: {report.mean_per_class_acc:.4f}")
-    _write_snapshot(out, run, eval=dataclasses.asdict(evals), reports=tuple(written))
+    _write_snapshot(out, run, eval=dataclasses.asdict(evals),
+                    reports=tuple(f"report_{name}.csv" for name in reports))
     return 0
 
 
@@ -275,12 +280,12 @@ def cmd_export(args, run) -> int:
     # the draws, and their G_T rows when a state is given, stream into the
     # preallocated matrices block by block; class index j's rows start at
     # its place in the attribute table's order
-    blocks = transformed_draws(ids, table, n, seed, None if state is None else state.g_t)
     start = [unseen.index(cid) * n for cid in ids]
-    for draws, moved, segments in blocks:
+    for block, segments in augmented_draws(ids, table, n, seed):
+        moved = None if state is None else forward_eval(state.g_t, block)
         for j, lo, hi in segments:
             stop = start[j] + hi - lo
-            generated[start[j]:stop] = draws[lo:hi]
+            generated[start[j]:stop] = block[lo:hi, :model.dim]
             if moved is not None:
                 transformed[start[j]:stop] = moved[lo:hi]
             start[j] = stop

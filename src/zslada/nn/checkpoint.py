@@ -56,12 +56,19 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError("BAD_CHECKPOINT", f"unreadable header in {path}: {exc}")
+        if not isinstance(header, dict):
+            raise DataError("BAD_CHECKPOINT", f"header of {path} is not a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
             raise DataError(
                 "BAD_CHECKPOINT",
                 f"unsupported format_version {header.get('format_version')!r} in {path}")
-        for entry in header.get("arrays", []):
-            name, length = entry[0], int(entry[1])
+        meta, entries = header.get("meta", {}), header.get("arrays", [])
+        if not isinstance(meta, dict):
+            raise DataError("BAD_CHECKPOINT", f"'meta' of {path} is not a JSON object")
+        if not (isinstance(entries, list) and all(_is_entry(entry) for entry in entries)):
+            raise DataError("BAD_CHECKPOINT",
+                            f"'arrays' of {path} is not a list of [name, length >= 0] pairs")
+        for name, length in entries:
             arr = np.empty(length, dtype=_F8)
             if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
                 raise DataError("BAD_CHECKPOINT",
@@ -70,7 +77,13 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         trailing = len(fh.read())
     if trailing:
         raise DataError("BAD_CHECKPOINT", f"{trailing} trailing bytes in {path}")
-    return header.get("meta", {}), arrays
+    return meta, arrays
+
+
+def _is_entry(entry) -> bool:
+    """``[name, length]`` with a string name and a non-negative int length."""
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and type(entry[1]) is int and entry[1] >= 0)
 
 
 @contextmanager

@@ -342,10 +342,13 @@ def mean_forward_eval(net: MlpNetwork, blocks) -> dict:
     later blocks.  The last layer must be affine, so it runs once per
     group, on the mean of its inputs; the other layers run once per
     block, and memory is that of one block.  A mean has the bits of
-    ``.mean(axis=0)`` over one batch of the group's rows: numpy sums a
-    C-contiguous matrix down axis 0 row by row, so a group's running sum
-    rides as the leading row of its next segment's sum.  (A one-column
-    matrix is summed pairwise instead, and its last bits can differ.)
+    ``.mean(axis=0)`` over the group's rows as their blocks computed them,
+    one segment or many: numpy sums a C-contiguous matrix down axis 0 row
+    by row, so a group's running sum rides as the leading row of its next
+    segment's sum.  (A one-column matrix is summed pairwise instead, and
+    its last bits can differ.)  Those rows have the bits of one batch of
+    all rows only where BLAS gives a row the same bits in any batch of two
+    or more rows, which holds at some widths and not at others.
     """
     spec = net.spec
     last = spec.n_layers - 1

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .base_model import draw_gaussian
 from .data import ClassAttributeTable, DatasetBundle, FeatureDataset, SplitSpec, save_dataset
 from .errors import ConfigError, DataError
 from .rng import named_stream
@@ -185,9 +186,7 @@ def make_synthetic_world(spec: SyntheticWorldSpec) -> SyntheticWorld:
     blocks = []
     labels = []
     for c in range(n_classes):
-        stream = named_stream(spec.seed, "samples", c)
-        noise = stream.standard_normal((n, spec.d))
-        rows = means[c] + noise / np.sqrt(precisions[c])
+        rows = draw_gaussian(means[c], precisions[c], n, named_stream(spec.seed, "samples", c))
         if c >= spec.S:
             rows = truth.apply_shift(rows)
         blocks.append(rows)

@@ -15,11 +15,10 @@ from zslada.ada import (
     AdaState,
     AlignedBatch,
     _abort_if_nonfinite,
-    _chunk_rows,
-    _class_blocks,
     _crossover_accuracy,
     adapt,
     augment_batch,
+    augmented_draws,
     classify,
     critic_objective,
     generator_objective,
@@ -28,7 +27,6 @@ from zslada.ada import (
     map_prototypes,
     save_ada_state,
     trained_roles,
-    transformed_draws,
 )
 import zslada.base_model
 from zslada.base_model import class_params_matrix, pseudo_labels, sample_stream
@@ -785,26 +783,26 @@ def test_map_prototypes_seeded_and_single_draw():
 
 
 def _check_blocks(blocks, n_classes: int, n: int) -> None:
-    """The block contract of ``_augmented_draws``: blocks of at most
-    ``DRAW_CHUNK + 1`` rows whose segments tile them; classes in index
-    order with ``n`` rows each, whole in one block when ``n <= DRAW_CHUNK``
-    and in ``_chunk_rows(n)`` chunks of one block each otherwise; and no
-    one-row block unless one class is drawn once."""
-    per_class = {}
+    """The block layout of ``augmented_draws``: every block but the last
+    has ``DRAW_CHUNK`` rows and the last the rest, from 2 to ``DRAW_CHUNK
+    + 1`` (1 only when one class is drawn once), which fixes every size;
+    the segments tile each block; and the classes come in index order,
+    each running on into the next block, with ``n`` rows in all."""
+    sizes = [rows for rows, _ in blocks]
+    assert sizes[:-1] == [DRAW_CHUNK] * (len(sizes) - 1), sizes
+    assert 2 <= sizes[-1] <= DRAW_CHUNK + 1 or n_classes * n == sizes[-1] == 1, sizes
+    assert sum(sizes) == n_classes * n
+    order, per_class = [], {}
     for rows, segments in blocks:
-        assert 0 < rows <= DRAW_CHUNK + 1
-        assert rows >= 2 or n_classes * n == 1, (n_classes, n, rows)
         assert [lo for _, lo, _ in segments] == [0] + [hi for _, _, hi in segments[:-1]]
         assert segments[-1][2] == rows
-        if n <= DRAW_CHUNK:
-            assert all(hi - lo == n for _, lo, hi in segments)
-        else:
-            assert len(segments) == 1
+        assert [j for j, _, _ in segments] == sorted({j for j, _, _ in segments})
         for j, lo, hi in segments:
-            per_class.setdefault(j, []).append(hi - lo)
-    assert list(per_class) == list(range(n_classes))
-    want = [n] if n <= DRAW_CHUNK else _chunk_rows(n)
-    assert all(rows == want for rows in per_class.values()), per_class
+            assert hi > lo
+            order.append(j)
+            per_class[j] = per_class.get(j, 0) + hi - lo
+    assert order == sorted(order) and list(per_class) == list(range(n_classes))
+    assert all(rows == n for rows in per_class.values()), per_class
 
 
 @pytest.mark.parametrize("n_classes, n", [
@@ -812,20 +810,25 @@ def _check_blocks(blocks, n_classes: int, n: int) -> None:
     (3, 2), (1, 3), (DRAW_CHUNK // 2 + 1, 2), (4, DRAW_CHUNK // 3), (3, DRAW_CHUNK // 2 + 1),
     (2, DRAW_CHUNK), (2, DRAW_CHUNK + 1), (3, 2 * DRAW_CHUNK + 1)])
 def test_class_blocks_pack_whole_classes_within_the_chunk_bound(n_classes, n):
-    blocks = []
-    for block in _class_blocks(n_classes, n):
-        segments, lo = [], 0
-        for j, rows in block:
-            segments.append((j, lo, lo + rows))
-            lo += rows
-        blocks.append((lo, segments))
+    # the blocks cut every DRAW_CHUNK rows across the classes; each row
+    # carries its class's one-hot, and a class's draws, read across the
+    # blocks it spans, are one draw_gaussian batch of its stream
+    d, seed = 2, 5
+    means = np.arange(2 * n_classes, dtype=np.float64).reshape(n_classes, d)
+    precisions = np.full((n_classes, d), 4.0)
+    class_ids = [10 + j for j in range(n_classes)]
+    blocks, draws = [], {j: [] for j in range(n_classes)}
+    for block, segments in augmented_draws(class_ids, (means, precisions), n, seed):
+        assert block.shape[1] == d + n_classes
+        assert np.array_equal(block[:, d:].sum(axis=1), np.ones(block.shape[0]))
+        for j, lo, hi in segments:
+            assert np.all(block[lo:hi, d + j] == 1.0)
+            draws[j].append(block[lo:hi, :d].copy())
+        blocks.append((block.shape[0], list(segments)))
     _check_blocks(blocks, n_classes, n)
-    if n <= DRAW_CHUNK:
-        # every block but the last is full; a one-row rest joined the last
-        sizes = [len(segments) for _, segments in blocks]
-        per = DRAW_CHUNK // n
-        assert all(size == per for size in sizes[:-1])
-        assert 1 <= sizes[-1] <= per + (n == 1), sizes
+    for j, cid in enumerate(class_ids):
+        want = reference_draw_gaussian(means[j], precisions[j], n, sample_stream(seed, cid))
+        assert np.concatenate(draws[j]).tobytes() == want.tobytes(), j
 
 
 # five classes leave the last block partial: 1, 2 and 3 draws pack all five
@@ -868,11 +871,13 @@ def test_chunked_standard_normal_continues_the_one_shot_draw():
 
 
 def test_an_inference_row_has_the_same_bits_in_any_batch_of_two_or_more_rows():
-    # packing classes into blocks rests on this: with OpenBLAS a row of
+    # cutting the draws into blocks rests on this: with OpenBLAS a row of
     # h @ W has the same bits in every batch of >= 2 rows, at any offset
-    # (a one-row batch runs through gemv).  It holds for one BLAS build
-    # and thread count; across thread counts the bits of long products
-    # can move (ROADMAP item 4).
+    # (a one-row batch runs through gemv), at these widths (19 -> 48 ->
+    # 32 -> 16) and at 20 -> 48 -> 16.  Not at every width: at 17 -> 9 ->
+    # 12, row 32 of a 33-row batch has other bits than in a 1024-row one.
+    # It holds for one BLAS build and thread count; across thread counts
+    # the bits of long products can move (ROADMAP item 4).
     model, state = streaming_setup()
     X = np.random.default_rng(12).standard_normal((DRAW_CHUNK, state.g_t.spec.in_dim))
     whole = forward_eval(state.g_t, X)
@@ -907,7 +912,8 @@ def test_map_prototypes_is_the_mean_of_g_t_outputs_up_to_rounding():
     protos = map_prototypes(state, table, n, seed=2)
     moved_rows = {j: [] for j in range(state.n_unseen)}
     seed = named_seed(2, "proto")
-    for _, moved, segments in transformed_draws(state.unseen_ids, table, n, seed, state.g_t):
+    for block, segments in augmented_draws(state.unseen_ids, table, n, seed):
+        moved = forward_eval(state.g_t, block)
         for j, lo, hi in segments:
             moved_rows[j].append(moved[lo:hi])
     for j, cid in enumerate(state.unseen_ids):

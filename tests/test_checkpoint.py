@@ -62,6 +62,21 @@ def test_unreadable_header(tmp_path):
     assert err.value.code == "BAD_CHECKPOINT"
 
 
+@pytest.mark.parametrize("header", [
+    b'[1, 2]',
+    b'{"format_version": 1, "meta": [], "arrays": [["a", 1]]}',
+    b'{"format_version": 1, "meta": {}, "arrays": [["a", -1]]}',
+    b'{"format_version": 1, "meta": {}, "arrays": [[7, 1]]}',
+], ids=["header-not-an-object", "meta-not-an-object", "negative-length", "name-not-a-string"])
+def test_a_malformed_header_is_refused_naming_the_path(tmp_path, header):
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(header + b"\n" + b"\x00" * 8)
+    with pytest.raises(DataError) as err:
+        load_container(path)
+    assert err.value.code == "BAD_CHECKPOINT"
+    assert str(path) in str(err.value)
+
+
 def test_truncated_array(tmp_path):
     path = tmp_path / "c.ckpt"
     save_container(path, {"kind": "t"}, {"w": np.arange(8, dtype=np.float64)})

@@ -542,9 +542,9 @@ def _mutations(kind: str, meta: dict, arrays: dict) -> list:
     cases += [(key, {**meta, key: value}, arrays)
               for key, hint in get_type_hints(RECORDS[kind]).items()
               for value in wrong_values(hint)]
-    # one entry off; no spec gives the length of the pseudo-labels, one per test row
+    # one entry off; the dataset gives the length of the pseudo-labels, one per test row
     cases += [(name, meta, {**arrays, name: a[:-1] if a.size else np.zeros(1)})
-              for name, a in arrays.items() if name != "pseudo"]
+              for name, a in arrays.items()]
     cases.append(("unexpected", meta, {**arrays, "unexpected": np.zeros(1)}))
     if kind == "base_model":
         return cases + [("attr_table_hash", {**meta, "attr_table_hash": "0" * 64}, arrays)]
@@ -671,6 +671,20 @@ def test_eval_refuses_a_metric_it_cannot_score_before_creating_out(
     out = tmp_path / "out"
     assert main(["eval", *base, *ada, "--metric", metric, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metric", ["m1", "all"])
+def test_eval_refuses_an_untrained_classifier_before_creating_out(pipeline, tmp_path, capsys,
+                                                                 metric):
+    meta, arrays = load_container(pipeline["ada"] / "ada_state.ckpt")
+    save_container(tmp_path / "untrained.ckpt", {**meta, "iteration": 0}, arrays)
+    out = tmp_path / "out"
+    assert main(["eval", "--data", str(pipeline["world"]),
+                 "--base", str(pipeline["pre"] / "base_model.ckpt"),
+                 "--ada", str(tmp_path / "untrained.ckpt"), "--metric", metric,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: classifier has not been trained yet\n"
     assert not out.exists()
 
 
